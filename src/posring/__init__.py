@@ -14,6 +14,7 @@ from .errors import (
     LengthMismatch,
     NotDivisible,
     PosringError,
+    PostconditionFailed,
     SchemaError,
     SearchSpaceTooLarge,
     TooLarge,
@@ -56,8 +57,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllZero", "BadIndex", "InvalidWitness", "LengthMismatch", "NotDivisible",
-    "PosringError", "SchemaError", "SearchSpaceTooLarge", "TooLarge",
-    "ZeroInput", "ZeroPolynomial",
+    "PosringError", "PostconditionFailed", "SchemaError", "SearchSpaceTooLarge",
+    "TooLarge", "ZeroInput", "ZeroPolynomial",
     "IntPoly", "LaurentPoly", "laurent_normalize",
     "DEGREE_CAP", "SOLVABLE", "UNSOLVABLE", "WITNESS_FOUND",
     "WITNESS_NOT_FOUND", "Decision", "WitnessTuple", "brute_force_oracle",

@@ -22,14 +22,12 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
 from . import nxsolve, wreath
 from .errors import PosringError, SchemaError, TooLarge
-from .nxsolve import WitnessTuple
-from .polyring import IntPoly, LaurentPoly, laurent_normalize
+from .polyring import IntPoly, LaurentPoly
 from .realdec import RationalPoint
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
@@ -270,52 +268,6 @@ def cmd_solve(args):
     return 0 if decision.status == nxsolve.SOLVABLE else 1
 
 
-def _decide_cover_task(task):
-    pairs, rows, degree_cap = task
-    decision = nxsolve.decide([IntPoly(r) for r in rows], want_witness=True,
-                              degree_cap=degree_cap)
-    if decision.status != nxsolve.SOLVABLE:
-        return None
-    if decision.witness_status == nxsolve.WITNESS_FOUND:
-        return [list(f.coeffs) for f in decision.certificate.fs]
-    return "capped"
-
-
-def _group_parallel(gens, degree_cap, cover_cap, jobs):
-    """is_group with per-cover decisions fanned out; first cover wins.
-
-    Results are consumed in enumeration order, so the verdict and the
-    chosen cover match the serial path exactly.
-    """
-    if not gens.plus or not gens.minus:
-        return False, None
-    hij = wreath.build_hij(gens)
-    covers = list(wreath.enumerate_covers(range(1, len(gens.plus) + 1),
-                                          range(1, len(gens.minus) + 1),
-                                          cap=cover_cap))
-    tasks = []
-    for cover in covers:
-        hs, _ = laurent_normalize([hij[p] for p in cover.pairs])
-        tasks.append((cover.pairs, [list(h.coeffs) for h in hs], degree_cap))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_decide_cover_task, t) for t in tasks]
-        winner = None
-        for cover, fut in zip(covers, futures):
-            result = fut.result()
-            if result is None:
-                continue
-            if result == "capped":
-                winner = (cover, None)
-            else:
-                winner = (cover, WitnessTuple(fs=tuple(IntPoly(r) for r in result)))
-            for other in futures:
-                other.cancel()
-            break
-    if winner is None:
-        return False, None
-    return True, winner
-
-
 def cmd_wreath(args):
     pf = parse_input(_read_file(args.file))
     if pf.kind != "wreath":
@@ -324,11 +276,7 @@ def cmd_wreath(args):
     t0 = perf_counter()
 
     if args.question == "group":
-        if args.jobs > 1:
-            ok, info = _group_parallel(gens, args.degree_cap, args.cover_cap,
-                                       args.jobs)
-        else:
-            ok, info = wreath.is_group(gens, args.degree_cap, args.cover_cap)
+        ok, info = wreath.is_group(gens, args.degree_cap, args.cover_cap)
         elapsed = round(perf_counter() - t0, 6)
         report = {"is_group": ok}
         lines = ["is group: %s" % _text_value(ok)]
@@ -348,8 +296,7 @@ def cmd_wreath(args):
         return 0 if ok else 1
 
     found, word = wreath.identity_witness_word(
-        gens, args.subset_cap, args.degree_cap, args.cover_cap,
-        scale_power=args.scale_power)
+        gens, args.subset_cap, args.degree_cap, args.cover_cap)
     elapsed = round(perf_counter() - t0, 6)
 
     if args.question == "identity":
@@ -434,10 +381,6 @@ def build_parser():
     wre.add_argument("--subset-cap", type=int, default=wreath.SUBSET_CAP, metavar="N",
                      help="max generator count for subset scans (default %d)"
                           % wreath.SUBSET_CAP)
-    wre.add_argument("--scale-power", type=int, default=None, metavar="M",
-                     help="override the synthesis (1+X)^m exponent")
-    wre.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="parallel workers for cover decisions (group only)")
     _add_format_flags(wre)
     wre.set_defaults(func=cmd_wreath)
     return parser
@@ -455,9 +398,6 @@ def main(argv=None):
             args.degree_cap = int(env)
         else:
             args.degree_cap = nxsolve.DEGREE_CAP
-    if getattr(args, "jobs", 1) < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except TooLarge as exc:

@@ -47,3 +47,7 @@ class InvalidWitness(PosringError):
 
 class SchemaError(PosringError):
     """A problem file violates the input schema."""
+
+
+class PostconditionFailed(PosringError):
+    """A result failed the exact check made on it before it was returned."""

@@ -19,7 +19,13 @@ from itertools import product as _iproduct
 from math import gcd as _igcd, lcm as _ilcm
 
 from . import kernels as _k
-from .errors import AllZero, LengthMismatch, SearchSpaceTooLarge, ZeroPolynomial
+from .errors import (
+    AllZero,
+    LengthMismatch,
+    PostconditionFailed,
+    SearchSpaceTooLarge,
+    ZeroPolynomial,
+)
 from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many
 from .realdec import RationalPoint, SignVector, sign_at_root, uniform_sign_exists
 
@@ -303,7 +309,8 @@ def find_witness(hs, degree_cap=DEGREE_CAP):
             IntPoly(ints[i * (d + 1):(i + 1) * (d + 1)]) for i in range(len(hs))
         )
         wt = WitnessTuple(fs)
-        assert verify_witness(hs, list(fs)), "LP point fails substitution"
+        if not verify_witness(hs, list(fs)):
+            raise PostconditionFailed("LP point fails substitution")
         return wt
     return None
 
@@ -359,7 +366,8 @@ def brute_force_oracle(hs, deg_bound, coeff_bound):
     for i, f in zip(active, found):
         fs[i] = f
     wt = WitnessTuple(tuple(fs))
-    assert verify_witness(hs, list(wt.fs))
+    if not verify_witness(hs, list(wt.fs)):
+        raise PostconditionFailed("oracle tuple fails substitution")
     return wt
 
 

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BadIndex, InvalidWitness, LengthMismatch, TooLarge
+from .errors import (
+    BadIndex,
+    InvalidWitness,
+    LengthMismatch,
+    PostconditionFailed,
+    TooLarge,
+)
 from .nxsolve import DEGREE_CAP, SOLVABLE, WITNESS_FOUND, decide, verify_witness
 from .polyring import (
     IntPoly,
@@ -224,7 +230,7 @@ def identity_in_semigroup(gens, subset_cap=SUBSET_CAP, degree_cap=DEGREE_CAP,
 
 
 def identity_witness_word(gens, subset_cap=SUBSET_CAP, degree_cap=DEGREE_CAP,
-                          cover_cap=COVER_CAP, scale_power=None):
+                          cover_cap=COVER_CAP):
     """(identity_found, word): a verified identity word over the generators.
 
     Scans the same subsets as identity_in_semigroup; on the first group
@@ -243,10 +249,11 @@ def identity_witness_word(gens, subset_cap=SUBSET_CAP, degree_cap=DEGREE_CAP,
         cover, witness = info
         if witness is None:
             continue
-        sub_word = synthesize_identity_word(sub, cover, witness, scale_power)
+        sub_word = synthesize_identity_word(sub, cover, witness)
         sel = {PLUS: plus_sel, MINUS: minus_sel}
         word = Word(tuple((side, sel[side][k - 1]) for side, k in sub_word.letters))
-        assert word_product(gens, word) == WreathElement.identity()
+        if word_product(gens, word) != WreathElement.identity():
+            raise PostconditionFailed("renumbered word failed the exact product check")
         return True, word
     return found, None
 
@@ -322,15 +329,15 @@ class _Plan:
     yz: tuple
 
 
-def _plan(pairs, f_map, scale_power=None):
+def _plan(pairs, f_map):
     """Identity-word skeleton for nonzero f_ij over N[X] on a pair set.
 
     Pipeline: strip the common power of X; pick (u,v) as the smallest
     pair whose f has a nonzero constant term and (y,z) as the smallest
     pair of maximal degree; scale everything by (1 + X)**m with the
-    least m passing _scaling_ok (or a caller-supplied larger one); build
-    the zigzag base word A_u B_v^Duv B_z^(Dyz-Duv) A_y^(Dyz-Duv)
-    A_u^(Duv-1), whose product's upper-right entry is exactly
+    least m passing _scaling_ok; build the zigzag base word
+    A_u B_v^Duv B_z^(Dyz-Duv) A_y^(Dyz-Duv) A_u^(Duv-1), whose
+    product's upper-right entry is exactly
     sum_{i<Duv} X^i h_uv + sum_{Duv<=i<Dyz} X^i h_yz; subtract those two
     geometric blocks from the scaled pivots and realize every remaining
     coefficient X^k as loops: A_i B_j where the following suffix has
@@ -338,7 +345,8 @@ def _plan(pairs, f_map, scale_power=None):
     height 0 and upper-right entry sum f'_ij h_ij for the scaled f'.
     """
     pairs = tuple(sorted(map(tuple, pairs)))
-    assert pairs, "synthesis needs at least one pair"
+    if not pairs:
+        raise InvalidWitness("synthesis needs at least one pair")
     fd = {}
     for p in pairs:
         f = f_map[p]
@@ -355,21 +363,18 @@ def _plan(pairs, f_map, scale_power=None):
 
     order_yz = order_at_zero(fd[yz])
     bound = max(fd[uv].degree, fd[yz].degree - order_yz, order_yz)
-    if scale_power is None:
-        m = 0
-        while not _scaling_ok(fd[uv], fd[yz], m):
-            m += 1
-            assert m <= bound, "scaling scan escaped its sufficiency bound"
-    else:
-        m = scale_power
-        if m < 0 or not _scaling_ok(fd[uv], fd[yz], m):
-            raise ValueError("scale power %r violates the positivity conditions" % (m,))
+    m = 0
+    while not _scaling_ok(fd[uv], fd[yz], m):
+        m += 1
+        if m > bound:
+            raise PostconditionFailed("scaling scan escaped its sufficiency bound")
     onepx = _onepx_power(m)
     scaled = {p: multiply(f, onepx) for p, f in fd.items()}
 
     a = scaled[uv].degree
     d = scaled[yz].degree
-    assert a <= d, "pivot degrees out of order"
+    if a > d:
+        raise PostconditionFailed("pivot degrees out of order")
 
     # remove the blocks the base word realizes; when uv == yz both
     # subtractions hit the same polynomial and d == a makes the second
@@ -380,8 +385,10 @@ def _plan(pairs, f_map, scale_power=None):
     if d > a:
         fhat[yz] = subtract(fhat[yz], IntPoly([0] * a + [1] * (d - a)))
     for p, f in fhat.items():
-        assert not f.is_zero, "corrected witness vanished at %r" % (p,)
-        assert all(c >= 0 for c in f.coeffs), "block subtraction went negative"
+        if f.is_zero:
+            raise PostconditionFailed("corrected witness vanished at %r" % (p,))
+        if any(c < 0 for c in f.coeffs):
+            raise PostconditionFailed("block subtraction went negative")
 
     # zigzag base: full descent, then the ascent with its last letter
     # rotated to the front so the X^0 rung exists
@@ -427,7 +434,7 @@ def _plan(pairs, f_map, scale_power=None):
     )
 
 
-def synthesize_identity_word(gens, cover, witness, scale_power=None):
+def synthesize_identity_word(gens, cover, witness):
     """Word over the generators whose product is the identity.
 
     The witness entries line up with cover.pairs in sorted order and
@@ -457,7 +464,7 @@ def synthesize_identity_word(gens, cover, witness, scale_power=None):
         letters = tuple(ref for p in pairs for ref in ((PLUS, p[0]), (MINUS, p[1])))
         word = Word(letters)
     else:
-        word = Word(_plan(pairs, dict(zip(pairs, fs)), scale_power).letters)
-    assert word_product(gens, word) == WreathElement.identity(), \
-        "synthesized word failed the exact product check"
+        word = Word(_plan(pairs, dict(zip(pairs, fs))).letters)
+    if word_product(gens, word) != WreathElement.identity():
+        raise PostconditionFailed("synthesized word failed the exact product check")
     return word

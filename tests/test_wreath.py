@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -286,18 +288,37 @@ def test_plan_scale_lifts_gaps():
     assert dict(plan.scaled)[(1, 1)] == P(1, 1, 1, 1)
 
 
-def test_plan_scale_override():
-    fm = {(1, 1): P(1, 0, 1)}
-    assert wr._plan(((1, 1),), fm, scale_power=3).scale == 3
-    with pytest.raises(ValueError):
-        wr._plan(((1, 1),), fm, scale_power=0)
-
-
 def test_plan_rejects_bad_f():
     with pytest.raises(InvalidWitness):
         wr._plan(((1, 1),), {(1, 1): IntPoly.zero()})
     with pytest.raises(InvalidWitness):
         wr._plan(((1, 1),), {(1, 1): P(1, -1)})
+
+
+_BROKEN_PLAN = """
+import dataclasses, sys
+from posring import wreath as wr
+from posring.errors import PostconditionFailed
+from posring.polyring import LaurentPoly as L
+real = wr._plan
+def broken(pairs, f_map):
+    plan = real(pairs, f_map)
+    return dataclasses.replace(plan, letters=plan.letters[:-1])
+wr._plan = broken
+gens = wr.GeneratorSet(plus=(L([1]), L([-1, 1])), minus=(L([1]), L([-2])))
+try:
+    wr.identity_witness_word(gens)
+except PostconditionFailed as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_synthesis_check_survives_optimize():
+    # a wrong word from the planner must be caught even where -O strips asserts
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_PLAN],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 synthesized word failed the exact product check"
 
 
 def test_synthesize_degenerate_zero_cover():

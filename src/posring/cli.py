@@ -12,9 +12,10 @@ Wreath generators keep file order within each sign: the k-th "b": 1
 entry is A_k, the k-th "b": -1 entry is B_k, and output words name them
 that way ("A1 B2 ...").
 
-Exit codes: 0 = Solvable / yes, 1 = Unsolvable / no, 2 = bad input or a
-cap stopped the run before a verdict.  Reports go to stdout (JSON with
---json, line-oriented text otherwise), diagnostics to stderr.
+Exit codes: 0 = Solvable / yes, 1 = Unsolvable / no, 2 = bad input, or a
+cap or memory exhaustion stopped the run before its answer.  Reports go
+to stdout (JSON with --json, line-oriented text otherwise), diagnostics
+to stderr.
 """
 
 import argparse
@@ -276,7 +277,7 @@ def cmd_wreath(args):
     t0 = perf_counter()
 
     if args.question == "group":
-        ok, info = wreath.is_group(gens, args.degree_cap, args.cover_cap)
+        ok, info = wreath.is_group(gens, args.degree_cap)
         elapsed = round(perf_counter() - t0, 6)
         report = {"is_group": ok}
         lines = ["is group: %s" % _text_value(ok)]
@@ -295,8 +296,7 @@ def cmd_wreath(args):
         _write_report(args, report, lines)
         return 0 if ok else 1
 
-    found, word = wreath.identity_witness_word(
-        gens, args.subset_cap, args.degree_cap, args.cover_cap)
+    found, word = wreath.identity_witness_word(gens, args.degree_cap)
     elapsed = round(perf_counter() - t0, 6)
 
     if args.question == "identity":
@@ -375,12 +375,6 @@ def build_parser():
     wre.add_argument("file", help="problem file path, or - for stdin")
     wre.add_argument("--degree-cap", type=int, default=None, metavar="N",
                      help="max witness degree (default %d)" % nxsolve.DEGREE_CAP)
-    wre.add_argument("--cover-cap", type=int, default=wreath.COVER_CAP, metavar="N",
-                     help="max |I x J| for cover enumeration (default %d)"
-                          % wreath.COVER_CAP)
-    wre.add_argument("--subset-cap", type=int, default=wreath.SUBSET_CAP, metavar="N",
-                     help="max generator count for subset scans (default %d)"
-                          % wreath.SUBSET_CAP)
     _add_format_flags(wre)
     wre.set_defaults(func=cmd_wreath)
     return parser
@@ -414,6 +408,9 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print("cannot read input: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("out of memory before the run finished; no answer", file=sys.stderr)
         return 2
 
 

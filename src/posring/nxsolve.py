@@ -134,7 +134,8 @@ def normalize(hs):
         )
         xdiv += 1
         budget -= 1
-        assert budget >= 0, "X-division loop exceeded degree budget"
+        if budget < 0:
+            raise PostconditionFailed("X-division loop exceeded degree budget")
 
 
 def decide(hs, want_witness=False, degree_cap=DEGREE_CAP):
@@ -267,7 +268,8 @@ def rational_feasibility(sys):
                     ratio == best and basis[r] < basis[leave]
                 ):
                     leave, best = r, ratio
-        assert leave is not None, "phase-1 objective is bounded"
+        if leave is None:
+            raise PostconditionFailed("phase-1 objective is unbounded")
         piv = rows[leave][enter]
         rows[leave] = [c / piv for c in rows[leave]]
         for r in range(m):

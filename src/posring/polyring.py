@@ -8,7 +8,7 @@ All values are immutable and all operations are pure.
 from fractions import Fraction
 
 from posring import kernels as _k
-from posring.errors import AllZero, NotDivisible, ZeroInput
+from posring.errors import AllZero, NotDivisible, PostconditionFailed, ZeroInput
 
 
 def _check_ints(coeffs):
@@ -449,7 +449,8 @@ def squarefree_part(p):
         return IntPoly._raw(_k.primitive_signed(list(p.coeffs)))
     # g is primitive, so it divides the primitive part exactly (Gauss)
     q = _k.exact_div(_k.primitive_signed(list(p.coeffs)), g)
-    assert q is not None
+    if q is None:
+        raise PostconditionFailed("gcd(p, p') does not divide p's primitive part")
     return IntPoly._raw(q)
 
 

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from posring import kernels as _k
-from posring.errors import EndpointIsRoot, ZeroInput, ZeroPolynomial
-from posring.polyring import IntPoly, RatPoly
-
-_PRIMES = (2**61 - 1, 2**89 - 1)
+from posring.errors import EndpointIsRoot, PostconditionFailed, ZeroInput, ZeroPolynomial
+from posring.polyring import IntPoly, RatPoly, _coprime_mod
 
 
 @dataclass(frozen=True)
@@ -191,17 +189,6 @@ class _NewExact(Exception):
         self.value = value
 
 
-def _coprime_mod(a, b):
-    # True only with a certificate: a constant gcd modulo some prime
-    # that divides neither leading coefficient forces gcd 1 over Q
-    for m in _PRIMES:
-        g = _k.gcd_mod(a, b, m)
-        if g is None:
-            continue
-        return len(g) == 1
-    return False
-
-
 def _sqfree_data(q):
     """(s, g) for q with q(0) != 0, deg >= 1: s is the squarefree part.
 
@@ -215,7 +202,8 @@ def _sqfree_data(q):
     if len(g) == 1:
         return _k.primitive_signed(q), None
     s = _k.exact_div(_k.primitive_signed(q), g)
-    assert s is not None
+    if s is None:
+        raise PostconditionFailed("gcd(q, q') does not divide q's primitive part")
     return s, g
 
 
@@ -260,7 +248,8 @@ def _vca_isolate(s):
         if right[0] == 0:
             exacts.append((2 * c + 1) * scale / 2)
             right = right[1:]
-            assert right[0] != 0
+            if right[0] == 0:
+                raise PostconditionFailed("squarefree part has a double root")
         stack.append((2 * c, k + 1, left))
         stack.append((2 * c + 1, k + 1, right))
     return exacts, ivals
@@ -410,7 +399,8 @@ def _build_clusters(data, known):
     exact_owned = {}
     for r in sorted(known):
         owners = [i for i, d in enumerate(data) if _ev(d.cs, r) == 0]
-        assert owners
+        if not owners:
+            raise PostconditionFailed("known root %s has no owner" % r)
         exact_owned[r] = owners
 
     recs = []
@@ -481,7 +471,8 @@ def _synthesize(data, exact_owned, recs):
             prev_hi = r
         else:
             c = payload
-            assert prev_hi is None or c.lo >= prev_hi
+            if prev_hi is not None and c.lo < prev_hi:
+                raise PostconditionFailed("isolating intervals overlap")
             mult_free = True
             for i in sorted(c.members):
                 g = data[i].gfac

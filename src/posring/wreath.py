@@ -4,18 +4,22 @@ An element is a pair (f, b) with f a Laurent polynomial, multiplied by
 (f, b)*(g, c) = (g + f*X**c, b + c); this is the 2x2 matrix picture
 [[1, f], [0, X**b]] read off its upper-right and lower-right entries.
 For generators A_i = (H_i, +1) and B_j = (G_j, -1) the product A_i*B_j
-has upper-right entry h_ij = X**-1*H_i + G_j, and the generated
-semigroup is a group exactly when some subset S of I x J with full
-projections admits nonzero f_ij over N[X] with sum f_ij*h_ij = 0.  The
-identity lies in the semigroup exactly when some nonempty subset of the
-generators generates a group.
+has upper-right entry h_ij = X**-1*H_i + G_j.  Call a subset S of I x J
+a solvable support when nonzero f_ij over N[X] give sum f_ij*h_ij = 0
+over S once X denominators are cleared.  Solvable supports are closed
+under union (add the witnesses: nonnegative coefficients never cancel),
+so they have a largest member M, found with at most one decide call per
+nonzero h_ij plus one.  The generated semigroup is a group exactly when
+M has full projections onto I and J, and the identity lies in it
+exactly when M is nonempty.
 
-Identity words are synthesized from a witness (f_ij): a zigzag base
-word realizes the two pivot pairs' geometric blocks, and each remaining
-coefficient X**k of the corrected witness becomes a two-letter loop
-spliced in where the suffix after it has height k, adding X**k * h_ij
-to the upper-right entry.  Every synthesized word is checked by exact
-multiplication before it is returned.
+Identity words are synthesized from a witness (f_ij) on the smallest
+solvable cover, searched inside M: a zigzag base word realizes the two
+pivot pairs' geometric blocks, and each remaining coefficient X**k of
+the corrected witness becomes a two-letter loop spliced in where the
+suffix after it has height k, adding X**k * h_ij to the upper-right
+entry.  Every synthesized word is checked by exact multiplication
+before it is returned.
 """
 
 from dataclasses import dataclass
@@ -29,7 +33,15 @@ from .errors import (
     PostconditionFailed,
     TooLarge,
 )
-from .nxsolve import DEGREE_CAP, SOLVABLE, WITNESS_FOUND, decide, verify_witness
+from .nxsolve import (
+    DEGREE_CAP,
+    SOLVABLE,
+    UNIFORM_SIGN_AT_ZERO,
+    WITNESS_FOUND,
+    decide,
+    find_witness,
+    verify_witness,
+)
 from .polyring import (
     IntPoly,
     LaurentPoly,
@@ -170,35 +182,76 @@ def enumerate_covers(I, J, cap=COVER_CAP):
                 yield CoverSubset(combo)
 
 
-def is_group(gens, degree_cap=DEGREE_CAP, cover_cap=COVER_CAP):
+def _maximal_support(hij, pairs):
+    """M, the union of every solvable support inside pairs, sorted.
+
+    Each Unsolvable round drops the pairs its certificate rules out.  On
+    a solvable support the f_ij * X**k (k the X stripped by normalize)
+    are positive at the certificate's sample t > 0, so every reduced
+    h'_ij(t) there is 0: a pair with a nonzero sign is in no solvable
+    support (a lone nonzero h_ij, whose sample may be 0, never cancels
+    at all).  A UniformSignAtZero verdict stays strict for small t > 0
+    and drops every nonzero pair.  Zero h_ij are always kept.  The loop
+    ends on a Solvable set or an empty one, after at most (nonzero
+    pairs + 1) decide calls.
+    """
+    live = tuple(sorted(pairs))
+    while live:
+        hs, _ = laurent_normalize([hij[p] for p in live])
+        verdict = decide(hs)
+        if verdict.status == SOLVABLE:
+            return live
+        nonzero = [p for p, h in zip(live, hs) if not h.is_zero]
+        if verdict.unsolvable_reason == UNIFORM_SIGN_AT_ZERO:
+            drop = set(nonzero)
+        else:
+            signs = verdict.certificate.sign_vector.signs
+            if len(signs) != len(nonzero):
+                raise PostconditionFailed("certificate signs miss nonzero h_ij")
+            drop = {p for p, s in zip(nonzero, signs) if s}
+        if not drop:
+            raise PostconditionFailed("an Unsolvable round dropped no pair")
+        live = tuple(p for p in live if p not in drop)
+    return live
+
+
+def _projections(pairs):
+    return {i for i, _ in pairs}, {j for _, j in pairs}
+
+
+def is_group(gens, degree_cap=DEGREE_CAP):
     """Decide whether the generated semigroup is a group.
 
-    True iff some full-projection cover S makes {h_ij : (i,j) in S}
-    solvable once X denominators are cleared; covers are tried smallest
-    first and the first solvable one is returned, together with the
-    witness tuple when the search finds one within degree_cap.  Without
-    a generator on each side no nonempty word has height 0, so False.
+    True iff the maximal solvable support M has full projections; then
+    M is returned as the cover, together with a witness on M when the
+    search finds one within degree_cap.  Without a generator on each
+    side no nonempty word has height 0, so False.
     """
-    if not gens.plus or not gens.minus:
-        return False, None
     hij = build_hij(gens)
-    rows = range(1, len(gens.plus) + 1)
-    cols = range(1, len(gens.minus) + 1)
-    for cover in enumerate_covers(rows, cols, cap=cover_cap):
-        hs, _ = laurent_normalize([hij[p] for p in cover.pairs])
-        verdict = decide(hs, want_witness=True, degree_cap=degree_cap)
-        if verdict.status == SOLVABLE:
-            found = verdict.witness_status == WITNESS_FOUND
-            return True, (cover, verdict.certificate if found else None)
-    return False, None
+    support = _maximal_support(hij, hij)
+    rows, cols = _projections(support)
+    if not support or len(rows) < len(gens.plus) or len(cols) < len(gens.minus):
+        return False, None
+    hs, _ = laurent_normalize([hij[p] for p in support])
+    return True, (CoverSubset(support), find_witness(hs, degree_cap))
 
 
-def _signed_subsets(gens, subset_cap):
+def identity_in_semigroup(gens):
+    """True iff the identity is a product of a nonempty generator word.
+
+    Equivalent to some nonempty subset of the generators generating a
+    group, that is, to a nonempty maximal solvable support.
+    """
+    hij = build_hij(gens)
+    return bool(_maximal_support(hij, hij))
+
+
+def _signed_subsets(rows, cols):
     """Index subsets with both signs present, ascending by total size."""
-    tagged = [(PLUS, i) for i in range(1, len(gens.plus) + 1)]
-    tagged += [(MINUS, j) for j in range(1, len(gens.minus) + 1)]
-    if len(tagged) > subset_cap:
-        raise TooLarge("%d generators exceed the subset cap %d" % (len(tagged), subset_cap))
+    tagged = [(PLUS, i) for i in rows] + [(MINUS, j) for j in cols]
+    if len(tagged) > SUBSET_CAP:
+        raise TooLarge("%d generators exceed the subset cap %d"
+                       % (len(tagged), SUBSET_CAP))
     for size in range(2, len(tagged) + 1):
         for combo in combinations(tagged, size):
             plus = tuple(i for side, i in combo if side == PLUS)
@@ -207,55 +260,46 @@ def _signed_subsets(gens, subset_cap):
                 yield plus, minus
 
 
-def _subset_gens(gens, plus_sel, minus_sel):
-    return GeneratorSet(
-        tuple(gens.plus[i - 1] for i in plus_sel),
-        tuple(gens.minus[j - 1] for j in minus_sel),
-    )
+def _first_solvable_cover(hij, inside, plus_sel, minus_sel, degree_cap):
+    # smallest-first covers of plus_sel x minus_sel; those leaving the
+    # maximal support are unsolvable and skipped without a decide call
+    for cover in enumerate_covers(plus_sel, minus_sel):
+        if inside.issuperset(cover.pairs):
+            hs, _ = laurent_normalize([hij[p] for p in cover.pairs])
+            verdict = decide(hs, want_witness=True, degree_cap=degree_cap)
+            if verdict.status == SOLVABLE:
+                return cover, verdict
+    return None
 
 
-def identity_in_semigroup(gens, subset_cap=SUBSET_CAP, degree_cap=DEGREE_CAP,
-                          cover_cap=COVER_CAP):
-    """True iff the identity is a product of a nonempty generator word.
-
-    Equivalent to some nonempty subset of the generators generating a
-    group.  Subsets are tried in ascending size; those lacking a +1 or
-    a -1 generator cannot reach height 0 and are skipped.
-    """
-    for plus_sel, minus_sel in _signed_subsets(gens, subset_cap):
-        ok, _ = is_group(_subset_gens(gens, plus_sel, minus_sel), degree_cap, cover_cap)
-        if ok:
-            return True
-    return False
-
-
-def identity_witness_word(gens, subset_cap=SUBSET_CAP, degree_cap=DEGREE_CAP,
-                          cover_cap=COVER_CAP):
+def identity_witness_word(gens, degree_cap=DEGREE_CAP):
     """(identity_found, word): a verified identity word over the generators.
 
-    Scans the same subsets as identity_in_semigroup; on the first group
-    subset whose witness search succeeded, synthesizes the word and maps
-    its letters back to the original numbering.  word is None when no
-    subset is a group, or when every group subset hit the degree cap
-    before a witness turned up (found still reports the verdict).
+    The verdict is identity_in_semigroup's.  The word comes from the
+    smallest solvable cover: signed generator subsets of M's projections
+    by ascending size, each with its covers smallest first; the first
+    subset with a solvable cover whose witness search succeeded gives
+    the word.  word is None when every such subset hit the degree cap
+    before a witness turned up.
     """
-    found = False
-    for plus_sel, minus_sel in _signed_subsets(gens, subset_cap):
-        sub = _subset_gens(gens, plus_sel, minus_sel)
-        ok, info = is_group(sub, degree_cap, cover_cap)
-        if not ok:
+    hij = build_hij(gens)
+    support = _maximal_support(hij, hij)
+    if not support:
+        return False, None
+    rows, cols = _projections(support)
+    inside = set(support)
+    solvable = False
+    for plus_sel, minus_sel in _signed_subsets(sorted(rows), sorted(cols)):
+        hit = _first_solvable_cover(hij, inside, plus_sel, minus_sel, degree_cap)
+        if hit is None:
             continue
-        found = True
-        cover, witness = info
-        if witness is None:
-            continue
-        sub_word = synthesize_identity_word(sub, cover, witness)
-        sel = {PLUS: plus_sel, MINUS: minus_sel}
-        word = Word(tuple((side, sel[side][k - 1]) for side, k in sub_word.letters))
-        if word_product(gens, word) != WreathElement.identity():
-            raise PostconditionFailed("renumbered word failed the exact product check")
-        return True, word
-    return found, None
+        solvable = True
+        cover, verdict = hit
+        if verdict.witness_status == WITNESS_FOUND:
+            return True, synthesize_identity_word(gens, cover, verdict.certificate)
+    if not solvable:
+        raise PostconditionFailed("no cover inside the maximal support is solvable")
+    return True, None
 
 
 def exhaustive_identity_search(gens, max_len):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from posring import cli
+from posring import cli, wreath
 from posring.errors import SchemaError
 from posring.nxsolve import verify_witness
 from posring.polyring import IntPoly, LaurentPoly
@@ -236,18 +236,42 @@ def test_wreath_word_scale_override(problem, capsys):
 
 
 def test_wreath_cap_diagnostics(problem, capsys):
+    # verdicts no longer enumerate, so neither file is refused for size
     gens = ", ".join('{"H": [1], "b": 1}' for _ in range(13))
-    code, _, err = run(
+    code, out, _ = run(
         ["wreath", "identity", problem('{"wreath": {"generators": [%s]}}' % gens)],
         capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "identity in semigroup: false"
+    # 11 x 2: row H = 0 gives h = -1 and 2, so the maximal support is the
+    # whole grid and the semigroup is a group
+    big = problem('{"wreath": {"generators": [%s, {"H": [-1], "b": -1},'
+                  ' {"H": [2], "b": -1}]}}'
+                  % ", ".join('{"H": [%d], "b": 1}' % i for i in range(11)))
+    code, out, _ = run(["wreath", "group", big, "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["is_group"] is True
+    assert len(report["cover"]) == 22 and report["witness"] is not None
+    # the word search still scans generator subsets, and 13 exceed its cap
+    code, _, err = run(["wreath", "word", big], capsys)
     assert code == 2
     assert "cap" in err
-    big = ('{"wreath": {"generators": [%s, {"H": [-1], "b": -1},'
-           ' {"H": [2], "b": -1}]}}'
-           % ", ".join('{"H": [%d], "b": 1}' % i for i in range(11)))
-    code, _, err = run(["wreath", "group", problem(big)], capsys)
+
+
+def test_wreath_word_out_of_memory(problem, capsys, monkeypatch):
+    # a word too long to build must not exit 1, which means "no"
+    def exhausted(pairs, f_map):
+        raise MemoryError()
+
+    monkeypatch.setattr(wreath, "_plan", exhausted)
+    src = ('{"wreath": {"generators": ['
+           '{"H": [1], "b": 1}, {"H": [-1, 1], "b": 1},'
+           ' {"H": [1], "b": -1}, {"H": [-2], "b": -1}]}}')
+    code, out, err = run(["wreath", "word", problem(src)], capsys)
     assert code == 2
-    assert "cap" in err
+    assert out == ""
+    assert "out of memory" in err
 
 
 def test_wreath_rejects_equation_file(problem, capsys):

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -450,3 +452,30 @@ def test_uniform_witnesses_verify(hs):
     sv = uniform_sign_exists(hs)
     if sv is not None:
         _verify_witness(hs, sv)
+
+
+_BROKEN_DIVISION = """
+import sys
+from posring import kernels
+from posring.errors import PostconditionFailed
+from posring.polyring import IntPoly, squarefree_part
+from posring.realdec import isolate_nonneg_roots
+kernels.exact_div = lambda a, b: None
+for call in (lambda: squarefree_part(IntPoly([0, 0, 1])),
+             lambda: isolate_nonneg_roots([IntPoly([1, -2, 1])])):
+    try:
+        call()
+    except PostconditionFailed as exc:
+        print(sys.flags.optimize, exc)
+"""
+
+
+def test_invariant_checks_survive_optimize():
+    # a gcd that fails to divide must be caught even where -O strips asserts
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_DIVISION],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1 gcd(p, p') does not divide p's primitive part",
+        "1 gcd(q, q') does not divide q's primitive part",
+    ]

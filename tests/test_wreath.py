@@ -2,14 +2,15 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posring.errors import BadIndex, InvalidWitness, TooLarge
-from posring.nxsolve import WitnessTuple
-from posring.polyring import IntPoly, LaurentPoly
+from posring.nxsolve import SOLVABLE, WitnessTuple, decide
+from posring.polyring import IntPoly, LaurentPoly, laurent_normalize
 from posring import wreath as wr
 
 
@@ -201,8 +202,135 @@ def test_identity_false_pair():
 
 
 def test_identity_subset_cap():
-    with pytest.raises(TooLarge):
-        wr.identity_in_semigroup(wr.GeneratorSet((L([1]),) * 13, ()))
+    # past the word search's subset cap the verdict needs no enumeration:
+    # one-sided generators leave no pair, so the maximal support is empty
+    gens = wr.GeneratorSet((L([1]),) * 13, ())
+    assert wr.identity_in_semigroup(gens) is False
+    assert wr.identity_witness_word(gens) == (False, None)
+
+
+# ------------------------------------------------------ maximal support
+
+
+def _cover_oracle(gens):
+    """(is_group, identity) by deciding every cover, smallest first."""
+    hij = wr.build_hij(gens)
+    seen = {}
+
+    def solvable(cover):
+        if cover.pairs not in seen:
+            hs, _ = laurent_normalize([hij[p] for p in cover.pairs])
+            seen[cover.pairs] = decide(hs).status == SOLVABLE
+        return seen[cover.pairs]
+
+    def nonempty_subsets(n):
+        idx = range(1, n + 1)
+        return [c for k in range(1, n + 1) for c in combinations(idx, k)]
+
+    rows, cols = len(gens.plus), len(gens.minus)
+    group = any(solvable(c) for c in wr.enumerate_covers(range(1, rows + 1),
+                                                          range(1, cols + 1)))
+    identity = any(solvable(c) for ps in nonempty_subsets(rows)
+                   for qs in nonempty_subsets(cols)
+                   for c in wr.enumerate_covers(ps, qs))
+    return group, identity
+
+
+def _first_cover_oracle(gens):
+    """(cover, witness) an identity word is synthesized from.
+
+    The first solvable cover over all generators: signed subsets by
+    ascending size, each with its covers smallest first, and no
+    maximal-support filter.  A subset whose first solvable cover has no
+    witness within the degree cap is passed over.
+    """
+    hij = wr.build_hij(gens)
+    tagged = [(A, i) for i in range(1, len(gens.plus) + 1)]
+    tagged += [(B, j) for j in range(1, len(gens.minus) + 1)]
+    for size in range(2, len(tagged) + 1):
+        for combo in combinations(tagged, size):
+            ps = [i for side, i in combo if side == A]
+            qs = [j for side, j in combo if side == B]
+            if not ps or not qs:
+                continue
+            for cover in wr.enumerate_covers(ps, qs):
+                hs, _ = laurent_normalize([hij[p] for p in cover.pairs])
+                verdict = decide(hs, want_witness=True)
+                if verdict.status == SOLVABLE:
+                    if verdict.certificate is not None:
+                        return cover, verdict.certificate
+                    break
+    return None
+
+
+def _counting_decide(monkeypatch):
+    calls = []
+    real = wr.decide
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wr, "decide", counted)
+    return calls
+
+
+def _nonzero_pairs(gens):
+    return sum(not h.is_zero for h in wr.build_hij(gens).values())
+
+
+def test_maximal_support_matches_cover_oracle(monkeypatch):
+    # synthesis is a function of (gens, cover, witness), so comparing the
+    # pair it receives compares the words without building them (some
+    # run to tens of millions of letters)
+    monkeypatch.setattr(wr, "synthesize_identity_word",
+                        lambda gens, cover, witness: (cover, witness))
+    rng = random.Random(4242)
+    calls = _counting_decide(monkeypatch)
+    for trial in range(200):
+        gens = _random_gens(rng, rng.randint(1, 3), rng.randint(1, 3))
+        want = _cover_oracle(gens)
+        got = (wr.is_group(gens)[0], wr.identity_in_semigroup(gens))
+        assert got == want, (trial, gens)
+        if want[1]:
+            assert wr.identity_witness_word(gens) == (True, _first_cover_oracle(gens))
+        hij = wr.build_hij(gens)
+        del calls[:]
+        wr._maximal_support(hij, hij)
+        assert len(calls) <= _nonzero_pairs(gens) + 1, trial
+
+
+def _five_by_five(plus, minus):
+    return wr.GeneratorSet(tuple(L(h) for h in plus), tuple(L(g) for g in minus))
+
+
+def test_five_by_five_verdicts(monkeypatch):
+    # 25 pairs: above the old 20-pair cover cap
+    signs = (-1, 2, -1, 2, -1)
+    # cleared h_ij = i + a_j X: row 0's a_j take both signs, so M is full
+    group = _five_by_five([[i] for i in range(5)], [[a] for a in signs])
+    ok, (cover, witness) = wr.is_group(group)
+    assert ok and cover.pairs == tuple(sorted(wr.build_hij(group)))
+    assert witness is not None
+    assert wr.identity_in_semigroup(group) is True
+    # every cleared h_ij = (i+1) + j X is positive for t > 0
+    none = _five_by_five([[i + 1] for i in range(5)], [[j] for j in range(5)])
+    assert wr.is_group(none) == (False, None)
+    assert wr.identity_in_semigroup(none) is False
+    # G_j = a_j (1 - X): row 1 cancels alone, and at t = 1 row 1 vanishes
+    # while the cleared rows 2..5, 1 + a_j t (1 - t), are 1, so M is row
+    # 1 alone: identity but no group
+    row = _five_by_five([[0]] + [[1]] * 4, [[a, -a] for a in signs])
+    calls = _counting_decide(monkeypatch)
+    hij = wr.build_hij(row)
+    support = wr._maximal_support(hij, hij)
+    assert support == tuple((1, j) for j in range(1, 6))
+    assert len(calls) <= _nonzero_pairs(row) + 1
+    assert wr.is_group(row) == (False, None)
+    assert wr.identity_in_semigroup(row) is True
+    found, word = wr.identity_witness_word(row)
+    assert found and wr.word_product(row, word) == wr.WreathElement.identity()
+    assert {side for side, i in word.letters if i > 1} <= {B}
 
 
 def test_exhaustive_search_finds_shortest():

@@ -214,7 +214,7 @@ def _sample_json(sample):
     if isinstance(sample, RationalPoint):
         return str(sample.value)
     iv = sample.interval
-    return {"interval": [str(iv.lo), str(iv.hi)]}
+    return {"interval": [str(iv.lo), str(iv.hi)], "poly": poly_to_json(IntPoly(iv.s))}
 
 
 def _sample_text(sample):
@@ -296,13 +296,24 @@ def cmd_wreath(args):
         _write_report(args, report, lines)
         return 0 if ok else 1
 
-    found, word = wreath.identity_witness_word(gens, args.degree_cap)
+    refused = None
+    try:
+        found, word = wreath.identity_witness_word(gens, args.degree_cap)
+    except TooLarge as exc:
+        if args.question != "identity":
+            raise
+        # the word search refused, but the verdict needs no word
+        found, word, refused = wreath.identity_in_semigroup(gens), None, exc
     elapsed = round(perf_counter() - t0, 6)
 
     if args.question == "identity":
         report = {"identity_in_semigroup": found}
         lines = ["identity in semigroup: %s" % _text_value(found)]
-        if found and word is not None:
+        if refused is not None:
+            report["word"] = None
+            report["word_cap"] = str(refused)
+            lines.append("word: not synthesized (cap exceeded: %s)" % refused)
+        elif found and word is not None:
             verified = wreath.word_product(gens, word) == wreath.WreathElement.identity()
             report["word"] = str(word)
             report["verified"] = verified
@@ -385,13 +396,17 @@ def main(argv=None):
     if args.degree_cap is None:
         env = os.environ.get("POSRING_DEGREE_CAP", "")
         if env:
-            if not _INT_RE.match(env.strip()):
-                print("POSRING_DEGREE_CAP is not an integer: %r" % env,
-                      file=sys.stderr)
+            if not _INT_RE.match(env.strip()) or int(env) < 0:
+                print("input error: POSRING_DEGREE_CAP is not a nonnegative "
+                      "integer: %r" % env, file=sys.stderr)
                 return 2
             args.degree_cap = int(env)
         else:
             args.degree_cap = nxsolve.DEGREE_CAP
+    elif args.degree_cap < 0:
+        print("input error: --degree-cap must be nonnegative, got %d"
+              % args.degree_cap, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except TooLarge as exc:

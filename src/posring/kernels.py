@@ -220,10 +220,6 @@ def var_at(chain, num, den):
     return sign_variations([eval_scaled(e, num, den) for e in chain])
 
 
-def var_at_posinf(chain):
-    return sign_variations([e[-1] for e in chain if e])
-
-
 def shift1(p):
     # p(X + 1), by synthetic additions
     r = p[:]

@@ -348,25 +348,6 @@ def _format_terms(coeffs, lowest):
     return " ".join(parts)
 
 
-# ring ops as plain functions over any one of the three types
-
-
-def add(p, q):
-    return p + q
-
-
-def subtract(p, q):
-    return p - q
-
-
-def multiply(p, q):
-    return p * q
-
-
-def negate(p):
-    return -p
-
-
 def exact_div(p, q):
     """Quotient r with r * q == p, both IntPoly.
 
@@ -427,11 +408,6 @@ def eval_at_rational(p, t):
         return Fraction(0)
     v = _k.eval_scaled(cs, num, den)
     return Fraction(v, den ** (len(cs) - 1))
-
-
-def derivative(p):
-    """Formal derivative of an IntPoly."""
-    return IntPoly._raw(_k.deriv(list(p.coeffs)))
 
 
 def squarefree_part(p):

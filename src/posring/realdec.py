@@ -1,15 +1,28 @@
 """Real-root machinery over the nonnegative axis.
 
 Sturm chains give exact root counts in half-open intervals (a, b];
-Descartes-style bisection isolates roots into disjoint intervals; a
-uniform-sign scan over one sample per cell decides whether some t >= 0
-makes every h_i(t) weakly nonnegative or weakly nonpositive.
+Descartes-style bisection isolates the roots of every input into
+sorted, pairwise-disjoint intervals; a uniform-sign scan decides
+whether some t >= 0 makes every h_i(t) weakly nonnegative or weakly
+nonpositive.
+
+The scan needs one exact rational evaluation per polynomial and
+candidate, because isolation already proves two facts:
+
+- a root's interval (lo, hi] holds no root of a non-owner, so at an
+  algebraic root every non-owner has its sign at hi;
+- only t = 0 and the roots can be the first uniform point: between
+  consecutive roots, and past the last one, the signs are those at the
+  root to the left with that root's owners made nonzero, and with no
+  roots the signs at 0 hold on all of [0, oo).
 
 Internally each polynomial is reduced to its squarefree part, isolated
 by repeated interval splitting on integer Taylor shifts, and refined by
 sign changes.  Squarefreeness and coprimality are certified modulo a
 prime whenever possible; the exact subresultant gcd only runs when the
 modular certificate fails, which keeps large random inputs cheap.
+``sign_at_root`` refines an interval by a derivative bound; it serves
+as the independent re-check of a certificate, not the scan.
 """
 
 from dataclasses import dataclass
@@ -65,21 +78,24 @@ class IsolatingInterval:
     """One distinct real root, boxed in the half-open interval (lo, hi].
 
     The squarefree part of every owning polynomial has exactly one root
-    there.  ``exact`` carries the root value when it is a known
-    rational (then hi equals the root).  ``multiplicity_free`` is true
-    when the root is simple in every owner.
+    there.  ``exact`` carries the root value when it is a known rational
+    (then hi equals the root and ``s`` is None).  Otherwise no other
+    input polynomial has a root in (lo, hi], and ``s`` is the squarefree
+    part of owner ``poly_index``, with opposite nonzero signs at lo and
+    hi.  ``multiplicity_free`` is true when the root is simple in every
+    owner.
     """
 
-    __slots__ = ("poly_index", "owners", "lo", "hi", "multiplicity_free", "exact", "_members")
+    __slots__ = ("poly_index", "owners", "lo", "hi", "multiplicity_free", "exact", "s")
 
-    def __init__(self, poly_index, owners, lo, hi, multiplicity_free, exact, members):
+    def __init__(self, poly_index, owners, lo, hi, multiplicity_free, exact, s):
         self.poly_index = poly_index
         self.owners = tuple(owners)
         self.lo = lo
         self.hi = hi
         self.multiplicity_free = multiplicity_free
         self.exact = exact
-        self._members = members  # owner index -> squarefree part, for refinement
+        self.s = s
 
     def __repr__(self):
         tag = " exact=%s" % self.exact if self.exact is not None else ""
@@ -466,7 +482,7 @@ def _synthesize(data, exact_owned, recs):
                     lo = max(lo, prev_hi)
             mult_free = all(_ev(_k.deriv(data[i].cs), r) != 0 for i in owners)
             out.append(
-                IsolatingInterval(min(owners), sorted(owners), lo, r, mult_free, r, {})
+                IsolatingInterval(min(owners), sorted(owners), lo, r, mult_free, r, None)
             )
             prev_hi = r
         else:
@@ -487,7 +503,7 @@ def _synthesize(data, exact_owned, recs):
             owners = sorted(c.members)
             out.append(
                 IsolatingInterval(
-                    owners[0], owners, c.lo, c.hi, mult_free, None, dict(c.members)
+                    owners[0], owners, c.lo, c.hi, mult_free, None, c.members[owners[0]]
                 )
             )
             prev_hi = c.hi
@@ -535,13 +551,9 @@ def sign_at_root(q, root):
     qcs = list(q.coeffs)
     if not qcs:
         return 0
-    return _sign_at_root_impl(qcs, root)
-
-
-def _sign_at_root_impl(qcs, root):
     if root.exact is not None:
         return _sgn(_ev(qcs, root.exact))
-    s = root._members[root.poly_index]
+    s = root.s
     lo, hi = root.lo, root.hi
     slo = _sgn(_ev(s, lo))
 
@@ -585,66 +597,27 @@ def uniform_sign_exists(hs):
     """First sample t >= 0 where every h_i is weakly nonnegative or
     weakly nonpositive, or None.
 
-    Candidates, scanned left to right: t = 0, every isolated root, a
-    rational point between consecutive roots, and B + 1 beyond the
-    shared Cauchy bound B.  Raises ZeroPolynomial on a zero entry.
+    Candidates, scanned left to right: t = 0, then every isolated root.
+    Owners of a root get sign 0; every other h_i is evaluated exactly at
+    the root when it is rational, else at its interval's hi, because no
+    non-owner has a root in (lo, hi].  No other point can come first:
+    between consecutive roots, and past the last one, the signs are
+    those at the root to the left with its owners made nonzero, so a
+    uniform point there makes that root uniform too.  Raises
+    ZeroPolynomial on a zero entry.
     """
     for h in hs:
         if h.is_zero:
             raise ZeroPolynomial("uniform sign scan needs nonzero polynomials")
     hs_cs = [list(h.coeffs) for h in hs]
-    bound = 1 + max(cauchy_root_bound(h) for h in hs)
-    roots = isolate_nonneg_roots(hs)
-
-    def at_rational(t):
-        return SignVector(RationalPoint(t), tuple(_sgn(_ev(cs, t)) for cs in hs_cs))
-
-    def at_root(root):
-        signs = []
-        for i, cs in enumerate(hs_cs):
-            if i in root.owners:
-                signs.append(0)
-            else:
-                signs.append(_sign_at_root_impl(cs, root))
-        return SignVector(
-            RationalPoint(root.exact) if root.exact is not None else AlgebraicRoot(root),
-            tuple(signs),
-        )
-
-    candidates = [at_rational(Fraction(0))]
-    for k, root in enumerate(roots):
-        candidates.append(at_root(root))
-        if k + 1 < len(roots):
-            candidates.append(at_rational(_between(root, roots[k + 1])))
-    candidates.append(at_rational(bound + 1))
-
-    for vec in candidates:
+    candidates = [(RationalPoint(Fraction(0)), Fraction(0), ())]
+    for root in isolate_nonneg_roots(hs):
+        sample = AlgebraicRoot(root) if root.exact is None else RationalPoint(root.exact)
+        candidates.append((sample, root.hi, root.owners))
+    for sample, t, owners in candidates:
+        vec = SignVector(sample, tuple(
+            0 if i in owners else _sgn(_ev(cs, t)) for i, cs in enumerate(hs_cs)
+        ))
         if vec.is_uniform:
             return vec
     return None
-
-
-def _between(a, b):
-    # a rational strictly between the roots of consecutive clusters
-    if a.exact is not None and b.exact is not None:
-        return (a.exact + b.exact) / 2
-    if a.hi < b.lo:
-        return (a.hi + b.lo) / 2
-    if a.exact is None:
-        # walk up from a's root toward its hi endpoint
-        s = a._members[a.poly_index]
-        shi = _sgn(_ev(s, a.hi))
-        j = 1
-        while True:
-            c = a.hi - (a.hi - a.lo) / 2**j
-            if _sgn(_ev(s, c)) == shi:
-                return c
-            j += 1
-    s = b._members[b.poly_index]
-    slo = _sgn(_ev(s, b.lo))
-    j = 1
-    while True:
-        c = b.lo + (b.hi - b.lo) / 2**j
-        if _sgn(_ev(s, c)) == slo:
-            return c
-        j += 1

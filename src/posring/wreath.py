@@ -46,9 +46,7 @@ from .polyring import (
     IntPoly,
     LaurentPoly,
     laurent_normalize,
-    multiply,
     order_at_zero,
-    subtract,
 )
 
 COVER_CAP = 20
@@ -349,8 +347,8 @@ def _scaling_ok(f_uv, f_yz, m):
     degree is positive, every coefficient of f_yz from its order up is
     positive, and deg f_uv reaches at least the order of f_yz.
     """
-    su = multiply(f_uv, _onepx_power(m))
-    sy = multiply(f_yz, _onepx_power(m))
+    su = f_uv * _onepx_power(m)
+    sy = f_yz * _onepx_power(m)
     if any(c <= 0 for c in su.coeffs):
         return False
     w = order_at_zero(sy)
@@ -413,7 +411,7 @@ def _plan(pairs, f_map):
         if m > bound:
             raise PostconditionFailed("scaling scan escaped its sufficiency bound")
     onepx = _onepx_power(m)
-    scaled = {p: multiply(f, onepx) for p, f in fd.items()}
+    scaled = {p: f * onepx for p, f in fd.items()}
 
     a = scaled[uv].degree
     d = scaled[yz].degree
@@ -425,9 +423,9 @@ def _plan(pairs, f_map):
     # block empty, which is the combined single-block case
     fhat = dict(scaled)
     if a:
-        fhat[uv] = subtract(fhat[uv], IntPoly([1] * a))
+        fhat[uv] = fhat[uv] - IntPoly([1] * a)
     if d > a:
-        fhat[yz] = subtract(fhat[yz], IntPoly([0] * a + [1] * (d - a)))
+        fhat[yz] = fhat[yz] - IntPoly([0] * a + [1] * (d - a))
     for p, f in fhat.items():
         if f.is_zero:
             raise PostconditionFailed("corrected witness vanished at %r" % (p,))

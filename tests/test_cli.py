@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
-from posring import cli, wreath
-from posring.errors import SchemaError
+from fractions import Fraction
+
+from posring import cli, nxsolve, wreath
+from posring.errors import NotDivisible, SchemaError
 from posring.nxsolve import verify_witness
-from posring.polyring import IntPoly, LaurentPoly
+from posring.polyring import IntPoly, LaurentPoly, eval_at_rational, exact_div
 
 REMARK = '{"equation": {"h": [[1], [-1, 2, -1]]}}'
 TRIPLE = '{"equation": {"h": [[-1, 1], [1], [0, -1]]}}'
@@ -153,6 +155,17 @@ def test_solve_algebraic_sample(problem, capsys):
     assert "interval" in cert["sample"]
     assert cert["signs"] == [0, 0, 1]
     assert cert["verified"] is True
+    # the defining polynomial re-checks the sample from the JSON alone
+    lo, hi = (Fraction(x) for x in cert["sample"]["interval"])
+    poly = cli._intpoly_from_json(cert["sample"]["poly"], "poly")
+    assert eval_at_rational(poly, lo) * eval_at_rational(poly, hi) < 0
+    normalized = nxsolve.decide(list(cli.parse_input(src.encode()).hs)).certificate.hs
+    for h, sign in zip(normalized, cert["signs"]):
+        if sign == 0:
+            exact_div(h, poly)  # raises NotDivisible unless poly divides h
+        else:
+            with pytest.raises(NotDivisible):
+                exact_div(h, poly)
 
 
 def test_solve_text_input_file(problem, capsys):
@@ -253,7 +266,20 @@ def test_wreath_cap_diagnostics(problem, capsys):
     report = json.loads(out)
     assert report["is_group"] is True
     assert len(report["cover"]) == 22 and report["witness"] is not None
-    # the word search still scans generator subsets, and 13 exceed its cap
+    # the word search still scans generator subsets, and 13 exceed its cap;
+    # the identity verdict does not need a word
+    code, out, _ = run(["wreath", "identity", big, "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["identity_in_semigroup"] is True
+    assert report["word"] is None
+    assert "subset cap 12" in report["word_cap"]
+    code, out, _ = run(["wreath", "identity", big], capsys)
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "identity in semigroup: true",
+        "word: not synthesized (cap exceeded: 13 generators exceed the subset cap 12)",
+    ]
     code, _, err = run(["wreath", "word", big], capsys)
     assert code == 2
     assert "cap" in err
@@ -295,6 +321,23 @@ def test_degree_cap_env(problem, capsys, monkeypatch):
     monkeypatch.setenv("POSRING_DEGREE_CAP", "zap")
     code, _, err = run(["solve", problem(shift)], capsys)
     assert code == 2 and "POSRING_DEGREE_CAP" in err
+
+
+def test_negative_degree_cap_rejected(problem, capsys, monkeypatch):
+    shift = problem('{"equation": {"h": [[1, 1], [-2, -1]]}}')
+    code, out, err = run(["solve", shift, "--witness", "--degree-cap", "-3"], capsys)
+    assert code == 2 and out == ""
+    assert "input error" in err and "--degree-cap" in err
+    code, out, err = run(["wreath", "word", problem(THREE), "--degree-cap", "-1"],
+                         capsys)
+    assert code == 2 and out == "" and "input error" in err
+    monkeypatch.setenv("POSRING_DEGREE_CAP", "-2")
+    code, out, err = run(["solve", shift, "--witness"], capsys)
+    assert code == 2 and out == ""
+    assert "input error" in err and "POSRING_DEGREE_CAP" in err
+    # the flag is still checked when it overrides the environment
+    code, _, err = run(["solve", shift, "--witness", "--degree-cap", "-3"], capsys)
+    assert code == 2 and "--degree-cap" in err
 
 
 def test_module_entry_point(tmp_path):

@@ -166,7 +166,6 @@ def test_eval_scaled_and_variations(p, num, den):
     chain = K.signed_prs(p)
     assert K.var_at(chain, num, den) == K.sign_variations(
         [K.eval_scaled(e, num, den) for e in chain])
-    assert K.var_at_posinf(chain) == K.sign_variations([e[-1] for e in chain])
 
 
 @given(st.lists(st.integers(-5, 5), max_size=10))

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 
 from posring.errors import AllZero, LengthMismatch, SearchSpaceTooLarge, ZeroPolynomial
-from posring.polyring import IntPoly, multiply
+from posring.polyring import IntPoly
 from posring.realdec import AlgebraicRoot, RationalPoint
 from posring import nxsolve as nx
 
@@ -307,7 +307,7 @@ def test_scaling_invariance():
         base = nx.decide(hs).status
         scaled = [IntPoly([3 * c for c in h.coeffs]) for h in hs]
         assert nx.decide(scaled).status == base
-        shifted = [multiply(h, P(0, 1)) for h in hs]
+        shifted = [h * P(0, 1) for h in hs]
         assert nx.decide(shifted).status == base
 
 

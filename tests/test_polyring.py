@@ -9,7 +9,6 @@ from posring.polyring import (
     IntPoly,
     LaurentPoly,
     RatPoly,
-    derivative,
     eval_at_rational,
     exact_div,
     gcd_many,
@@ -78,11 +77,6 @@ def test_eval_examples():
     assert eval_at_rational(P(-2, 0, 1), Fraction(3, 2)) == Fraction(1, 4)
     assert eval_at_rational(-(P(-1, 1) * P(-1, 1)), 1) == 0
     assert eval_at_rational(IntPoly.zero(), 7) == 0
-
-
-def test_derivative():
-    assert derivative(P(1, -2, 1)) == P(-2, 2)
-    assert derivative(P(5)) == IntPoly.zero()
 
 
 def test_squarefree_examples():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from posring import kernels as _k
 from posring.errors import EndpointIsRoot, ZeroInput, ZeroPolynomial
-from posring.polyring import IntPoly, RatPoly, multiply, order_at_zero, squarefree_part
+from posring.polyring import IntPoly, RatPoly, order_at_zero, squarefree_part
 from posring.realdec import (
     AlgebraicRoot,
     RationalPoint,
@@ -33,7 +33,7 @@ def R(*cs):
 def prod(*ps):
     out = IntPoly.one()
     for p in ps:
-        out = multiply(out, p)
+        out = out * p
     return out
 
 
@@ -369,8 +369,7 @@ _family = st.lists(_poly, min_size=1, max_size=3)
 @settings(max_examples=80, deadline=None)
 @given(_family, st.booleans())
 def test_isolation_invariants(hs, share):
-    if share and len(hs) > 1:
-        hs = [multiply(h, hs[0]) if i % 2 else h for i, h in enumerate(hs)]
+    hs = _shared(hs, share)
     ivs = isolate_nonneg_roots(hs)
     owned = {i: 0 for i in range(len(hs))}
     prev_hi = None
@@ -419,11 +418,8 @@ def _verify_witness(hs, sv):
                 assert _exact_sign(h, iv.hi) == claimed
 
 
-def test_uniform_grid_completeness():
-    # random families, exact 10^-3-step scan of [0, B+1]: any uniform
-    # grid point forces a witness, and every witness re-verifies
+def _grid_families():
     rng = random.Random(1503)
-    step = Fraction(1, 1000)
     for _ in range(25):
         hs = []
         for _ in range(rng.randint(1, 3)):
@@ -432,6 +428,14 @@ def test_uniform_grid_completeness():
                 if any(cs):
                     hs.append(IntPoly(cs))
                     break
+        yield hs
+
+
+def test_uniform_grid_completeness():
+    # random families, exact 10^-3-step scan of [0, B+1]: any uniform
+    # grid point forces a witness, and every witness re-verifies
+    step = Fraction(1, 1000)
+    for hs in _grid_families():
         sv = uniform_sign_exists(hs)
         if sv is not None:
             _verify_witness(hs, sv)
@@ -452,6 +456,92 @@ def test_uniform_witnesses_verify(hs):
     sv = uniform_sign_exists(hs)
     if sv is not None:
         _verify_witness(hs, sv)
+
+
+def _shared(hs, share):
+    if share and len(hs) > 1:
+        return [h * hs[0] if i % 2 else h for i, h in enumerate(hs)]
+    return hs
+
+
+def _root_box(hs, root, lo, hi):
+    # halve an isolating box around the root with the owner's squarefree
+    # part, computed here rather than taken from the interval
+    if root.exact is not None:
+        return root.exact, root.exact
+    cs = list(_stripped_sqfree(hs[root.poly_index]).coeffs)
+    m = (lo + hi) / 2
+    sm = _sgn(_k.eval_scaled(cs, m.numerator, m.denominator))
+    if sm == 0:
+        return m, m
+    slo = _sgn(_k.eval_scaled(cs, lo.numerator, lo.denominator))
+    return (m, hi) if sm == slo else (lo, m)
+
+
+def _between(hs, a, b):
+    # a rational strictly between the roots of consecutive intervals
+    la, ha = _root_box(hs, a, a.lo, a.hi)
+    lb, hb = _root_box(hs, b, b.lo, b.hi)
+    while not ha < lb:
+        la, ha = _root_box(hs, a, la, ha)
+        lb, hb = _root_box(hs, b, lb, hb)
+    return (ha + lb) / 2
+
+
+def _reference_scan(hs):
+    """First uniform vector over every cell of [0, oo): t = 0, each root
+    (signs from sign_at_root), a point between consecutive roots, and a
+    point past every root.  Returns (sample, signs) or None."""
+    roots = isolate_nonneg_roots(hs)
+    points = [Fraction(0)]
+    for k, root in enumerate(roots):
+        points.append(root)
+        if k + 1 < len(roots):
+            points.append(_between(hs, root, roots[k + 1]))
+    points.append(max(cauchy_root_bound(h) for h in hs) + 2)
+    for pt in points:
+        if isinstance(pt, Fraction):
+            sample, signs = pt, tuple(_exact_sign(h, pt) for h in hs)
+        else:
+            sample = pt.exact if pt.exact is not None else (pt.lo, pt.hi, pt.owners)
+            signs = tuple(sign_at_root(h, pt) for h in hs)
+        if -1 not in signs or 1 not in signs:
+            return sample, signs
+    return None
+
+
+def _scan_result(hs):
+    sv = uniform_sign_exists(hs)
+    if sv is None:
+        return None
+    if isinstance(sv.sample, RationalPoint):
+        return sv.sample.value, sv.signs
+    iv = sv.sample.interval
+    return (iv.lo, iv.hi, iv.owners), sv.signs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_family, st.booleans())
+def test_scan_matches_reference_scan(hs, share):
+    hs = _shared(hs, share)
+    assert _scan_result(hs) == _reference_scan(hs)
+
+
+def test_scan_matches_reference_scan_on_grid():
+    for hs in _grid_families():
+        assert _scan_result(hs) == _reference_scan(hs), [list(h.coeffs) for h in hs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_family, st.booleans())
+def test_non_owner_sign_at_root_is_sign_at_hi(hs, share):
+    hs = _shared(hs, share)
+    for iv in isolate_nonneg_roots(hs):
+        if iv.exact is not None:
+            continue
+        for i, h in enumerate(hs):
+            if i not in iv.owners:
+                assert sign_at_root(h, iv) == _exact_sign(h, iv.hi) != 0
 
 
 _BROKEN_DIVISION = """

@@ -21,10 +21,6 @@ class ZeroPolynomial(PosringError):
     """A polynomial list contained a zero entry where none is allowed."""
 
 
-class EndpointIsRoot(PosringError):
-    """A root-counting endpoint is itself a root of the chain's polynomial."""
-
-
 class LengthMismatch(PosringError):
     """Witness tuple length differs from the instance length."""
 

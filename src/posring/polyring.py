@@ -1,4 +1,4 @@
-"""Exact polynomial types: Z[X], Q[X] and Laurent polynomials Z[X, 1/X].
+"""Exact polynomial types: Z[X] and Laurent polynomials Z[X, 1/X].
 
 Coefficients are stored in ascending degree order and kept canonical:
 no trailing zeros, the zero polynomial has an empty coefficient tuple.
@@ -8,7 +8,7 @@ All values are immutable and all operations are pure.
 from fractions import Fraction
 
 from posring import kernels as _k
-from posring.errors import AllZero, NotDivisible, PostconditionFailed, ZeroInput
+from posring.errors import AllZero, NotDivisible, ZeroInput
 
 
 def _check_ints(coeffs):
@@ -118,105 +118,6 @@ class IntPoly:
 
     def __str__(self):
         return _format_terms(self._coeffs, 0)
-
-
-class RatPoly:
-    """Dense polynomial over exact rationals."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def _raw(cls, cs):
-        p = object.__new__(cls)
-        p._coeffs = tuple(cs)
-        return p
-
-    @classmethod
-    def from_intpoly(cls, p):
-        return cls._raw(tuple(Fraction(c) for c in p.coeffs))
-
-    @property
-    def coeffs(self):
-        return self._coeffs
-
-    @property
-    def degree(self):
-        return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self):
-        return not self._coeffs
-
-    @property
-    def leading(self):
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
-
-    def __add__(self, other):
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        while out and out[-1] == 0:
-            out.pop()
-        return RatPoly._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return RatPoly._raw(tuple(-c for c in self._coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return RatPoly._raw(())
-            return RatPoly._raw(tuple(c * other for c in self._coeffs))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return RatPoly._raw(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RatPoly._raw(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(("RatPoly", self._coeffs))
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __call__(self, t):
-        t = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
-
-    def __repr__(self):
-        return "RatPoly(%r)" % ([str(c) for c in self._coeffs],)
 
 
 class LaurentPoly:
@@ -408,26 +309,6 @@ def eval_at_rational(p, t):
         return Fraction(0)
     v = _k.eval_scaled(cs, num, den)
     return Fraction(v, den ** (len(cs) - 1))
-
-
-def squarefree_part(p):
-    """p / gcd(p, p'): same real roots as p, each with multiplicity one.
-
-    The result is determined up to a positive constant.  Raises
-    ZeroInput on the zero polynomial.
-    """
-    if p.is_zero:
-        raise ZeroInput("squarefree part of the zero polynomial")
-    if p.degree < 1:
-        return IntPoly.one()
-    g = _k.gcd(list(p.coeffs), _k.deriv(list(p.coeffs)))
-    if len(g) == 1:
-        return IntPoly._raw(_k.primitive_signed(list(p.coeffs)))
-    # g is primitive, so it divides the primitive part exactly (Gauss)
-    q = _k.exact_div(_k.primitive_signed(list(p.coeffs)), g)
-    if q is None:
-        raise PostconditionFailed("gcd(p, p') does not divide p's primitive part")
-    return IntPoly._raw(q)
 
 
 def order_at_zero(p):

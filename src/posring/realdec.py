@@ -1,10 +1,10 @@
 """Real-root machinery over the nonnegative axis.
 
-Sturm chains give exact root counts in half-open intervals (a, b];
-Descartes-style bisection isolates the roots of every input into
-sorted, pairwise-disjoint intervals; a uniform-sign scan decides
-whether some t >= 0 makes every h_i(t) weakly nonnegative or weakly
-nonpositive.
+Descartes-style bisection isolates the nonnegative roots of every
+input into sorted, pairwise-disjoint half-open intervals (lo, hi], one
+per distinct root, listing every input it is a root of; a uniform-sign
+scan decides whether some t >= 0 makes every h_i(t) weakly nonnegative
+or weakly nonpositive.
 
 The scan needs one exact rational evaluation per polynomial and
 candidate, because isolation already proves two facts:
@@ -25,23 +25,13 @@ modular certificate fails, which keeps large random inputs cheap.
 as the independent re-check of a certificate, not the scan.
 """
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
 from posring import kernels as _k
-from posring.errors import EndpointIsRoot, PostconditionFailed, ZeroInput, ZeroPolynomial
-from posring.polyring import IntPoly, RatPoly, _coprime_mod
-
-
-@dataclass(frozen=True)
-class SturmChain:
-    """Textbook Sturm sequence: p, p', then negated remainders.
-
-    The last entry is nonzero; the chain stops when the next remainder
-    vanishes.  For constant p the chain is the single entry (p,).
-    """
-
-    polys: tuple
+from posring.errors import PostconditionFailed, ZeroPolynomial
+from posring.polyring import IntPoly, _coprime_mod
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,8 @@ class IsolatingInterval:
 
 
 def _num_den(t):
-    t = Fraction(t)
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
     return t.numerator, t.denominator
 
 
@@ -120,67 +111,6 @@ def _ev(cs, t):
 
 def _sgn(v):
     return (v > 0) - (v < 0)
-
-
-def sturm_chain(p):
-    """Textbook Sturm chain of an IntPoly over Q[X].
-
-    Examples: X^2 - 2 gives (X^2 - 2, 2X, 2); X - 1 gives (X - 1, 1);
-    X^2 + 1 gives (X^2 + 1, 2X, -1).  Raises ZeroInput on zero.
-    """
-    if p.is_zero:
-        raise ZeroInput("sturm chain of the zero polynomial")
-    cur = RatPoly.from_intpoly(p)
-    out = [cur]
-    if p.degree < 1:
-        return SturmChain(tuple(out))
-    nxt = RatPoly.from_intpoly(IntPoly._raw(_k.deriv(list(p.coeffs))))
-    out.append(nxt)
-    while nxt.degree >= 1:
-        r = _rat_rem(cur, nxt)
-        if r.is_zero:
-            break
-        r = -r
-        out.append(r)
-        cur, nxt = nxt, r
-    return SturmChain(tuple(out))
-
-
-def _rat_rem(a, b):
-    # remainder of a by b over Q[X]
-    ra = list(a.coeffs)
-    rb = list(b.coeffs)
-    lb = rb[-1]
-    while len(ra) >= len(rb):
-        c = ra[-1] / lb
-        off = len(ra) - len(rb)
-        for j in range(len(rb) - 1):
-            ra[off + j] -= c * rb[j]
-        ra.pop()
-        while ra and ra[-1] == 0:
-            ra.pop()
-    return RatPoly(ra)
-
-
-def count_roots(chain, a, b):
-    """Number of distinct real roots of chain.polys[0] in (a, b).
-
-    Endpoints must not be roots (EndpointIsRoot otherwise) and a < b.
-    Works for non-squarefree polynomials: the generalized Sturm
-    sequence still counts distinct roots.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a >= b:
-        raise ValueError("count_roots needs a < b")
-    p = chain.polys[0]
-    if p(a) == 0 or p(b) == 0:
-        raise EndpointIsRoot("endpoint is a root of the polynomial")
-    return _rat_var(chain, a) - _rat_var(chain, b)
-
-
-def _rat_var(chain, t):
-    return _k.sign_variations([p(t) for p in chain.polys])
 
 
 def cauchy_root_bound(p):
@@ -371,6 +301,10 @@ def _clean_interval(s, lo, hi, known):
     return lo, hi
 
 
+def _lo(c):
+    return c.lo
+
+
 def _overlap(a, b):
     return max(a.lo, b.lo) < min(a.hi, b.hi)
 
@@ -412,8 +346,9 @@ def _resolve_overlap(a, b):
 
 def _build_clusters(data, known):
     # exact root -> owner list, by direct evaluation
+    ordered = sorted(known)
     exact_owned = {}
-    for r in sorted(known):
+    for r in ordered:
         owners = [i for i, d in enumerate(data) if _ev(d.cs, r) == 0]
         if not owners:
             raise PostconditionFailed("known root %s has no owner" % r)
@@ -428,31 +363,40 @@ def _build_clusters(data, known):
             lo, hi = cleaned
             # drop before shrinking: a shrink bisection must never land
             # on a known root, which only its own drop check rules out
-            inside = [r for r in sorted(known) if lo < r <= hi]
+            inside = [r for r in ordered if lo < r <= hi]
             if any(_ev(d.s, r) == 0 for r in inside):
                 continue
             for r in inside:
                 lo, hi = _shrink_to_exclude(d.s, lo, hi, r)
             recs.append(_IvalCluster(lo, hi, {i: d.s}))
 
-    # resolve overlaps: merge shared roots, separate distinct ones
-    while True:
-        recs.sort(key=lambda c: c.lo)
-        pair = None
-        for x in range(len(recs)):
-            for y in range(x + 1, len(recs)):
-                if _overlap(recs[x], recs[y]):
-                    pair = (x, y)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break
-        x, y = pair
-        merged = _resolve_overlap(recs[x], recs[y])
+    # resolve overlaps: merge shared roots, separate distinct ones.  One
+    # sweep picks the same pairs, in the same order, as rescanning every
+    # pair of the lo-sorted list from the start after each step would:
+    # - adjacent pairs are enough: with the list sorted by lo, if x
+    #   overlaps a later y it overlaps x + 1 too, since
+    #   lo_x <= lo_x+1 <= lo_y < hi_x and every interval has lo < hi;
+    # - the prefix stays final: resolving a pair only raises a lo or
+    #   lowers a hi, and a merge keeps (max lo, min hi), so the clusters
+    #   before x stay sorted and clear of everything after them;
+    # - reinsert instead of re-sorting: a stable sort by lo puts a merged
+    #   cluster after its ties and each of a separated pair before its
+    #   ties, all at x or later (a separated pair is disjoint, so it ties
+    #   neither with itself nor with the prefix).
+    recs.sort(key=_lo)
+    x = 0
+    while x + 1 < len(recs):
+        a, b = recs[x], recs[x + 1]
+        if not _overlap(a, b):
+            x += 1
+            continue
+        merged = _resolve_overlap(a, b)
+        del recs[x:x + 2]
         if merged is not None:
-            recs = [c for j, c in enumerate(recs) if j not in (x, y)]
-            recs.append(merged)
+            bisect.insort_right(recs, merged, lo=x, key=_lo)
+        else:
+            for c in (a, b):
+                recs.insert(bisect.bisect_left(recs, c.lo, lo=x, key=_lo), c)
     return exact_owned, recs
 
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from posring import kernels as K
 from posring.polyring import IntPoly
-from posring.realdec import sturm_chain
+
+from oracles import sturm_chain
 
 MERSENNE = (1 << 61) - 1
 

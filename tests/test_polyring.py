@@ -8,14 +8,14 @@ from posring.errors import AllZero, NotDivisible, ZeroInput
 from posring.polyring import (
     IntPoly,
     LaurentPoly,
-    RatPoly,
     eval_at_rational,
     exact_div,
     gcd_many,
     laurent_normalize,
     order_at_zero,
-    squarefree_part,
 )
+
+from oracles import RatPoly, squarefree_part
 
 X = IntPoly.x()
 ONE = IntPoly.one()

@@ -1,25 +1,34 @@
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as _k
-from posring.errors import EndpointIsRoot, ZeroInput, ZeroPolynomial
-from posring.polyring import IntPoly, RatPoly, order_at_zero, squarefree_part
+from posring import realdec
+from posring.errors import PostconditionFailed, ZeroInput, ZeroPolynomial
+from posring.polyring import IntPoly, order_at_zero
 from posring.realdec import (
     AlgebraicRoot,
     RationalPoint,
+    _IvalCluster,
+    _clean_interval,
+    _ev,
+    _overlap,
+    _resolve_overlap,
+    _shrink_to_exclude,
     cauchy_root_bound,
-    count_roots,
     isolate_nonneg_roots,
     sign_at_root,
-    sturm_chain,
     uniform_sign_exists,
 )
+
+from oracles import EndpointIsRoot, RatPoly, count_roots, squarefree_part, sturm_chain
 
 
 def P(*cs):
@@ -544,11 +553,136 @@ def test_non_owner_sign_at_root_is_sign_at_hi(hs, share):
                 assert sign_at_root(h, iv) == _exact_sign(h, iv.hi) != 0
 
 
+# ------------------------------------------------------- overlap sweep
+
+
+def _build_clusters_reference(data, known):
+    # exact root -> owner list, by direct evaluation
+    exact_owned = {}
+    for r in sorted(known):
+        owners = [i for i, d in enumerate(data) if _ev(d.cs, r) == 0]
+        if not owners:
+            raise PostconditionFailed("known root %s has no owner" % r)
+        exact_owned[r] = owners
+
+    recs = []
+    for i, d in enumerate(data):
+        for lo, hi in d.ivals:
+            cleaned = _clean_interval(d.s, lo, hi, known)
+            if cleaned is None:
+                continue
+            lo, hi = cleaned
+            # drop before shrinking: a shrink bisection must never land
+            # on a known root, which only its own drop check rules out
+            inside = [r for r in sorted(known) if lo < r <= hi]
+            if any(_ev(d.s, r) == 0 for r in inside):
+                continue
+            for r in inside:
+                lo, hi = _shrink_to_exclude(d.s, lo, hi, r)
+            recs.append(_IvalCluster(lo, hi, {i: d.s}))
+
+    # resolve overlaps: merge shared roots, separate distinct ones
+    while True:
+        recs.sort(key=lambda c: c.lo)
+        pair = None
+        for x in range(len(recs)):
+            for y in range(x + 1, len(recs)):
+                if _overlap(recs[x], recs[y]):
+                    pair = (x, y)
+                    break
+            if pair:
+                break
+        if pair is None:
+            break
+        x, y = pair
+        merged = _resolve_overlap(recs[x], recs[y])
+        if merged is not None:
+            recs = [c for j, c in enumerate(recs) if j not in (x, y)]
+            recs.append(merged)
+    return exact_owned, recs
+
+
+def _isolate_with(build, hs):
+    """isolate_nonneg_roots with ``build`` as the cluster builder: the
+    intervals, and every pair handed to _resolve_overlap, in order (the
+    reference looks _resolve_overlap up in this module's globals)."""
+    resolve = realdec._resolve_overlap
+    pairs = []
+
+    def traced(a, b):
+        pairs.append(tuple((c.lo, c.hi, tuple(c.members)) for c in (a, b)))
+        return resolve(a, b)
+
+    with mock.patch.object(realdec, "_build_clusters", build), \
+            mock.patch.object(realdec, "_resolve_overlap", traced), \
+            mock.patch.dict(globals(), _resolve_overlap=traced):
+        ivs = isolate_nonneg_roots(hs)
+    return [(iv.owners, iv.lo, iv.hi, iv.multiplicity_free, iv.exact) for iv in ivs], pairs
+
+
+def _assert_matches_reference(hs):
+    got = _isolate_with(realdec._build_clusters, hs)
+    assert got == _isolate_with(_build_clusters_reference, hs), [list(h.coeffs) for h in hs]
+    return got
+
+
+def _wide_family(seed, n):
+    # shaped like the wide decide workload: low degree, X^2 - 2 in every
+    # even entry and squared in some, so shared roots merge and many
+    # intervals start out overlapping
+    rng = random.Random(seed)
+    sqrt2 = P(-2, 0, 1)
+    hs = []
+    for i in range(n):
+        cs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 7))]
+        cs[-1] = cs[-1] or 1
+        h = IntPoly(cs)
+        if i % 2 == 0:
+            h = h * sqrt2 * (sqrt2 if i % 6 == 4 else P(1))
+        hs.append(h)
+    return hs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_family, st.booleans())
+def test_sweep_matches_all_pairs_reference(hs, share):
+    _assert_matches_reference(_shared(hs, share))
+
+
+def test_sweep_matches_all_pairs_reference_on_grid():
+    for hs in _grid_families():
+        _assert_matches_reference(hs)
+
+
+def test_sweep_matches_all_pairs_reference_on_wide_families():
+    for seed in range(3):
+        ivs, _ = _assert_matches_reference(_wide_family(seed, 40 + 5 * seed))
+        # a shared irrational root: at least one merge happened
+        assert any(len(owners) > 1 and exact is None for owners, _, _, _, exact in ivs)
+
+
+def test_sweep_overlap_checks_stay_near_linear():
+    # restarting an all-pairs scan after every step makes about 35 000
+    # overlap checks on this family, the sweep about 340
+    calls = [0]
+    overlap = realdec._overlap
+
+    def counted(a, b):
+        calls[0] += 1
+        return overlap(a, b)
+
+    with mock.patch.object(realdec, "_overlap", counted):
+        isolate_nonneg_roots(_wide_family(1503, 50))
+    assert 0 < calls[0] < 3000, calls[0]
+
+
 _BROKEN_DIVISION = """
 import sys
+sys.path.insert(0, sys.argv[1])
+from oracles import squarefree_part
 from posring import kernels
 from posring.errors import PostconditionFailed
-from posring.polyring import IntPoly, squarefree_part
+from posring.polyring import IntPoly
 from posring.realdec import isolate_nonneg_roots
 kernels.exact_div = lambda a, b: None
 for call in (lambda: squarefree_part(IntPoly([0, 0, 1])),
@@ -562,7 +696,8 @@ for call in (lambda: squarefree_part(IntPoly([0, 0, 1])),
 
 def test_invariant_checks_survive_optimize():
     # a gcd that fails to divide must be caught even where -O strips asserts
-    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_DIVISION],
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_DIVISION,
+                           os.path.dirname(os.path.abspath(__file__))],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [

@@ -16,7 +16,6 @@ from .errors import (
     PosringError,
     PostconditionFailed,
     SchemaError,
-    SearchSpaceTooLarge,
     TooLarge,
     ZeroInput,
     ZeroPolynomial,
@@ -30,7 +29,6 @@ from .nxsolve import (
     WITNESS_NOT_FOUND,
     Decision,
     WitnessTuple,
-    brute_force_oracle,
     decide,
     find_witness,
     verify_certificate,
@@ -45,7 +43,6 @@ from .wreath import (
     WreathElement,
     build_hij,
     enumerate_covers,
-    exhaustive_identity_search,
     identity_in_semigroup,
     identity_witness_word,
     is_group,
@@ -57,15 +54,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllZero", "BadIndex", "InvalidWitness", "LengthMismatch", "NotDivisible",
-    "PosringError", "PostconditionFailed", "SchemaError", "SearchSpaceTooLarge",
-    "TooLarge", "ZeroInput", "ZeroPolynomial",
+    "PosringError", "PostconditionFailed", "SchemaError", "TooLarge",
+    "ZeroInput", "ZeroPolynomial",
     "IntPoly", "LaurentPoly", "laurent_normalize",
     "DEGREE_CAP", "SOLVABLE", "UNSOLVABLE", "WITNESS_FOUND",
-    "WITNESS_NOT_FOUND", "Decision", "WitnessTuple", "brute_force_oracle",
-    "decide", "find_witness", "verify_certificate", "verify_witness",
+    "WITNESS_NOT_FOUND", "Decision", "WitnessTuple", "decide",
+    "find_witness", "verify_certificate", "verify_witness",
     "COVER_CAP", "SUBSET_CAP", "CoverSubset", "GeneratorSet", "Word",
-    "WreathElement", "build_hij", "enumerate_covers",
-    "exhaustive_identity_search", "identity_in_semigroup",
+    "WreathElement", "build_hij", "enumerate_covers", "identity_in_semigroup",
     "identity_witness_word", "is_group", "synthesize_identity_word",
     "word_product",
 ]

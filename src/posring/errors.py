@@ -25,10 +25,6 @@ class LengthMismatch(PosringError):
     """Witness tuple length differs from the instance length."""
 
 
-class SearchSpaceTooLarge(PosringError):
-    """Brute-force enumeration would exceed the hard search-space cap."""
-
-
 class TooLarge(PosringError):
     """Cover or subset enumeration would exceed its cap."""
 

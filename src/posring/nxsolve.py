@@ -9,23 +9,15 @@ by exact rational linear programming over the convolution system, with
 nonzeroness encoded as coefficient sums >= 1 (sound by homogeneity).
 
 Witnesses are searched against the original, unnormalized h_i, so a
-returned tuple verifies by direct substitution.  A brute-force enumerator
-over bounded coefficient tuples provides an independent oracle for tests.
+returned tuple verifies by direct substitution.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
 from math import gcd as _igcd, lcm as _ilcm
 
 from . import kernels as _k
-from .errors import (
-    AllZero,
-    LengthMismatch,
-    PostconditionFailed,
-    SearchSpaceTooLarge,
-    ZeroPolynomial,
-)
+from .errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
 from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many
 from .realdec import RationalPoint, SignVector, sign_at_root, uniform_sign_exists
 
@@ -37,9 +29,6 @@ UNIFORM_SIGN_AT_ZERO = "UniformSignAtZero"
 UNIFORM_SIGN_WITNESS = "UniformSignWitness"
 WITNESS_FOUND = "Found"
 WITNESS_NOT_FOUND = "NotFoundWithinCap"
-
-_ORACLE_SPACE_CAP = 2 * 10**7
-_ORACLE_TABLE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -235,56 +224,83 @@ def build_feasibility(hs, d):
     return FeasibilitySystem(n, d, tuple(eq), tuple(ge))
 
 
+def _pivot_row(row, prow, f, piv, den):
+    """(piv * row - f * prow) / den entrywise, checking that den divides.
+
+    This is one row of a fraction-free pivot; a remainder means the
+    integer tableau no longer holds den times the true tableau.
+    """
+    out = []
+    for c, p in zip(row, prow):
+        v = piv * c - f * p
+        if v % den:
+            raise PostconditionFailed("fraction-free pivot left a remainder")
+        out.append(v // den)
+    return out
+
+
 def rational_feasibility(sys):
     """Exact feasible point of the system, or None.
 
-    Phase-1 simplex over Fractions: surplus variables on the >= rows,
-    artificials everywhere, Bland's rule (smallest eligible index in,
-    smallest basic index out on ratio ties), so no cycling.  Returns the
-    structural variable values only.
+    Phase-1 simplex: surplus variables on the >= rows, artificials
+    everywhere, minimizing the artificial sum.  The tableau and the
+    w-row hold integers, each D times the true entry, where D is the
+    last pivot (1 before the first): D is the determinant of the current
+    basis, so every stored entry is a minor of the integer input.  D > 0
+    throughout, because the ratio test only pivots on a > 0 and the new
+    D is D * a.  A pivot keeps the pivot row and maps every other row
+    (the w-row too) to (piv * row - f * pivot row) / D, a division that
+    is exact by Sylvester's identity (Edmonds, Bareiss 1968); a remainder
+    raises PostconditionFailed.  Bland's rule (smallest eligible index
+    in, smallest basic index out on ratio ties, ratios compared by cross
+    multiplication) rules out cycling.  Returns the structural variable
+    values only, each basic one as Fraction(rhs, D).
     """
     nv = sys.n * (sys.degree + 1)
-    rows = [[Fraction(c) for c in r] + [Fraction(0)] * len(sys.ge) + [Fraction(0)]
-            for r in sys.eq]
+    ns = len(sys.ge)
+    rows = [list(r) + [0] * ns + [0] for r in sys.eq]
     for s, r in enumerate(sys.ge):
-        row = [Fraction(c) for c in r] + [Fraction(0)] * len(sys.ge) + [Fraction(1)]
-        row[nv + s] = Fraction(-1)
+        row = list(r) + [0] * ns + [1]
+        row[nv + s] = -1
         rows.append(row)
     m = len(rows)
-    ncols = nv + len(sys.ge)
+    ncols = nv + ns
     # w-row for minimizing the artificial sum: w + sum_j W[j] x_j = Wrhs
     W = [sum(r[j] for r in rows) for j in range(ncols + 1)]
     basis = [ncols + i for i in range(m)]  # virtual artificial ids
+    den = 1
     while True:
         enter = next((j for j in range(ncols) if W[j] > 0), None)
         if enter is None:
             break
-        leave, best = None, None
+        leave = None
         for r in range(m):
             a = rows[r][enter]
             if a > 0:
-                ratio = rows[r][ncols] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    leave, best = r, ratio
+                if leave is None:
+                    leave = r
+                    continue
+                # rhs_r / a < rhs_l / a_l, both denominators positive
+                lhs = rows[r][ncols] * rows[leave][enter]
+                rhs = rows[leave][ncols] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave = r
         if leave is None:
             raise PostconditionFailed("phase-1 objective is unbounded")
-        piv = rows[leave][enter]
-        rows[leave] = [c / piv for c in rows[leave]]
+        prow = rows[leave]
+        piv = prow[enter]
         for r in range(m):
-            if r != leave and rows[r][enter]:
-                f = rows[r][enter]
-                rows[r] = [c - f * p for c, p in zip(rows[r], rows[leave])]
-        f = W[enter]
-        W = [c - f * p for c, p in zip(W, rows[leave])]
+            if r != leave:
+                rows[r] = _pivot_row(rows[r], prow, rows[r][enter], piv, den)
+        W = _pivot_row(W, prow, W[enter], piv, den)
+        den = piv
         basis[leave] = enter
     if W[ncols] != 0:
         return None
     x = [Fraction(0)] * nv
     for r, bv in enumerate(basis):
         if bv < nv:
-            x[bv] = rows[r][ncols]
+            x[bv] = Fraction(rows[r][ncols], den)
     return x
 
 
@@ -327,188 +343,3 @@ def verify_witness(hs, fs):
             return False
         total = _k.add(total, _k.mul(list(f.coeffs), list(h.coeffs)))
     return not total
-
-
-def _digit_vectors(D, c):
-    # all nonzero coefficient tuples (c_0 .. c_D), lexicographic, c_0 slowest
-    out = [v for v in _iproduct(range(c + 1), repeat=D + 1) if any(v)]
-    return out
-
-
-def brute_force_oracle(hs, deg_bound, coeff_bound):
-    """First witness in lexicographic tuple order under hard bounds, or None.
-
-    Enumerates every tuple of nonzero f_i with deg f_i <= deg_bound and
-    coefficients in {0..coeff_bound}; tuples compare slot by slot, each
-    slot by its coefficient vector (constant coefficient most
-    significant).  Zero h_i slots take X^deg_bound, the order's minimal
-    nonzero polynomial.  Raises SearchSpaceTooLarge past the cap.
-    """
-    if not hs:
-        raise AllZero("empty instance")
-    n, D, c = len(hs), deg_bound, coeff_bound
-    per_slot = (c + 1) ** (D + 1) - 1
-    if per_slot ** max(n - 1, 1) > _ORACLE_SPACE_CAP:
-        raise SearchSpaceTooLarge("%d candidate tuples" % per_slot ** max(n - 1, 1))
-    if c < 1:
-        return None
-    filler = IntPoly([0] * D + [1])
-    active = [i for i, h in enumerate(hs) if not h.is_zero]
-    if not active:
-        return WitnessTuple(tuple(filler for _ in hs))
-    vecs = _digit_vectors(D, c)
-    found = (
-        _oracle_meet(hs, active, vecs, D, c)
-        if per_slot ** (len(active) - (len(active) // 2)) <= _ORACLE_TABLE_CAP
-        else _oracle_dfs(hs, active, vecs, D, c)
-    )
-    if found is None:
-        return None
-    fs = [filler] * n
-    for i, f in zip(active, found):
-        fs[i] = f
-    wt = WitnessTuple(tuple(fs))
-    if not verify_witness(hs, list(wt.fs)):
-        raise PostconditionFailed("oracle tuple fails substitution")
-    return wt
-
-
-def _kron_point(hs, D, c):
-    # evaluation point exceeding twice any coefficient a bounded sum can
-    # reach, so equality of packed values means equality of polynomials
-    top = sum(c * (D + 1) * max(abs(x) for x in h.coeffs) for h in hs if not h.is_zero)
-    return 2 * top + 3
-
-
-def _slot_table(h, vecs, t0):
-    # packed value of f*h at t0 for every digit vector f, in vec order
-    hv = 0
-    for x in reversed(list(h.coeffs)):
-        hv = hv * t0 + x
-    pw = [t0**j for j in range(len(vecs[0]))]
-    out = []
-    for v in vecs:
-        fv = 0
-        for j, d in enumerate(v):
-            if d:
-                fv += d * pw[j]
-        out.append(fv * hv)
-    return out
-
-
-def _oracle_meet(hs, active, vecs, D, c):
-    # meet in the middle: hash the right half, scan the left half in
-    # lexicographic order so the first hit is the lexicographic minimum
-    t0 = _kron_point(hs, D, c)
-    split = len(active) // 2
-    left, right = active[:split], active[split:]
-    tables = {i: _slot_table(hs[i], vecs, t0) for i in active}
-    best = {}
-    for combo in _iproduct(*(range(len(vecs)) for _ in right)):
-        key = sum(tables[i][k] for i, k in zip(right, combo))
-        if key not in best:
-            best[key] = combo
-    if not left:
-        combo = best.get(0)
-        if combo is None:
-            return None
-        return [IntPoly(vecs[k]) for k in combo]
-    for combo in _iproduct(*(range(len(vecs)) for _ in left)):
-        key = -sum(tables[i][k] for i, k in zip(left, combo))
-        hit = best.get(key)
-        if hit is not None:
-            return [IntPoly(vecs[k]) for k in combo + hit]
-    return None
-
-
-def _oracle_dfs(hs, active, vecs, D, c):
-    # memory-light path: enumerate all slots but the last, complete the
-    # last by exact division, pruned by value ranges at three points
-    t0 = _kron_point(hs, D, c)
-    *free, last = active
-    tables = {i: _slot_table(hs[i], vecs, t0) for i in free}
-    hlast = 0
-    for x in reversed(list(hs[last].coeffs)):
-        hlast = hlast * t0 + x
-    pts = (Fraction(1), Fraction(2), Fraction(1, 2))
-    fmin = [min(t**j for j in range(D + 1)) for t in pts]
-    fmax = [c * sum(t**j for j in range(D + 1)) for t in pts]
-    hval = {i: [eval_at_rational(hs[i], t) for t in pts] for i in active}
-    fvals = {i: [[_f_at(v, t) for t in pts] for v in vecs] for i in free}
-
-    def spread(i):
-        lo, hi = [], []
-        for p in range(len(pts)):
-            a = hval[i][p] * fmin[p]
-            b = hval[i][p] * fmax[p]
-            lo.append(min(a, b))
-            hi.append(max(a, b))
-        return lo, hi
-
-    # rest_lo[k], rest_hi[k] bound the reachable contribution of slots
-    # free[k:] plus the completed last slot
-    rest_lo = [list(spread(last)[0])]
-    rest_hi = [list(spread(last)[1])]
-    for i in reversed(free):
-        lo, hi = spread(i)
-        rest_lo.insert(0, [a + b for a, b in zip(lo, rest_lo[0])])
-        rest_hi.insert(0, [a + b for a, b in zip(hi, rest_hi[0])])
-
-    def rec(pos, packed, samples):
-        if pos == len(free):
-            if packed == 0:
-                return None  # forces f_last = 0
-            q, r = divmod(-packed, hlast)
-            if r or q <= 0:
-                return None
-            if _unpack(q, t0, D, c) is None:
-                return None
-            return []
-        for k, v in enumerate(vecs):
-            npacked = packed + tables[free[pos]][k]
-            nsamples = [
-                s + fvals[free[pos]][k][p] * hval[free[pos]][p]
-                for p, s in enumerate(samples)
-            ]
-            ok = all(
-                ns + rl <= 0 <= ns + rh
-                for ns, rl, rh in zip(nsamples, rest_lo[pos + 1], rest_hi[pos + 1])
-            )
-            if not ok:
-                continue
-            tail = rec(pos + 1, npacked, nsamples)
-            if tail is not None:
-                return [IntPoly(v)] + tail
-        return None
-
-    got = rec(0, 0, [Fraction(0)] * len(pts))
-    if got is None:
-        return None
-    # reconstruct the completed last slot
-    total = []
-    for f, i in zip(got, free):
-        total = _k.add(total, _k.mul(list(f.coeffs), list(hs[i].coeffs)))
-    q = _k.exact_div(_k.neg(total), list(hs[last].coeffs))
-    return got + [IntPoly._raw(q)]
-
-
-def _f_at(vec, t):
-    out = Fraction(0)
-    for d in reversed(vec):
-        out = out * t + d
-    return out
-
-
-def _unpack(value, t0, D, c):
-    # digits of value in base t0, valid iff all land in {0..c} with deg <= D
-    cs = []
-    while value:
-        value, r = divmod(value, t0)
-        if r > c:
-            return None
-        cs.append(r)
-        if len(cs) > D + 1:
-            return None
-    if not cs:
-        return None
-    return cs

@@ -300,36 +300,6 @@ def identity_witness_word(gens, degree_cap=DEGREE_CAP):
     return True, None
 
 
-def exhaustive_identity_search(gens, max_len):
-    """Breadth-first search for a nonempty word multiplying to identity.
-
-    Independent of the cover machinery; meant as a cross-check on small
-    fixtures.  Returns a shortest identity word, or None if none exists
-    up to max_len letters.
-    """
-    target = WreathElement.identity()
-    letters = [(PLUS, i) for i in range(1, len(gens.plus) + 1)]
-    letters += [(MINUS, j) for j in range(1, len(gens.minus) + 1)]
-    elems = {ref: gens.element(*ref) for ref in letters}
-    frontier = {target: ()}
-    seen = set()
-    for _ in range(max_len):
-        step = {}
-        for elem, prefix in frontier.items():
-            for ref in letters:
-                nxt = mul(elem, elems[ref])
-                if nxt == target:
-                    return Word(prefix + (ref,))
-                if nxt in seen or nxt in step:
-                    continue
-                step[nxt] = prefix + (ref,)
-        seen |= frontier.keys()
-        frontier = step
-        if not frontier:
-            return None
-    return None
-
-
 def _onepx_power(m):
     # (1 + X)**m via the binomial row
     return IntPoly([comb(m, i) for i in range(m + 1)])

@@ -3,19 +3,33 @@
 Sturm chains over Q[X] count distinct real roots exactly, and
 ``squarefree_part`` reduces a polynomial by the exact gcd with its
 derivative.  posring itself isolates roots with Descartes bisection on
-integer Taylor shifts; nothing in ``src/`` uses these.
+integer Taylor shifts.  ``rational_feasibility_reference`` is the phase-1
+simplex over Fractions that posring's integer tableau must match pivot
+for pivot.  ``brute_force_oracle`` enumerates bounded witness tuples and
+``exhaustive_identity_search`` searches words breadth first, both without
+the sign theory.  Nothing in ``src/`` uses these.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as _iproduct
 
 from posring import kernels as _k
-from posring.errors import PosringError, PostconditionFailed, ZeroInput
-from posring.polyring import IntPoly
+from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
+from posring.nxsolve import WitnessTuple, verify_witness
+from posring.polyring import IntPoly, eval_at_rational
+from posring.wreath import MINUS, PLUS, Word, WreathElement, mul
+
+_ORACLE_SPACE_CAP = 2 * 10**7
+_ORACLE_TABLE_CAP = 10**6
 
 
 class EndpointIsRoot(PosringError):
     """A root-counting endpoint is itself a root of the chain's polynomial."""
+
+
+class SearchSpaceTooLarge(PosringError):
+    """Brute-force enumeration would exceed the hard search-space cap."""
 
 
 class RatPoly:
@@ -207,3 +221,271 @@ def count_roots(chain, a, b):
 
 def _rat_var(chain, t):
     return _k.sign_variations([p(t) for p in chain.polys])
+
+
+def rational_feasibility_reference(sys):
+    """Exact feasible point of the system, or None.
+
+    Phase-1 simplex over Fractions: surplus variables on the >= rows,
+    artificials everywhere, Bland's rule (smallest eligible index in,
+    smallest basic index out on ratio ties), so no cycling.  Returns the
+    structural variable values only.
+    """
+    nv = sys.n * (sys.degree + 1)
+    rows = [[Fraction(c) for c in r] + [Fraction(0)] * len(sys.ge) + [Fraction(0)]
+            for r in sys.eq]
+    for s, r in enumerate(sys.ge):
+        row = [Fraction(c) for c in r] + [Fraction(0)] * len(sys.ge) + [Fraction(1)]
+        row[nv + s] = Fraction(-1)
+        rows.append(row)
+    m = len(rows)
+    ncols = nv + len(sys.ge)
+    # w-row for minimizing the artificial sum: w + sum_j W[j] x_j = Wrhs
+    W = [sum(r[j] for r in rows) for j in range(ncols + 1)]
+    basis = [ncols + i for i in range(m)]  # virtual artificial ids
+    while True:
+        enter = next((j for j in range(ncols) if W[j] > 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for r in range(m):
+            a = rows[r][enter]
+            if a > 0:
+                ratio = rows[r][ncols] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[r] < basis[leave]
+                ):
+                    leave, best = r, ratio
+        if leave is None:
+            raise PostconditionFailed("phase-1 objective is unbounded")
+        piv = rows[leave][enter]
+        rows[leave] = [c / piv for c in rows[leave]]
+        for r in range(m):
+            if r != leave and rows[r][enter]:
+                f = rows[r][enter]
+                rows[r] = [c - f * p for c, p in zip(rows[r], rows[leave])]
+        f = W[enter]
+        W = [c - f * p for c, p in zip(W, rows[leave])]
+        basis[leave] = enter
+    if W[ncols] != 0:
+        return None
+    x = [Fraction(0)] * nv
+    for r, bv in enumerate(basis):
+        if bv < nv:
+            x[bv] = rows[r][ncols]
+    return x
+
+
+def _digit_vectors(D, c):
+    # all nonzero coefficient tuples (c_0 .. c_D), lexicographic, c_0 slowest
+    out = [v for v in _iproduct(range(c + 1), repeat=D + 1) if any(v)]
+    return out
+
+
+def brute_force_oracle(hs, deg_bound, coeff_bound):
+    """First witness in lexicographic tuple order under hard bounds, or None.
+
+    Enumerates every tuple of nonzero f_i with deg f_i <= deg_bound and
+    coefficients in {0..coeff_bound}; tuples compare slot by slot, each
+    slot by its coefficient vector (constant coefficient most
+    significant).  Zero h_i slots take X^deg_bound, the order's minimal
+    nonzero polynomial.  Raises SearchSpaceTooLarge past the cap.
+    """
+    if not hs:
+        raise AllZero("empty instance")
+    n, D, c = len(hs), deg_bound, coeff_bound
+    per_slot = (c + 1) ** (D + 1) - 1
+    if per_slot ** max(n - 1, 1) > _ORACLE_SPACE_CAP:
+        raise SearchSpaceTooLarge("%d candidate tuples" % per_slot ** max(n - 1, 1))
+    if c < 1:
+        return None
+    filler = IntPoly([0] * D + [1])
+    active = [i for i, h in enumerate(hs) if not h.is_zero]
+    if not active:
+        return WitnessTuple(tuple(filler for _ in hs))
+    vecs = _digit_vectors(D, c)
+    found = (
+        _oracle_meet(hs, active, vecs, D, c)
+        if per_slot ** (len(active) - (len(active) // 2)) <= _ORACLE_TABLE_CAP
+        else _oracle_dfs(hs, active, vecs, D, c)
+    )
+    if found is None:
+        return None
+    fs = [filler] * n
+    for i, f in zip(active, found):
+        fs[i] = f
+    wt = WitnessTuple(tuple(fs))
+    if not verify_witness(hs, list(wt.fs)):
+        raise PostconditionFailed("oracle tuple fails substitution")
+    return wt
+
+
+def _kron_point(hs, D, c):
+    # evaluation point exceeding twice any coefficient a bounded sum can
+    # reach, so equality of packed values means equality of polynomials
+    top = sum(c * (D + 1) * max(abs(x) for x in h.coeffs) for h in hs if not h.is_zero)
+    return 2 * top + 3
+
+
+def _slot_table(h, vecs, t0):
+    # packed value of f*h at t0 for every digit vector f, in vec order
+    hv = 0
+    for x in reversed(list(h.coeffs)):
+        hv = hv * t0 + x
+    pw = [t0**j for j in range(len(vecs[0]))]
+    out = []
+    for v in vecs:
+        fv = 0
+        for j, d in enumerate(v):
+            if d:
+                fv += d * pw[j]
+        out.append(fv * hv)
+    return out
+
+
+def _oracle_meet(hs, active, vecs, D, c):
+    # meet in the middle: hash the right half, scan the left half in
+    # lexicographic order so the first hit is the lexicographic minimum
+    t0 = _kron_point(hs, D, c)
+    split = len(active) // 2
+    left, right = active[:split], active[split:]
+    tables = {i: _slot_table(hs[i], vecs, t0) for i in active}
+    best = {}
+    for combo in _iproduct(*(range(len(vecs)) for _ in right)):
+        key = sum(tables[i][k] for i, k in zip(right, combo))
+        if key not in best:
+            best[key] = combo
+    if not left:
+        combo = best.get(0)
+        if combo is None:
+            return None
+        return [IntPoly(vecs[k]) for k in combo]
+    for combo in _iproduct(*(range(len(vecs)) for _ in left)):
+        key = -sum(tables[i][k] for i, k in zip(left, combo))
+        hit = best.get(key)
+        if hit is not None:
+            return [IntPoly(vecs[k]) for k in combo + hit]
+    return None
+
+
+def _oracle_dfs(hs, active, vecs, D, c):
+    # memory-light path: enumerate all slots but the last, complete the
+    # last by exact division, pruned by value ranges at three points
+    t0 = _kron_point(hs, D, c)
+    *free, last = active
+    tables = {i: _slot_table(hs[i], vecs, t0) for i in free}
+    hlast = 0
+    for x in reversed(list(hs[last].coeffs)):
+        hlast = hlast * t0 + x
+    pts = (Fraction(1), Fraction(2), Fraction(1, 2))
+    fmin = [min(t**j for j in range(D + 1)) for t in pts]
+    fmax = [c * sum(t**j for j in range(D + 1)) for t in pts]
+    hval = {i: [eval_at_rational(hs[i], t) for t in pts] for i in active}
+    fvals = {i: [[_f_at(v, t) for t in pts] for v in vecs] for i in free}
+
+    def spread(i):
+        lo, hi = [], []
+        for p in range(len(pts)):
+            a = hval[i][p] * fmin[p]
+            b = hval[i][p] * fmax[p]
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+        return lo, hi
+
+    # rest_lo[k], rest_hi[k] bound the reachable contribution of slots
+    # free[k:] plus the completed last slot
+    rest_lo = [list(spread(last)[0])]
+    rest_hi = [list(spread(last)[1])]
+    for i in reversed(free):
+        lo, hi = spread(i)
+        rest_lo.insert(0, [a + b for a, b in zip(lo, rest_lo[0])])
+        rest_hi.insert(0, [a + b for a, b in zip(hi, rest_hi[0])])
+
+    def rec(pos, packed, samples):
+        if pos == len(free):
+            if packed == 0:
+                return None  # forces f_last = 0
+            q, r = divmod(-packed, hlast)
+            if r or q <= 0:
+                return None
+            if _unpack(q, t0, D, c) is None:
+                return None
+            return []
+        for k, v in enumerate(vecs):
+            npacked = packed + tables[free[pos]][k]
+            nsamples = [
+                s + fvals[free[pos]][k][p] * hval[free[pos]][p]
+                for p, s in enumerate(samples)
+            ]
+            ok = all(
+                ns + rl <= 0 <= ns + rh
+                for ns, rl, rh in zip(nsamples, rest_lo[pos + 1], rest_hi[pos + 1])
+            )
+            if not ok:
+                continue
+            tail = rec(pos + 1, npacked, nsamples)
+            if tail is not None:
+                return [IntPoly(v)] + tail
+        return None
+
+    got = rec(0, 0, [Fraction(0)] * len(pts))
+    if got is None:
+        return None
+    # reconstruct the completed last slot
+    total = []
+    for f, i in zip(got, free):
+        total = _k.add(total, _k.mul(list(f.coeffs), list(hs[i].coeffs)))
+    q = _k.exact_div(_k.neg(total), list(hs[last].coeffs))
+    return got + [IntPoly._raw(q)]
+
+
+def _f_at(vec, t):
+    out = Fraction(0)
+    for d in reversed(vec):
+        out = out * t + d
+    return out
+
+
+def _unpack(value, t0, D, c):
+    # digits of value in base t0, valid iff all land in {0..c} with deg <= D
+    cs = []
+    while value:
+        value, r = divmod(value, t0)
+        if r > c:
+            return None
+        cs.append(r)
+        if len(cs) > D + 1:
+            return None
+    if not cs:
+        return None
+    return cs
+
+
+def exhaustive_identity_search(gens, max_len):
+    """Breadth-first search for a nonempty word multiplying to identity.
+
+    Independent of the cover machinery; meant as a cross-check on small
+    fixtures.  Returns a shortest identity word, or None if none exists
+    up to max_len letters.
+    """
+    target = WreathElement.identity()
+    letters = [(PLUS, i) for i in range(1, len(gens.plus) + 1)]
+    letters += [(MINUS, j) for j in range(1, len(gens.minus) + 1)]
+    elems = {ref: gens.element(*ref) for ref in letters}
+    frontier = {target: ()}
+    seen = set()
+    for _ in range(max_len):
+        step = {}
+        for elem, prefix in frontier.items():
+            for ref in letters:
+                nxt = mul(elem, elems[ref])
+                if nxt == target:
+                    return Word(prefix + (ref,))
+                if nxt in seen or nxt in step:
+                    continue
+                step[nxt] = prefix + (ref,)
+        seen |= frontier.keys()
+        frontier = step
+        if not frontier:
+            return None
+    return None

@@ -1,12 +1,26 @@
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posring.errors import AllZero, LengthMismatch, SearchSpaceTooLarge, ZeroPolynomial
+from posring.errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
 from posring.polyring import IntPoly
 from posring.realdec import AlgebraicRoot, RationalPoint
 from posring import nxsolve as nx
+
+from oracles import (
+    SearchSpaceTooLarge,
+    _digit_vectors,
+    _oracle_dfs,
+    _oracle_meet,
+    brute_force_oracle,
+    rational_feasibility_reference,
+)
 
 
 def P(*cs):
@@ -191,6 +205,47 @@ def test_feasibility_degree_monotone():
                 break
 
 
+small_polys = st.builds(
+    IntPoly, st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_polys, min_size=2, max_size=6), st.integers(0, 4))
+def test_integer_tableau_matches_fraction_reference(hs, d):
+    # same pivots, so the same vertex (or None), not merely some feasible point
+    sys_ = nx.build_feasibility(hs, d)
+    got = nx.rational_feasibility(sys_)
+    assert got == rational_feasibility_reference(sys_)
+    if got is not None:
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_pivot_row_division_is_exact():
+    # 2 * [3, 4] - 1 * [2, 2] = [4, 6] over 2
+    assert nx._pivot_row([3, 4], [2, 2], 1, 2, 2) == [2, 3]
+    with pytest.raises(PostconditionFailed):
+        nx._pivot_row([3, 4], [2, 2], 1, 2, 4)
+
+
+_BROKEN_PIVOT = """
+import sys
+from posring import nxsolve as nx
+from posring.errors import PostconditionFailed
+try:
+    nx._pivot_row([1, 0], [0, 0], 0, 1, 2)
+except PostconditionFailed as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_pivot_remainder_check_survives_optimize():
+    # a pivot denominator that does not divide must be caught under -O too
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_PIVOT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 fraction-free pivot left a remainder"
+
+
 # ---------------------------------------------------------------- witness
 
 
@@ -219,42 +274,42 @@ def test_verify_witness_examples():
 
 
 def test_oracle_examples():
-    assert nx.brute_force_oracle(TRIPLE, 0, 1).fs == (P(1), P(1), P(1))
-    assert nx.brute_force_oracle(REMARK_PAIR, 2, 2) is None
-    assert nx.brute_force_oracle([P(1), P(-1)], 0, 1).fs == (P(1), P(1))
+    assert brute_force_oracle(TRIPLE, 0, 1).fs == (P(1), P(1), P(1))
+    assert brute_force_oracle(REMARK_PAIR, 2, 2) is None
+    assert brute_force_oracle([P(1), P(-1)], 0, 1).fs == (P(1), P(1))
 
 
 def test_oracle_lexicographic_first():
     # digit vectors order constant coefficient first, so X precedes 1
-    w = nx.brute_force_oracle([P(1), P(-1)], 1, 1)
+    w = brute_force_oracle([P(1), P(-1)], 1, 1)
     assert w.fs == (P(0, 1), P(0, 1))
 
 
 def test_oracle_zero_slots_take_monomial():
-    w = nx.brute_force_oracle([IntPoly.zero(), P(1), P(-1)], 2, 1)
+    w = brute_force_oracle([IntPoly.zero(), P(1), P(-1)], 2, 1)
     assert w.fs[0] == P(0, 0, 1)
-    w = nx.brute_force_oracle([IntPoly.zero()], 3, 2)
+    w = brute_force_oracle([IntPoly.zero()], 3, 2)
     assert w.fs == (P(0, 0, 0, 1),)
 
 
 def test_oracle_space_cap():
     with pytest.raises(SearchSpaceTooLarge):
-        nx.brute_force_oracle([P(1)] * 4, 3, 4)
+        brute_force_oracle([P(1)] * 4, 3, 4)
     with pytest.raises(AllZero):
-        nx.brute_force_oracle([], 1, 1)
+        brute_force_oracle([], 1, 1)
 
 
 def test_oracle_zero_coeff_bound():
-    assert nx.brute_force_oracle([P(1), P(-1)], 2, 0) is None
+    assert brute_force_oracle([P(1), P(-1)], 2, 0) is None
 
 
 def test_oracle_single_nonzero_absent():
-    assert nx.brute_force_oracle([P(1, 2)], 2, 2) is None
+    assert brute_force_oracle([P(1, 2)], 2, 2) is None
 
 
 def test_oracle_strategies_agree():
     rng = random.Random(17)
-    vecs = nx._digit_vectors(1, 2)
+    vecs = _digit_vectors(1, 2)
     for _ in range(120):
         n = rng.randint(2, 4)
         hs = []
@@ -265,8 +320,8 @@ def test_oracle_strategies_agree():
                     hs.append(IntPoly(cs))
                     break
         active = list(range(n))
-        a = nx._oracle_meet(hs, active, vecs, 1, 2)
-        b = nx._oracle_dfs(hs, active, vecs, 1, 2)
+        a = _oracle_meet(hs, active, vecs, 1, 2)
+        b = _oracle_dfs(hs, active, vecs, 1, 2)
         na = None if a is None else [f.coeffs for f in a]
         nb = None if b is None else [f.coeffs for f in b]
         assert na == nb
@@ -289,7 +344,7 @@ def test_oracle_agrees_with_decide_sample():
     for _ in range(60):
         hs = _random_instance(rng)
         d = nx.decide(hs)
-        w = nx.brute_force_oracle(hs, 3, 3)
+        w = brute_force_oracle(hs, 3, 3)
         if w is not None:
             assert d.status == nx.SOLVABLE
             assert nx.verify_witness(hs, list(w.fs))

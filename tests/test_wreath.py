@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from posring.errors import BadIndex, InvalidWitness, TooLarge
 from posring.nxsolve import SOLVABLE, WitnessTuple, decide
+from posring import nxsolve as nx
 from posring.polyring import IntPoly, LaurentPoly, laurent_normalize
 from posring import wreath as wr
+
+from oracles import exhaustive_identity_search, rational_feasibility_reference
 
 
 def P(*cs):
@@ -158,7 +161,7 @@ def test_is_group_trivial_pair():
 def test_is_group_false_pair():
     assert wr.is_group(STUCK) == (False, None)
     # cross-check: no identity word exists among short products
-    assert wr.exhaustive_identity_search(STUCK, 8) is None
+    assert exhaustive_identity_search(STUCK, 8) is None
 
 
 def test_is_group_zero_generators():
@@ -198,7 +201,7 @@ def test_identity_single_sign():
 def test_identity_false_pair():
     assert wr.identity_in_semigroup(STUCK) is False
     assert wr.identity_witness_word(STUCK) == (False, None)
-    assert wr.exhaustive_identity_search(STUCK, 10) is None
+    assert exhaustive_identity_search(STUCK, 10) is None
 
 
 def test_identity_subset_cap():
@@ -300,6 +303,24 @@ def test_maximal_support_matches_cover_oracle(monkeypatch):
         assert len(calls) <= _nonzero_pairs(gens) + 1, trial
 
 
+def test_witnesses_match_fraction_lp_on_cover_oracle_grids(monkeypatch):
+    # the grids of the cover-oracle test: the integer tableau must hand
+    # synthesis the same (cover, witness) as the Fraction reference
+    monkeypatch.setattr(wr, "synthesize_identity_word",
+                        lambda gens, cover, witness: (cover, witness))
+    rng = random.Random(4242)
+    grids = [_random_gens(rng, rng.randint(1, 3), rng.randint(1, 3))
+             for _ in range(200)]
+
+    def answers():
+        return [(wr.is_group(g), wr.identity_witness_word(g)) for g in grids]
+
+    fast = answers()
+    assert sum(word is not None for _, (_, word) in fast) > 40
+    monkeypatch.setattr(nx, "rational_feasibility", rational_feasibility_reference)
+    assert answers() == fast
+
+
 def _five_by_five(plus, minus):
     return wr.GeneratorSet(tuple(L(h) for h in plus), tuple(L(g) for g in minus))
 
@@ -334,11 +355,11 @@ def test_five_by_five_verdicts(monkeypatch):
 
 
 def test_exhaustive_search_finds_shortest():
-    word = wr.exhaustive_identity_search(PAIR, 6)
+    word = exhaustive_identity_search(PAIR, 6)
     assert len(word) == 2
     assert wr.word_product(PAIR, word) == wr.WreathElement.identity()
     zeros = wr.GeneratorSet(plus=(L([]),), minus=(L([]),))
-    assert len(wr.exhaustive_identity_search(zeros, 4)) == 2
+    assert len(exhaustive_identity_search(zeros, 4)) == 2
 
 
 # -------------------------------------------------------------- synthesis

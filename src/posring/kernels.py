@@ -7,6 +7,7 @@ returns canonical lists.
 """
 
 from math import gcd as _igcd
+from operator import add as _add
 
 
 def norm(cs):
@@ -228,6 +229,24 @@ def shift1(p):
         for j in range(n - 2, i - 1, -1):
             r[j] += r[j + 1]
     return r
+
+
+def casteljau_split(b):
+    # Bernstein coefficients b on [0, 1] split at 1/2: (left, right),
+    # each 2**n times the coefficients on [0, 1/2] and [1/2, 1].  Row r
+    # of the triangle holds 2**r times de Casteljau's row r, so it needs
+    # additions only: left_j = row_j[0] and right_j = row_(n-j)[j], each
+    # scaled by 2**(n - row)
+    n = len(b) - 1
+    row = b
+    left = [b[0] << n]
+    right = [b[-1] << n]
+    for sh in range(n - 1, -1, -1):
+        row = list(map(_add, row, row[1:]))
+        left.append(row[0] << sh)
+        right.append(row[-1] << sh)
+    right.reverse()
+    return left, right
 
 
 def strip2(p):

@@ -288,15 +288,21 @@ def gcd_many(hs):
 
 
 # gcd degree can only grow under reduction mod p when p keeps both leading
-# coefficients, so a unit gcd mod one such prime proves coprimality over Q
-_GCD_PRIMES = (2**61 - 1, 2**89 - 1)
+# coefficients, so a unit gcd mod any one such prime proves coprimality
+# over Q, whatever the prime's size.  32749, the largest prime below
+# 2^15, keeps every product inside gcd_mod below 2^30, on CPython's
+# single-digit integer fast path.  A small prime divides a leading
+# coefficient, or leaves a spurious common factor, more often, so a
+# non-unit result tries the next prime before the caller falls back to
+# the exact gcd.
+_GCD_PRIMES = (32749, 2**61 - 1)
 
 
 def _coprime_mod(a, b):
+    # True at the first prime with a unit gcd; False means "not certified"
     for p in _GCD_PRIMES:
-        r = _k.gcd_mod(a, b, p)
-        if r is not None:
-            return r == [1]
+        if _k.gcd_mod(a, b, p) == [1]:
+            return True
     return False
 
 

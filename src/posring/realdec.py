@@ -17,10 +17,12 @@ candidate, because isolation already proves two facts:
   roots the signs at 0 hold on all of [0, oo).
 
 Internally each polynomial is reduced to its squarefree part, isolated
-by repeated interval splitting on integer Taylor shifts, and refined by
-sign changes.  Squarefreeness and coprimality are certified modulo a
-prime whenever possible; the exact subresultant gcd only runs when the
-modular certificate fails, which keeps large random inputs cheap.
+by Descartes bisection in the Bernstein basis (one Taylor shift per
+polynomial, then one addition-only de Casteljau pass per split), and
+refined by sign changes.  Squarefreeness and coprimality are certified
+modulo a prime whenever possible; the exact subresultant gcd only runs
+when the modular certificate fails, which keeps large random inputs
+cheap.
 ``sign_at_root`` refines an interval by a derivative bound; it serves
 as the independent re-check of a certificate, not the scan.
 """
@@ -28,6 +30,8 @@ as the independent re-check of a certificate, not the scan.
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, lcm
 
 from posring import kernels as _k
 from posring.errors import PostconditionFailed, ZeroPolynomial
@@ -153,11 +157,21 @@ def _sqfree_data(q):
     return s, g
 
 
-def _var01(q):
-    # Descartes bound for the number of roots in the open interval (0, 1)
-    if len(q) < 2:
-        return 0
-    return _k.sign_variations(_k.shift1(q[::-1]))
+# bounded: an entry holds n + 1 integers of about 1.44 n bits
+@lru_cache(maxsize=128)
+def _bernstein_weights(n):
+    # M / C(n, i) with M = lcm_i C(n, i): scales C(n, i) * b_i to M * b_i
+    cs = [comb(n, i) for i in range(n + 1)]
+    m = lcm(*cs)
+    return tuple(m // c for c in cs)
+
+
+@lru_cache(maxsize=128)
+def _unx_weights(n):
+    # L / (k + 1) with L = lcm(1..n): scales b_(k+1) * n / (k + 1), the
+    # degree n - 1 coefficients of q / x when b_0 = 0, to integers
+    m = lcm(*range(1, n + 1))
+    return tuple(m // (k + 1) for k in range(n))
 
 
 def _vca_isolate(s):
@@ -166,6 +180,19 @@ def _vca_isolate(s):
     Returns (exacts, intervals) with dyadic interval endpoints: each
     interval holds exactly one root, strictly inside, so the signs of s
     at the two endpoints differ.
+
+    Each node of the bisection tree is a subinterval, mapped onto (0, 1)
+    as q = sum b_i C(n, i) x^i (1 - x)^(n - i), and kept as a positive
+    integer multiple of its Bernstein coefficients b_i.  Descartes'
+    bound for the roots of q in (0, 1) is the sign variation count of
+    (1 + x)^n q(1/(1 + x)), whose coefficients are the C(n, i) b_i in
+    reverse order; the C(n, i) are positive, so the bound is the
+    variation count of the b_i themselves.  The root node takes one
+    Taylor shift to get them, and every split one de Casteljau pass.
+    A root at the midpoint shows as right_0 == 0; it is divided out of
+    the right child, whose degree n - 1 coefficients are
+    b_(k+1) n / (k + 1).  A zero right_1 as well would make the root
+    double and raises PostconditionFailed.
     """
     if len(s) == 2:
         r = Fraction(-s[0], s[1])
@@ -176,27 +203,29 @@ def _vca_isolate(s):
         K += 1
     # map (0, 2^K) onto (0, 1)
     p0 = _k.strip2([c << (K * i) for i, c in enumerate(s)])
+    n = len(p0) - 1
+    t = _k.shift1(p0[::-1])
+    w = _bernstein_weights(n)
     exacts = []
     ivals = []
-    stack = [(0, 0, p0)]
+    stack = [(0, 0, _k.strip2([t[n - i] * w[i] for i in range(n + 1)]))]
     while stack:
-        c, k, q = stack.pop()
-        v = _var01(q)
+        c, k, b = stack.pop()
+        v = _k.sign_variations(b)
         if v == 0:
             continue
         scale = Fraction(2**K, 2**k)
         if v == 1:
             ivals.append((c * scale, (c + 1) * scale))
             continue
-        n = len(q)
-        left = _k.strip2([q[i] << (n - 1 - i) for i in range(n)])
-        right = _k.shift1(left)
+        left, right = _k.casteljau_split(b)
+        right = _k.strip2(right)
         if right[0] == 0:
             exacts.append((2 * c + 1) * scale / 2)
-            right = right[1:]
-            if right[0] == 0:
+            if right[1] == 0:
                 raise PostconditionFailed("squarefree part has a double root")
-        stack.append((2 * c, k + 1, left))
+            right = _k.strip2([x * f for x, f in zip(right[1:], _unx_weights(len(b) - 1))])
+        stack.append((2 * c, k + 1, _k.strip2(left)))
         stack.append((2 * c + 1, k + 1, right))
     return exacts, ivals
 
@@ -220,12 +249,16 @@ class _PolyData:
 
 
 class _IvalCluster:
-    __slots__ = ("lo", "hi", "members")
+    __slots__ = ("lo", "hi", "members", "slo")
 
-    def __init__(self, lo, hi, members):
+    def __init__(self, lo, hi, members, slo=None):
         self.lo = lo
         self.hi = hi
         self.members = members  # index -> squarefree part
+        # sign of the representative at lo: lo only moves toward the
+        # root, never onto or past it, so the sign holds while the
+        # cluster lives
+        self.slo = _sgn(_ev(self.rep(), lo)) if slo is None else slo
 
     def rep(self):
         return next(iter(self.members.values()))
@@ -233,11 +266,10 @@ class _IvalCluster:
 
 def _refine_step(c):
     m = (c.lo + c.hi) / 2
-    s = c.rep()
-    vm = _ev(s, m)
+    vm = _ev(c.rep(), m)
     if vm == 0:
         raise _NewExact(m)
-    if _sgn(vm) != _sgn(_ev(s, c.lo)):
+    if _sgn(vm) != c.slo:
         c.hi = m
     else:
         c.lo = m
@@ -339,7 +371,9 @@ def _resolve_overlap(a, b):
     if _sgn(_ev(g, L)) != _sgn(_ev(g, H)):
         members = dict(a.members)
         members.update(b.members)
-        return _IvalCluster(L, H, members)
+        # a's part stays the representative, and L lies in a's interval
+        # left of the shared root, so a's sign at lo carries over
+        return _IvalCluster(L, H, members, a.slo)
     _separate(a, b)
     return None
 

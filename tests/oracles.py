@@ -2,8 +2,11 @@
 
 Sturm chains over Q[X] count distinct real roots exactly, and
 ``squarefree_part`` reduces a polynomial by the exact gcd with its
-derivative.  posring itself isolates roots with Descartes bisection on
-integer Taylor shifts.  ``rational_feasibility_reference`` is the phase-1
+derivative.  posring itself isolates roots with Descartes bisection in
+the Bernstein basis; ``vca_isolate_reference`` is the same bisection on
+monomial coefficients, three integer Taylor shifts per split, whose
+tree, exact roots and intervals it must match in order.
+``rational_feasibility_reference`` is the phase-1
 simplex over Fractions that posring's integer tableau must match pivot
 for pivot.  ``brute_force_oracle`` enumerates bounded witness tuples and
 ``exhaustive_identity_search`` searches words breadth first, both without
@@ -18,6 +21,7 @@ from posring import kernels as _k
 from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
 from posring.nxsolve import WitnessTuple, verify_witness
 from posring.polyring import IntPoly, eval_at_rational
+from posring.realdec import cauchy_root_bound
 from posring.wreath import MINUS, PLUS, Word, WreathElement, mul
 
 _ORACLE_SPACE_CAP = 2 * 10**7
@@ -149,6 +153,54 @@ def squarefree_part(p):
     if q is None:
         raise PostconditionFailed("gcd(p, p') does not divide p's primitive part")
     return IntPoly._raw(q)
+
+
+def _var01(q):
+    # Descartes bound for the number of roots in the open interval (0, 1)
+    if len(q) < 2:
+        return 0
+    return _k.sign_variations(_k.shift1(q[::-1]))
+
+
+def vca_isolate_reference(s):
+    """Positive roots of a squarefree s with s(0) != 0, deg >= 1.
+
+    Returns (exacts, intervals) with dyadic interval endpoints: each
+    interval holds exactly one root, strictly inside, so the signs of s
+    at the two endpoints differ.
+    """
+    if len(s) == 2:
+        r = Fraction(-s[0], s[1])
+        return ([r] if r > 0 else []), []
+    bound = cauchy_root_bound(IntPoly._raw(s))
+    K = 0
+    while 2**K < bound:
+        K += 1
+    # map (0, 2^K) onto (0, 1)
+    p0 = _k.strip2([c << (K * i) for i, c in enumerate(s)])
+    exacts = []
+    ivals = []
+    stack = [(0, 0, p0)]
+    while stack:
+        c, k, q = stack.pop()
+        v = _var01(q)
+        if v == 0:
+            continue
+        scale = Fraction(2**K, 2**k)
+        if v == 1:
+            ivals.append((c * scale, (c + 1) * scale))
+            continue
+        n = len(q)
+        left = _k.strip2([q[i] << (n - 1 - i) for i in range(n)])
+        right = _k.shift1(left)
+        if right[0] == 0:
+            exacts.append((2 * c + 1) * scale / 2)
+            right = right[1:]
+            if right[0] == 0:
+                raise PostconditionFailed("squarefree part has a double root")
+        stack.append((2 * c, k + 1, left))
+        stack.append((2 * c + 1, k + 1, right))
+    return exacts, ivals
 
 
 @dataclass(frozen=True)

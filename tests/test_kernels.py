@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from posring.polyring import IntPoly
 from oracles import sturm_chain
 
 MERSENNE = (1 << 61) - 1
+SMALL_PRIME = 32749  # largest prime below 2^15
 
 coeff = st.integers(min_value=-(2 ** 192), max_value=2 ** 192)
 raw = st.lists(coeff, max_size=8)
@@ -188,18 +190,51 @@ def test_shift1_is_taylor_shift(p, t):
 # ------------------------------------------------------- modular gcd
 
 
-@given(nonzero, nonzero, st.sampled_from(([1, 1], [-2, 0, 1], [1])))
-def test_gcd_mod_is_monic_common_divisor(a, b, c):
+def _check_gcd_mod(a, b, c, m):
     a, b = K.mul(a, c), K.mul(b, c)
-    g = K.gcd_mod(list(a), list(b), MERSENNE)
-    if a[-1] % MERSENNE == 0 or b[-1] % MERSENNE == 0:
+    g = K.gcd_mod(list(a), list(b), m)
+    if a[-1] % m == 0 or b[-1] % m == 0:
         assert g is None
         return
-    assert g[-1] == 1 and all(0 <= x < MERSENNE for x in g)
-    assert rem_mod(a, g, MERSENNE) == []
-    assert rem_mod(b, g, MERSENNE) == []
+    assert g[-1] == 1 and all(0 <= x < m for x in g)
+    assert rem_mod(a, g, m) == []
+    assert rem_mod(b, g, m) == []
     # the planted common factor divides the modular gcd
-    assert rem_mod(g, c, MERSENNE) == []
+    assert rem_mod(g, c, m) == []
+
+
+planted = st.sampled_from(([1, 1], [-2, 0, 1], [1]))
+
+
+@given(nonzero, nonzero, planted)
+def test_gcd_mod_is_monic_common_divisor(a, b, c):
+    _check_gcd_mod(a, b, c, MERSENNE)
+
+
+# small coefficients too, so leading coefficients divisible by the
+# prime and spurious common factors mod it actually turn up
+small_nonzero = st.lists(st.integers(-3 * SMALL_PRIME, 3 * SMALL_PRIME), max_size=8).map(
+    lambda cs: K.norm(list(cs))).filter(bool)
+
+
+@given(st.one_of(nonzero, small_nonzero), st.one_of(nonzero, small_nonzero), planted)
+def test_gcd_mod_is_monic_common_divisor_mod_small_prime(a, b, c):
+    _check_gcd_mod(a, b, c, SMALL_PRIME)
+
+
+def _bernstein_at(b, t):
+    # sum b_i C(n, i) t^i (1 - t)^(n - i)
+    n = len(b) - 1
+    return sum(x * comb(n, i) * t**i * (1 - t) ** (n - i) for i, x in enumerate(b))
+
+
+@given(st.lists(coeff, min_size=1, max_size=8), st.integers(0, 8))
+def test_casteljau_split_halves_the_interval(b, k):
+    left, right = K.casteljau_split(list(b))
+    n = len(b) - 1
+    t = Fraction(k, 8)
+    assert _bernstein_at(left, t) == 2**n * _bernstein_at(b, t / 2)
+    assert _bernstein_at(right, t) == 2**n * _bernstein_at(b, (t + 1) / 2)
 
 
 def test_gcd_mod_leading_drop_refused():

@@ -28,7 +28,14 @@ from posring.realdec import (
     uniform_sign_exists,
 )
 
-from oracles import EndpointIsRoot, RatPoly, count_roots, squarefree_part, sturm_chain
+from oracles import (
+    EndpointIsRoot,
+    RatPoly,
+    count_roots,
+    squarefree_part,
+    sturm_chain,
+    vca_isolate_reference,
+)
 
 
 def P(*cs):
@@ -674,6 +681,144 @@ def test_sweep_overlap_checks_stay_near_linear():
     with mock.patch.object(realdec, "_overlap", counted):
         isolate_nonneg_roots(_wide_family(1503, 50))
     assert 0 < calls[0] < 3000, calls[0]
+
+
+# ------------------------------------------------- Bernstein subdivision
+
+
+def _parts(hs):
+    # the squarefree parts isolation runs on: X^k stripped, degree >= 1
+    out = []
+    for h in hs:
+        q = list(h.coeffs)[order_at_zero(h):]
+        if len(q) >= 2:
+            out.append(realdec._sqfree_data(q)[0])
+    return out
+
+
+def _assert_vca_matches_reference(s):
+    got = realdec._vca_isolate(s)
+    assert got == vca_isolate_reference(s), s
+    return got
+
+
+def _dense_part(seed):
+    # shaped like the dense decide workload: degree 80-100, 64-bit
+    rng = random.Random(seed)
+    cs = [rng.getrandbits(64) - (1 << 63) for _ in range(rng.randint(81, 101))]
+    cs[0] = cs[0] or 1
+    cs[-1] = cs[-1] or 1
+    return realdec._sqfree_data(cs)[0]
+
+
+def _dyadic_product(seed):
+    # distinct dyadic roots a / 2^e, some on bisection midpoints, times an
+    # integer factor with irrational or no real roots
+    rng = random.Random(seed)
+    roots = set()
+    while len(roots) < rng.randint(2, 7):
+        roots.add(Fraction(rng.randint(1, 40), 2 ** rng.randint(0, 4)))
+    cs = [rng.randint(1, 3), 0, -rng.choice((2, 3, 5))]
+    for r in sorted(roots):
+        cs = _k.mul(cs, [-r.numerator, r.denominator])
+    return realdec._sqfree_data(cs)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_family, st.booleans())
+def test_bernstein_matches_monomial_reference(hs, share):
+    for s in _parts(_shared(hs, share)):
+        _assert_vca_matches_reference(s)
+
+
+def test_bernstein_matches_monomial_reference_on_dense_parts():
+    for seed in range(6):
+        _, ivals = _assert_vca_matches_reference(_dense_part(seed))
+        assert ivals
+
+
+def test_bernstein_matches_monomial_reference_on_dyadic_roots():
+    # a root on a midpoint shows as right_0 == 0 and is divided out
+    hits = 0
+    for seed in range(40):
+        exacts, _ = _assert_vca_matches_reference(_dyadic_product(seed))
+        hits += bool(exacts)
+    assert hits >= 20, hits
+    # 4 is a midpoint, and a complex pair sits near 6.25 next to the root
+    # 55/8: keeping the zero instead of dividing it out leaves a factor
+    # that hides two sign variations, and isolation stops at (6, 7]
+    s = _k.mul(_k.mul([-4, 1], [-55, 8]), [627, -200, 16])
+    assert _assert_vca_matches_reference(s) == ([4], [(Fraction(13, 2), 7)])
+
+
+def test_bernstein_double_root_is_caught():
+    # (X - 2)^2: the bisection of (0, 8) lands on 2 with right_1 == 0 too
+    for isolate in (realdec._vca_isolate, vca_isolate_reference):
+        with pytest.raises(PostconditionFailed, match="double root"):
+            isolate([4, -4, 1])
+
+
+def test_one_taylor_shift_per_isolated_part():
+    # the split is a de Casteljau pass, so only the conversion to the
+    # Bernstein basis shifts; three shifts per split node would be
+    # dozens here
+    rng = random.Random(90)
+    cs = [rng.getrandbits(64) - (1 << 63) for _ in range(91)]
+    cs[0] = cs[0] or 1
+    calls = [0]
+    shift1 = _k.shift1
+
+    def counted(p):
+        calls[0] += 1
+        return shift1(p)
+
+    with mock.patch.object(_k, "shift1", counted):
+        roots = isolate_nonneg_roots([IntPoly(cs)])
+    assert len(roots) >= 2
+    assert calls[0] == 1
+
+
+def _refine_step_reference(c):
+    # re-reads the sign at lo on every step
+    m = (c.lo + c.hi) / 2
+    s = c.rep()
+    vm = realdec._ev(s, m)
+    if vm == 0:
+        raise realdec._NewExact(m)
+    if realdec._sgn(vm) != realdec._sgn(realdec._ev(s, c.lo)):
+        c.hi = m
+    else:
+        c.lo = m
+
+
+def _count_evs(hs, refine):
+    counts = {"ev": 0, "step": 0}
+    ev = realdec._ev
+
+    def counted_ev(cs, t):
+        counts["ev"] += 1
+        return ev(cs, t)
+
+    def counted_step(c):
+        counts["step"] += 1
+        return refine(c)
+
+    with mock.patch.object(realdec, "_ev", counted_ev), \
+            mock.patch.object(realdec, "_refine_step", counted_step):
+        ivs = isolate_nonneg_roots(hs)
+    out = [(iv.owners, iv.lo, iv.hi, iv.multiplicity_free, iv.exact) for iv in ivs]
+    return out, counts
+
+
+def test_refine_step_reuses_the_stored_sign_at_lo():
+    # a cluster's sign at lo is read once when it is built, so every
+    # refinement step saves exactly one evaluation
+    hs = _wide_family(1503, 50)
+    got, new = _count_evs(hs, realdec._refine_step)
+    want, old = _count_evs(hs, _refine_step_reference)
+    assert got == want
+    assert new["step"] == old["step"] > 100
+    assert old["ev"] - new["ev"] == new["step"]
 
 
 _BROKEN_DIVISION = """

@@ -16,7 +16,6 @@ from .errors import (
     PosringError,
     PostconditionFailed,
     SchemaError,
-    TooLarge,
     ZeroInput,
     ZeroPolynomial,
 )
@@ -35,14 +34,11 @@ from .nxsolve import (
     verify_witness,
 )
 from .wreath import (
-    COVER_CAP,
-    SUBSET_CAP,
     CoverSubset,
     GeneratorSet,
     Word,
     WreathElement,
     build_hij,
-    enumerate_covers,
     identity_in_semigroup,
     identity_witness_word,
     is_group,
@@ -54,14 +50,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllZero", "BadIndex", "InvalidWitness", "LengthMismatch", "NotDivisible",
-    "PosringError", "PostconditionFailed", "SchemaError", "TooLarge",
-    "ZeroInput", "ZeroPolynomial",
+    "PosringError", "PostconditionFailed", "SchemaError", "ZeroInput",
+    "ZeroPolynomial",
     "IntPoly", "LaurentPoly", "laurent_normalize",
     "DEGREE_CAP", "SOLVABLE", "UNSOLVABLE", "WITNESS_FOUND",
     "WITNESS_NOT_FOUND", "Decision", "WitnessTuple", "decide",
     "find_witness", "verify_certificate", "verify_witness",
-    "COVER_CAP", "SUBSET_CAP", "CoverSubset", "GeneratorSet", "Word",
-    "WreathElement", "build_hij", "enumerate_covers", "identity_in_semigroup",
-    "identity_witness_word", "is_group", "synthesize_identity_word",
-    "word_product",
+    "CoverSubset", "GeneratorSet", "Word", "WreathElement", "build_hij",
+    "identity_in_semigroup", "identity_witness_word", "is_group",
+    "synthesize_identity_word", "word_product",
 ]

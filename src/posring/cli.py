@@ -10,24 +10,23 @@ ascending integer coefficients separated by spaces.
 
 Wreath generators keep file order within each sign: the k-th "b": 1
 entry is A_k, the k-th "b": -1 entry is B_k, and output words name them
-that way ("A1 B2 ...").
+that way ("A1 B2 ..."); a loop repeated c times prints as "(A1 B2)^c".
 
-Exit codes: 0 = Solvable / yes, 1 = Unsolvable / no, 2 = bad input, or a
-cap or memory exhaustion stopped the run before its answer.  Reports go
-to stdout (JSON with --json, line-oriented text otherwise), diagnostics
-to stderr.
+Exit codes: 0 = Solvable / yes, 1 = Unsolvable / no, 2 = bad input, or
+the degree cap (for `wreath word`) or memory exhaustion stopped the run
+before its answer.  Reports go to stdout (JSON with --json, line-oriented
+text otherwise), diagnostics to stderr.
 """
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
 from time import perf_counter
 
 from . import nxsolve, wreath
-from .errors import PosringError, SchemaError, TooLarge
+from .errors import PosringError, SchemaError
 from .polyring import IntPoly, LaurentPoly
 from .realdec import RationalPoint
 
@@ -296,24 +295,13 @@ def cmd_wreath(args):
         _write_report(args, report, lines)
         return 0 if ok else 1
 
-    refused = None
-    try:
-        found, word = wreath.identity_witness_word(gens, args.degree_cap)
-    except TooLarge as exc:
-        if args.question != "identity":
-            raise
-        # the word search refused, but the verdict needs no word
-        found, word, refused = wreath.identity_in_semigroup(gens), None, exc
+    found, word = wreath.identity_witness_word(gens, args.degree_cap)
     elapsed = round(perf_counter() - t0, 6)
 
     if args.question == "identity":
         report = {"identity_in_semigroup": found}
         lines = ["identity in semigroup: %s" % _text_value(found)]
-        if refused is not None:
-            report["word"] = None
-            report["word_cap"] = str(refused)
-            lines.append("word: not synthesized (cap exceeded: %s)" % refused)
-        elif found and word is not None:
+        if found and word is not None:
             verified = wreath.word_product(gens, word) == wreath.WreathElement.identity()
             report["word"] = str(word)
             report["verified"] = verified
@@ -375,7 +363,8 @@ def build_parser():
     solve.add_argument("file", help="problem file path, or - for stdin")
     solve.add_argument("--witness", action="store_true",
                        help="also search for an explicit witness tuple")
-    solve.add_argument("--degree-cap", type=int, default=None, metavar="N",
+    solve.add_argument("--degree-cap", type=int, default=nxsolve.DEGREE_CAP,
+                       metavar="N",
                        help="max witness degree per f_i (default %d)"
                             % nxsolve.DEGREE_CAP)
     _add_format_flags(solve)
@@ -384,7 +373,8 @@ def build_parser():
     wre = sub.add_parser("wreath", help="group/identity questions for generators")
     wre.add_argument("question", choices=("group", "identity", "word"))
     wre.add_argument("file", help="problem file path, or - for stdin")
-    wre.add_argument("--degree-cap", type=int, default=None, metavar="N",
+    wre.add_argument("--degree-cap", type=int, default=nxsolve.DEGREE_CAP,
+                     metavar="N",
                      help="max witness degree (default %d)" % nxsolve.DEGREE_CAP)
     _add_format_flags(wre)
     wre.set_defaults(func=cmd_wreath)
@@ -393,32 +383,16 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.degree_cap is None:
-        env = os.environ.get("POSRING_DEGREE_CAP", "")
-        if env:
-            if not _INT_RE.match(env.strip()) or int(env) < 0:
-                print("input error: POSRING_DEGREE_CAP is not a nonnegative "
-                      "integer: %r" % env, file=sys.stderr)
-                return 2
-            args.degree_cap = int(env)
-        else:
-            args.degree_cap = nxsolve.DEGREE_CAP
-    elif args.degree_cap < 0:
+    if args.degree_cap < 0:
         print("input error: --degree-cap must be nonnegative, got %d"
               % args.degree_cap, file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except TooLarge as exc:
-        print("cap exceeded: %s" % exc, file=sys.stderr)
-        return 2
     except SchemaError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except PosringError as exc:
+    except (ValueError, PosringError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:

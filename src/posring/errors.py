@@ -25,12 +25,8 @@ class LengthMismatch(PosringError):
     """Witness tuple length differs from the instance length."""
 
 
-class TooLarge(PosringError):
-    """Cover or subset enumeration would exceed its cap."""
-
-
 class BadIndex(PosringError):
-    """A word letter refers to a generator index that does not exist."""
+    """A word letter names no generator, or a power is not a height-0 loop."""
 
 
 class InvalidWitness(PosringError):

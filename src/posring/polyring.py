@@ -275,11 +275,7 @@ def gcd_many(hs):
         if h.is_zero:
             continue
         seen = True
-        cs = list(h.coeffs)
-        if g and _coprime_mod(g, cs):
-            g = [1]
-        else:
-            g = _k.gcd(g, cs)
+        g = gcd_mod_first(g, list(h.coeffs))
         if g == [1]:
             break
     if not seen:
@@ -304,6 +300,14 @@ def _coprime_mod(a, b):
         if _k.gcd_mod(a, b, p) == [1]:
             return True
     return False
+
+
+def gcd_mod_first(a, b):
+    """kernels.gcd(a, b), or [1] at once when a modular gcd certifies
+    the two coprime; with an empty input no modular gcd is tried."""
+    if a and b and _coprime_mod(a, b):
+        return [1]
+    return _k.gcd(a, b)
 
 
 def eval_at_rational(p, t):

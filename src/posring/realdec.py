@@ -35,7 +35,7 @@ from math import comb, lcm
 
 from posring import kernels as _k
 from posring.errors import PostconditionFailed, ZeroPolynomial
-from posring.polyring import IntPoly, _coprime_mod
+from posring.polyring import IntPoly, gcd_mod_first
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,14 @@ class IsolatingInterval:
     there.  ``exact`` carries the root value when it is a known rational
     (then hi equals the root and ``s`` is None).  Otherwise no other
     input polynomial has a root in (lo, hi], and ``s`` is the squarefree
-    part of owner ``poly_index``, with opposite nonzero signs at lo and
+    part of owner ``owners[0]``, with opposite nonzero signs at lo and
     hi.  ``multiplicity_free`` is true when the root is simple in every
     owner.
     """
 
-    __slots__ = ("poly_index", "owners", "lo", "hi", "multiplicity_free", "exact", "s")
+    __slots__ = ("owners", "lo", "hi", "multiplicity_free", "exact", "s")
 
-    def __init__(self, poly_index, owners, lo, hi, multiplicity_free, exact, s):
-        self.poly_index = poly_index
+    def __init__(self, owners, lo, hi, multiplicity_free, exact, s):
         self.owners = tuple(owners)
         self.lo = lo
         self.hi = hi
@@ -142,13 +141,10 @@ class _NewExact(Exception):
 def _sqfree_data(q):
     """(s, g) for q with q(0) != 0, deg >= 1: s is the squarefree part.
 
-    g is None when squarefreeness was certified modulo a prime (all
-    roots simple), else the exact gcd(q, q') for multiplicity checks.
+    g is None when q is squarefree (all roots simple), else the exact
+    gcd(q, q') for multiplicity checks.
     """
-    d = _k.deriv(q)
-    if _coprime_mod(q, d):
-        return _k.primitive_signed(q), None
-    g = _k.gcd(q, d)
+    g = gcd_mod_first(q, _k.deriv(q))
     if len(g) == 1:
         return _k.primitive_signed(q), None
     s = _k.exact_div(_k.primitive_signed(q), g)
@@ -251,14 +247,14 @@ class _PolyData:
 class _IvalCluster:
     __slots__ = ("lo", "hi", "members", "slo")
 
-    def __init__(self, lo, hi, members, slo=None):
+    def __init__(self, lo, hi, members, slo):
         self.lo = lo
         self.hi = hi
         self.members = members  # index -> squarefree part
         # sign of the representative at lo: lo only moves toward the
         # root, never onto or past it, so the sign holds while the
         # cluster lives
-        self.slo = _sgn(_ev(self.rep(), lo)) if slo is None else slo
+        self.slo = slo
 
     def rep(self):
         return next(iter(self.members.values()))
@@ -275,9 +271,9 @@ def _refine_step(c):
         c.lo = m
 
 
-def _shrink_to_exclude(s, lo, hi, r):
-    # bisect around the interval's root until r is outside
-    slo = _sgn(_ev(s, lo))
+def _shrink_to_exclude(s, lo, hi, r, slo):
+    # bisect around the interval's root until r is outside; slo is the
+    # sign of s at lo, which every move of lo keeps
     while lo < r <= hi:
         m = (lo + hi) / 2
         vm = _ev(s, m)
@@ -297,6 +293,7 @@ def _clean_interval(s, lo, hi, known):
     endpoint may be a different (already recorded) root of s.  Returns
     the cleaned pair, or None when the interior root turns out to be a
     known rational; an unseen rational interior root raises _NewExact.
+    The pair comes with the sign of s at the cleaned lo: (lo, hi, slo).
     """
     vlo = _ev(s, lo)
     if vlo:
@@ -330,7 +327,7 @@ def _clean_interval(s, lo, hi, known):
                 hi = c
                 break
             j += 1
-    return lo, hi
+    return lo, hi, slo
 
 
 def _lo(c):
@@ -354,12 +351,7 @@ def _resolve_overlap(a, b):
         _refine_step(b)
         if not _overlap(a, b):
             return None
-    sa = a.rep()
-    sb = b.rep()
-    if _coprime_mod(sa, sb):
-        _separate(a, b)
-        return None
-    g = _k.gcd(sa, sb)
+    g = gcd_mod_first(a.rep(), b.rep())
     if len(g) == 1:
         _separate(a, b)
         return None
@@ -394,15 +386,15 @@ def _build_clusters(data, known):
             cleaned = _clean_interval(d.s, lo, hi, known)
             if cleaned is None:
                 continue
-            lo, hi = cleaned
+            lo, hi, slo = cleaned
             # drop before shrinking: a shrink bisection must never land
             # on a known root, which only its own drop check rules out
             inside = [r for r in ordered if lo < r <= hi]
             if any(_ev(d.s, r) == 0 for r in inside):
                 continue
             for r in inside:
-                lo, hi = _shrink_to_exclude(d.s, lo, hi, r)
-            recs.append(_IvalCluster(lo, hi, {i: d.s}))
+                lo, hi = _shrink_to_exclude(d.s, lo, hi, r, slo)
+            recs.append(_IvalCluster(lo, hi, {i: d.s}, slo))
 
     # resolve overlaps: merge shared roots, separate distinct ones.  One
     # sweep picks the same pairs, in the same order, as rescanning every
@@ -459,9 +451,7 @@ def _synthesize(data, exact_owned, recs):
                 if prev_hi is not None:
                     lo = max(lo, prev_hi)
             mult_free = all(_ev(_k.deriv(data[i].cs), r) != 0 for i in owners)
-            out.append(
-                IsolatingInterval(min(owners), sorted(owners), lo, r, mult_free, r, None)
-            )
+            out.append(IsolatingInterval(sorted(owners), lo, r, mult_free, r, None))
             prev_hi = r
         else:
             c = payload
@@ -479,11 +469,8 @@ def _synthesize(data, exact_owned, recs):
                     mult_free = False
                     break
             owners = sorted(c.members)
-            out.append(
-                IsolatingInterval(
-                    owners[0], owners, c.lo, c.hi, mult_free, None, c.members[owners[0]]
-                )
-            )
+            s = c.members[owners[0]]
+            out.append(IsolatingInterval(owners, c.lo, c.hi, mult_free, None, s))
             prev_hi = c.hi
     return out
 
@@ -544,17 +531,16 @@ def sign_at_root(q, root):
             return lo, m
         return m, hi
 
-    if not _coprime_mod(s, qcs):
-        g = _k.gcd(s, qcs)
-        if len(g) >= 2:
-            # g divides s: at most one root in (lo, hi], endpoints first
-            # made root-free, then a sign change pins the shared root
-            while _ev(g, lo) == 0 or _ev(g, hi) == 0:
-                lo, hi = narrow(lo, hi)
-                if lo == hi:
-                    return _sgn(_ev(qcs, lo))
-            if _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):
-                return 0
+    g = gcd_mod_first(s, qcs)
+    if len(g) >= 2:
+        # g divides s: at most one root in (lo, hi], endpoints first
+        # made root-free, then a sign change pins the shared root
+        while _ev(g, lo) == 0 or _ev(g, hi) == 0:
+            lo, hi = narrow(lo, hi)
+            if lo == hi:
+                return _sgn(_ev(qcs, lo))
+        if _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):
+            return 0
 
     # the root is not a root of q: certify a constant sign of q over a
     # small enough interval via a derivative bound

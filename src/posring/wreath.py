@@ -13,31 +13,25 @@ nonzero h_ij plus one.  The generated semigroup is a group exactly when
 M has full projections onto I and J, and the identity lies in it
 exactly when M is nonempty.
 
-Identity words are synthesized from a witness (f_ij) on the smallest
-solvable cover, searched inside M: a zigzag base word realizes the two
-pivot pairs' geometric blocks, and each remaining coefficient X**k of
-the corrected witness becomes a two-letter loop spliced in where the
-suffix after it has height k, adding X**k * h_ij to the upper-right
-entry.  Every synthesized word is checked by exact multiplication
-before it is returned.
+Identity words are synthesized from a witness (f_ij) on M itself, the
+one the group test's LP finds: a zigzag base word realizes the two
+pivot pairs' geometric blocks, and each remaining coefficient c X**k of
+the corrected witness becomes the two-letter loop (A_i B_j)^c spliced
+in where the suffix after it has height k, adding c X**k * h_ij to the
+upper-right entry.  A loop has height 0, so a word stores it once with
+its count and multiplies it in closed form; coefficients in the
+thousands cost no more than ones.  Every synthesized word is checked by
+exact multiplication before it is returned.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
-from .errors import (
-    BadIndex,
-    InvalidWitness,
-    LengthMismatch,
-    PostconditionFailed,
-    TooLarge,
-)
+from .errors import BadIndex, InvalidWitness, LengthMismatch, PostconditionFailed
 from .nxsolve import (
     DEGREE_CAP,
     SOLVABLE,
     UNIFORM_SIGN_AT_ZERO,
-    WITNESS_FOUND,
     decide,
     find_witness,
     verify_witness,
@@ -48,9 +42,6 @@ from .polyring import (
     laurent_normalize,
     order_at_zero,
 )
-
-COVER_CAP = 20
-SUBSET_CAP = 12
 
 # word letter sides: "A" indexes the +1 generators, "B" the -1 ones
 PLUS = "A"
@@ -112,21 +103,41 @@ class GeneratorSet:
         return WreathElement(seq[index - 1], b)
 
 
+def _is_power(entry):
+    return isinstance(entry[0], tuple)
+
+
+def _height(letters):
+    return sum(1 if side == PLUS else -1 for side, _ in letters)
+
+
+def _letter_text(letters):
+    return " ".join("%s%d" % (side, index) for side, index in letters)
+
+
 @dataclass(frozen=True)
 class Word:
-    """Sequence of generator references (side, index) with side A or B."""
+    """Generator references, read left to right.
+
+    Each entry of letters is a letter (side, index), side A or B, or a
+    power (loop, count): a tuple of letters of height 0 standing for
+    count >= 2 copies of itself, printed as (A1 B2)^count.  len counts
+    letters, with every power written out.
+    """
 
     letters: tuple
 
     @property
     def height(self):
-        return sum(1 if side == PLUS else -1 for side, _ in self.letters)
+        return sum(e[1] * _height(e[0]) if _is_power(e) else _height((e,))
+                   for e in self.letters)
 
     def __len__(self):
-        return len(self.letters)
+        return sum(len(e[0]) * e[1] if _is_power(e) else 1 for e in self.letters)
 
     def __str__(self):
-        return " ".join("%s%d" % (side, index) for side, index in self.letters)
+        return " ".join("(%s)^%d" % (_letter_text(e[0]), e[1]) if _is_power(e)
+                        else _letter_text((e,)) for e in self.letters)
 
 
 @dataclass(frozen=True)
@@ -144,11 +155,31 @@ def mul(a, b):
     return WreathElement(b.f + a.f.shifted(b.b), a.b + b.b)
 
 
-def word_product(gens, w):
-    """Multiply the word's letters left to right; the height lands in b."""
+def _product(gens, letters):
     acc = WreathElement.identity()
-    for side, index in w.letters:
+    for side, index in letters:
         acc = mul(acc, gens.element(side, index))
+    return acc
+
+
+def word_product(gens, w):
+    """Multiply the word's entries left to right; the height lands in b.
+
+    A power's loop multiplies to some (f, 0), and (f, 0)**count is
+    (count*f, 0).  A loop of nonzero height, or a count below 1, raises
+    BadIndex.
+    """
+    acc = WreathElement.identity()
+    for entry in w.letters:
+        if not _is_power(entry):
+            acc = mul(acc, gens.element(*entry))
+            continue
+        loop, count = entry
+        p = _product(gens, loop)
+        if p.b or count < 1:
+            raise BadIndex("power (%s)^%d is not a loop of height 0 repeated"
+                           % (_letter_text(loop), count))
+        acc = mul(acc, WreathElement(LaurentPoly([count]) * p.f, 0))
     return acc
 
 
@@ -160,24 +191,6 @@ def build_hij(gens):
         for i, hi in enumerate(gens.plus, 1)
         for j, gj in enumerate(gens.minus, 1)
     }
-
-
-def enumerate_covers(I, J, cap=COVER_CAP):
-    """Yield every subset of I x J with full projections, smallest first.
-
-    Subsets of equal size come in lexicographic order of the sorted pair
-    grid, so the stream is deterministic; |I|*|J| beyond cap refuses.
-    """
-    rows = tuple(sorted(set(I)))
-    cols = tuple(sorted(set(J)))
-    grid = [(i, j) for i in rows for j in cols]
-    if len(grid) > cap:
-        raise TooLarge("%d candidate pairs exceed the cover cap %d" % (len(grid), cap))
-    row_set, col_set = set(rows), set(cols)
-    for size in range(max(len(rows), len(cols)), len(grid) + 1):
-        for combo in combinations(grid, size):
-            if {p[0] for p in combo} == row_set and {p[1] for p in combo} == col_set:
-                yield CoverSubset(combo)
 
 
 def _maximal_support(hij, pairs):
@@ -244,60 +257,23 @@ def identity_in_semigroup(gens):
     return bool(_maximal_support(hij, hij))
 
 
-def _signed_subsets(rows, cols):
-    """Index subsets with both signs present, ascending by total size."""
-    tagged = [(PLUS, i) for i in rows] + [(MINUS, j) for j in cols]
-    if len(tagged) > SUBSET_CAP:
-        raise TooLarge("%d generators exceed the subset cap %d"
-                       % (len(tagged), SUBSET_CAP))
-    for size in range(2, len(tagged) + 1):
-        for combo in combinations(tagged, size):
-            plus = tuple(i for side, i in combo if side == PLUS)
-            minus = tuple(j for side, j in combo if side == MINUS)
-            if plus and minus:
-                yield plus, minus
-
-
-def _first_solvable_cover(hij, inside, plus_sel, minus_sel, degree_cap):
-    # smallest-first covers of plus_sel x minus_sel; those leaving the
-    # maximal support are unsolvable and skipped without a decide call
-    for cover in enumerate_covers(plus_sel, minus_sel):
-        if inside.issuperset(cover.pairs):
-            hs, _ = laurent_normalize([hij[p] for p in cover.pairs])
-            verdict = decide(hs, want_witness=True, degree_cap=degree_cap)
-            if verdict.status == SOLVABLE:
-                return cover, verdict
-    return None
-
-
 def identity_witness_word(gens, degree_cap=DEGREE_CAP):
     """(identity_found, word): a verified identity word over the generators.
 
-    The verdict is identity_in_semigroup's.  The word comes from the
-    smallest solvable cover: signed generator subsets of M's projections
-    by ascending size, each with its covers smallest first; the first
-    subset with a solvable cover whose witness search succeeded gives
-    the word.  word is None when every such subset hit the degree cap
-    before a witness turned up.
+    The verdict is identity_in_semigroup's.  The word is synthesized on
+    the maximal solvable support M from the witness find_witness gives
+    on M, the one is_group reports; word is None when that search hits
+    degree_cap first.
     """
     hij = build_hij(gens)
     support = _maximal_support(hij, hij)
     if not support:
         return False, None
-    rows, cols = _projections(support)
-    inside = set(support)
-    solvable = False
-    for plus_sel, minus_sel in _signed_subsets(sorted(rows), sorted(cols)):
-        hit = _first_solvable_cover(hij, inside, plus_sel, minus_sel, degree_cap)
-        if hit is None:
-            continue
-        solvable = True
-        cover, verdict = hit
-        if verdict.witness_status == WITNESS_FOUND:
-            return True, synthesize_identity_word(gens, cover, verdict.certificate)
-    if not solvable:
-        raise PostconditionFailed("no cover inside the maximal support is solvable")
-    return True, None
+    hs, _ = laurent_normalize([hij[p] for p in support])
+    witness = find_witness(hs, degree_cap)
+    if witness is None:
+        return True, None
+    return True, synthesize_identity_word(gens, CoverSubset(support), witness)
 
 
 def _onepx_power(m):
@@ -352,9 +328,10 @@ def _plan(pairs, f_map):
     product's upper-right entry is exactly
     sum_{i<Duv} X^i h_uv + sum_{Duv<=i<Dyz} X^i h_yz; subtract those two
     geometric blocks from the scaled pivots and realize every remaining
-    coefficient X^k as loops: A_i B_j where the following suffix has
-    height k, or B_j A_i at the valley when k = Dyz.  The result has
-    height 0 and upper-right entry sum f'_ij h_ij for the scaled f'.
+    coefficient c X^k as the loop A_i B_j where the following suffix has
+    height k, or B_j A_i at the valley when k = Dyz, as a power when
+    c > 1 and as two plain letters when c = 1.  The result has height 0
+    and upper-right entry sum f'_ij h_ij for the scaled f'.
     """
     pairs = tuple(sorted(map(tuple, pairs)))
     if not pairs:
@@ -426,7 +403,7 @@ def _plan(pairs, f_map):
             pos, loop = d + 1, ((MINUS, p[1]), (PLUS, p[0]))
         else:
             pos, loop = 2 * d - k, ((PLUS, p[0]), (MINUS, p[1]))
-        bucket.setdefault(pos, []).extend(loop * count)
+        bucket.setdefault(pos, []).extend([(loop, count)] if count > 1 else loop)
 
     out = []
     for pos in range(len(base) + 1):

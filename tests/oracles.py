@@ -10,11 +10,14 @@ tree, exact roots and intervals it must match in order.
 simplex over Fractions that posring's integer tableau must match pivot
 for pivot.  ``brute_force_oracle`` enumerates bounded witness tuples and
 ``exhaustive_identity_search`` searches words breadth first, both without
-the sign theory.  Nothing in ``src/`` uses these.
+the sign theory, and ``enumerate_covers`` lists every generator cover, so
+tests can decide the Group and Identity questions cover by cover.
+Nothing in ``src/`` uses these.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as _iproduct
 
 from posring import kernels as _k
@@ -22,10 +25,11 @@ from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
 from posring.nxsolve import WitnessTuple, verify_witness
 from posring.polyring import IntPoly, eval_at_rational
 from posring.realdec import cauchy_root_bound
-from posring.wreath import MINUS, PLUS, Word, WreathElement, mul
+from posring.wreath import MINUS, PLUS, CoverSubset, Word, WreathElement, mul
 
 _ORACLE_SPACE_CAP = 2 * 10**7
 _ORACLE_TABLE_CAP = 10**6
+COVER_CAP = 20
 
 
 class EndpointIsRoot(PosringError):
@@ -541,3 +545,23 @@ def exhaustive_identity_search(gens, max_len):
         if not frontier:
             return None
     return None
+
+
+def enumerate_covers(I, J, cap=COVER_CAP):
+    """Yield every subset of I x J with full projections, smallest first.
+
+    Subsets of equal size come in lexicographic order of the sorted pair
+    grid, so the stream is deterministic; more than cap pairs in I x J
+    raise SearchSpaceTooLarge.
+    """
+    rows = tuple(sorted(set(I)))
+    cols = tuple(sorted(set(J)))
+    grid = [(i, j) for i in rows for j in cols]
+    if len(grid) > cap:
+        raise SearchSpaceTooLarge("%d candidate pairs exceed the cover cap %d"
+                                  % (len(grid), cap))
+    row_set, col_set = set(rows), set(cols)
+    for size in range(max(len(rows), len(cols)), len(grid) + 1):
+        for combo in combinations(grid, size):
+            if {p[0] for p in combo} == row_set and {p[1] for p in combo} == col_set:
+                yield CoverSubset(combo)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -249,7 +250,7 @@ def test_wreath_word_scale_override(problem, capsys):
 
 
 def test_wreath_cap_diagnostics(problem, capsys):
-    # verdicts no longer enumerate, so neither file is refused for size
+    # nothing enumerates generator subsets, so no file is refused for size
     gens = ", ".join('{"H": [1], "b": 1}' for _ in range(13))
     code, out, _ = run(
         ["wreath", "identity", problem('{"wreath": {"generators": [%s]}}' % gens)],
@@ -266,23 +267,31 @@ def test_wreath_cap_diagnostics(problem, capsys):
     report = json.loads(out)
     assert report["is_group"] is True
     assert len(report["cover"]) == 22 and report["witness"] is not None
-    # the word search still scans generator subsets, and 13 exceed its cap;
-    # the identity verdict does not need a word
+    # the word comes from the witness on all 22 pairs; its text re-checks
+    with open(big, "rb") as fh:
+        pf = cli.parse_input(fh.read())
     code, out, _ = run(["wreath", "identity", big, "--json"], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["identity_in_semigroup"] is True
-    assert report["word"] is None
-    assert "subset cap 12" in report["word_cap"]
-    code, out, _ = run(["wreath", "identity", big], capsys)
+    assert report["verified"] is True and "word_cap" not in report
+    assert wreath.word_product(pf.generators, _parse_word(report["word"])) == \
+        wreath.WreathElement.identity()
+    code, out, _ = run(["wreath", "word", big], capsys)
     assert code == 0
-    assert out.splitlines()[:2] == [
-        "identity in semigroup: true",
-        "word: not synthesized (cap exceeded: 13 generators exceed the subset cap 12)",
-    ]
-    code, _, err = run(["wreath", "word", big], capsys)
-    assert code == 2
-    assert "cap" in err
+    word, verdict = out.splitlines()
+    assert word == report["word"] and verdict == "product = identity: true"
+
+
+def _parse_word(text):
+    # "A2 (A1 B2)^3 B1" -> Word entries, powers as (loop, count)
+    entries = []
+    for loop, count, side, index in re.findall(r"\(([^)]*)\)\^(\d+)|([AB])(\d+)", text):
+        if loop:
+            entries.append((_parse_word(loop).letters, int(count)))
+        else:
+            entries.append((side, int(index)))
+    return wreath.Word(tuple(entries))
 
 
 def test_wreath_word_out_of_memory(problem, capsys, monkeypatch):
@@ -309,21 +318,18 @@ def test_wreath_rejects_equation_file(problem, capsys):
 
 
 def test_degree_cap_env(problem, capsys, monkeypatch):
+    # the flag alone sets the cap; the environment plays no part
     shift = '{"equation": {"h": [[1, 1], [-2, -1]]}}'
     monkeypatch.setenv("POSRING_DEGREE_CAP", "0")
     code, out, _ = run(["solve", problem(shift), "--witness", "--json"], capsys)
-    assert json.loads(out)["witness"] is None
-    # explicit flag beats the environment
-    code, out, _ = run(
-        ["solve", problem(shift), "--witness", "--degree-cap", "3", "--json"],
-        capsys)
     assert json.loads(out)["witness"] is not None
-    monkeypatch.setenv("POSRING_DEGREE_CAP", "zap")
-    code, _, err = run(["solve", problem(shift)], capsys)
-    assert code == 2 and "POSRING_DEGREE_CAP" in err
+    code, out, _ = run(
+        ["solve", problem(shift), "--witness", "--degree-cap", "0", "--json"],
+        capsys)
+    assert json.loads(out)["witness"] is None
 
 
-def test_negative_degree_cap_rejected(problem, capsys, monkeypatch):
+def test_negative_degree_cap_rejected(problem, capsys):
     shift = problem('{"equation": {"h": [[1, 1], [-2, -1]]}}')
     code, out, err = run(["solve", shift, "--witness", "--degree-cap", "-3"], capsys)
     assert code == 2 and out == ""
@@ -331,13 +337,6 @@ def test_negative_degree_cap_rejected(problem, capsys, monkeypatch):
     code, out, err = run(["wreath", "word", problem(THREE), "--degree-cap", "-1"],
                          capsys)
     assert code == 2 and out == "" and "input error" in err
-    monkeypatch.setenv("POSRING_DEGREE_CAP", "-2")
-    code, out, err = run(["solve", shift, "--witness"], capsys)
-    assert code == 2 and out == ""
-    assert "input error" in err and "POSRING_DEGREE_CAP" in err
-    # the flag is still checked when it overrides the environment
-    code, _, err = run(["solve", shift, "--witness", "--degree-cap", "-3"], capsys)
-    assert code == 2 and "--degree-cap" in err
 
 
 def test_module_entry_point(tmp_path):

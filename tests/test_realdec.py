@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -193,7 +194,7 @@ def test_isolate_shared_root_with_multiplicity():
     iv = ivs[0]
     assert iv.owners == (0, 1)
     assert iv.exact == 1
-    assert iv.poly_index == 0
+    assert iv.owners[0] == 0
     assert not iv.multiplicity_free
 
 
@@ -394,7 +395,6 @@ def test_isolation_invariants(hs, share):
         if prev_hi is not None:
             assert iv.lo >= prev_hi
         prev_hi = iv.hi
-        assert iv.poly_index == iv.owners[0]
         for o in iv.owners:
             owned[o] += 1
         if iv.exact is not None:
@@ -485,7 +485,7 @@ def _root_box(hs, root, lo, hi):
     # part, computed here rather than taken from the interval
     if root.exact is not None:
         return root.exact, root.exact
-    cs = list(_stripped_sqfree(hs[root.poly_index]).coeffs)
+    cs = list(_stripped_sqfree(hs[root.owners[0]]).coeffs)
     m = (lo + hi) / 2
     sm = _sgn(_k.eval_scaled(cs, m.numerator, m.denominator))
     if sm == 0:
@@ -578,15 +578,15 @@ def _build_clusters_reference(data, known):
             cleaned = _clean_interval(d.s, lo, hi, known)
             if cleaned is None:
                 continue
-            lo, hi = cleaned
+            lo, hi, slo = cleaned
             # drop before shrinking: a shrink bisection must never land
             # on a known root, which only its own drop check rules out
             inside = [r for r in sorted(known) if lo < r <= hi]
             if any(_ev(d.s, r) == 0 for r in inside):
                 continue
             for r in inside:
-                lo, hi = _shrink_to_exclude(d.s, lo, hi, r)
-            recs.append(_IvalCluster(lo, hi, {i: d.s}))
+                lo, hi = _shrink_to_exclude(d.s, lo, hi, r, slo)
+            recs.append(_IvalCluster(lo, hi, {i: d.s}, slo))
 
     # resolve overlaps: merge shared roots, separate distinct ones
     while True:
@@ -819,6 +819,73 @@ def test_refine_step_reuses_the_stored_sign_at_lo():
     assert got == want
     assert new["step"] == old["step"] > 100
     assert old["ev"] - new["ev"] == new["step"]
+
+
+
+class _RereadCluster(realdec._IvalCluster):
+    # a cluster built from one interval reads its sign at lo again, as
+    # the constructor once did; a merge keeps its first member's sign
+    __slots__ = ()
+
+    def __init__(self, lo, hi, members, slo):
+        self.lo, self.hi, self.members = lo, hi, members
+        if len(members) == 1:
+            slo = realdec._sgn(realdec._ev(self.rep(), lo))
+        self.slo = slo
+
+
+def _reread_shrink(s, lo, hi, r, slo):
+    # _shrink_to_exclude as it was, reading the sign at lo again
+    slo = realdec._sgn(realdec._ev(s, lo))
+    while lo < r <= hi:
+        m = (lo + hi) / 2
+        vm = realdec._ev(s, m)
+        if vm == 0:
+            raise realdec._NewExact(m)
+        if realdec._sgn(vm) != slo:
+            hi = m
+        else:
+            lo = m
+    return lo, hi
+
+
+def _count_build_evs(hs, cluster, shrink):
+    """isolate_nonneg_roots with the given cluster class and shrink,
+    counting _ev calls, clusters built from one interval and shrinks."""
+    counts = Counter()
+    ev = realdec._ev
+
+    def counted_ev(cs, t):
+        counts["ev"] += 1
+        return ev(cs, t)
+
+    def counted_cluster(lo, hi, members, slo):
+        counts["built"] += len(members) == 1  # a merge unites two polys
+        return cluster(lo, hi, members, slo)
+
+    def counted_shrink(*args):
+        counts["shrink"] += 1
+        return shrink(*args)
+
+    with mock.patch.object(realdec, "_ev", counted_ev), \
+            mock.patch.object(realdec, "_IvalCluster", counted_cluster), \
+            mock.patch.object(realdec, "_shrink_to_exclude", counted_shrink):
+        ivs = isolate_nonneg_roots(hs)
+    out = [(iv.owners, iv.lo, iv.hi, iv.multiplicity_free, iv.exact) for iv in ivs]
+    return out, counts
+
+
+def test_cluster_takes_the_sign_at_lo_from_clean_interval():
+    # _clean_interval returns the sign at lo it has computed, so building
+    # a cluster, and each shrink before it, saves exactly one evaluation
+    for hs in [_wide_family(1503, 50), _wide_family(7, 30)]:
+        got, new = _count_build_evs(hs, realdec._IvalCluster,
+                                    realdec._shrink_to_exclude)
+        want, old = _count_build_evs(hs, _RereadCluster, _reread_shrink)
+        assert got == want
+        assert new["built"] == old["built"] > 10
+        assert new["shrink"] == old["shrink"] > 0
+        assert old["ev"] - new["ev"] == new["built"] + new["shrink"]
 
 
 _BROKEN_DIVISION = """

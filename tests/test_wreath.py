@@ -2,19 +2,25 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posring.errors import BadIndex, InvalidWitness, TooLarge
+from posring.errors import BadIndex, InvalidWitness
 from posring.nxsolve import SOLVABLE, WitnessTuple, decide
 from posring import nxsolve as nx
 from posring.polyring import IntPoly, LaurentPoly, laurent_normalize
 from posring import wreath as wr
 
-from oracles import exhaustive_identity_search, rational_feasibility_reference
+from oracles import (
+    SearchSpaceTooLarge,
+    enumerate_covers,
+    exhaustive_identity_search,
+    rational_feasibility_reference,
+)
 
 
 def P(*cs):
@@ -37,6 +43,18 @@ laurents = st.builds(
     st.lists(st.integers(-5, 5), max_size=4),
     st.integers(-3, 2),
 )
+
+
+def _expand(entries):
+    """A word's letters with every power (loop, count) written out."""
+    out = []
+    for e in entries:
+        if isinstance(e[0], tuple):
+            loop, count = e
+            out.extend(loop * count)
+        else:
+            out.append(e)
+    return tuple(out)
 
 
 # ------------------------------------------------------------- elements
@@ -92,6 +110,48 @@ def test_word_product_bad_index():
         PAIR.element(B, 0)
 
 
+def test_word_with_powers_len_and_str():
+    w = wr.Word(((A, 2), (((A, 1), (B, 2)), 3), (B, 1), (((B, 1), (A, 1)), 2)))
+    assert len(w) == 1 + 6 + 1 + 4
+    assert str(w) == "A2 (A1 B2)^3 B1 (B1 A1)^2"
+    assert w.height == 0
+
+
+def test_word_product_rejects_power_of_nonzero_height():
+    with pytest.raises(BadIndex):
+        wr.word_product(PAIR, wr.Word(((((A, 1), (A, 1)), 2),)))
+    with pytest.raises(BadIndex):
+        wr.word_product(PAIR, wr.Word(((((A, 1),), 3),)))
+    with pytest.raises(BadIndex):
+        wr.word_product(PAIR, wr.Word(((((A, 1), (B, 1)), 0),)))
+
+
+_refs = st.tuples(st.sampled_from((A, B)), st.integers(1, 2))
+
+
+@st.composite
+def _loops(draw):
+    # equally many A and B letters in any order: height 0
+    n = draw(st.integers(1, 3))
+    letters = [(A, draw(st.integers(1, 2))) for _ in range(n)]
+    letters += [(B, draw(st.integers(1, 2))) for _ in range(n)]
+    return tuple(draw(st.permutations(letters)))
+
+
+@given(st.lists(laurents, min_size=2, max_size=2),
+       st.lists(laurents, min_size=2, max_size=2),
+       st.lists(st.one_of(_refs, st.tuples(_loops(), st.integers(2, 6))), max_size=6))
+def test_word_product_of_powers_matches_expansion(plus, minus, entries):
+    gens = wr.GeneratorSet(tuple(plus), tuple(minus))
+    word = wr.Word(tuple(entries))
+    letters = _expand(word.letters)
+    want = reduce(wr.mul, (gens.element(*ref) for ref in letters),
+                  wr.WreathElement.identity())
+    assert wr.word_product(gens, word) == want
+    assert len(word) == len(letters)
+    assert word.height == want.b
+
+
 # ------------------------------------------------------------------ hij
 
 
@@ -119,15 +179,15 @@ def test_hij_is_upper_right_of_product(plus, minus):
 
 
 def test_covers_singleton():
-    assert [c.pairs for c in wr.enumerate_covers([1], [1])] == [((1, 1),)]
+    assert [c.pairs for c in enumerate_covers([1], [1])] == [((1, 1),)]
 
 
 def test_covers_two_by_one():
-    assert [c.pairs for c in wr.enumerate_covers([1, 2], [1])] == [((1, 1), (2, 1))]
+    assert [c.pairs for c in enumerate_covers([1, 2], [1])] == [((1, 1), (2, 1))]
 
 
 def test_covers_two_by_two():
-    covers = list(wr.enumerate_covers([1, 2], [1, 2]))
+    covers = list(enumerate_covers([1, 2], [1, 2]))
     assert len(covers) == 7
     sizes = [len(c.pairs) for c in covers]
     assert sizes == sorted(sizes)  # ascending cardinality
@@ -139,11 +199,11 @@ def test_covers_two_by_two():
 
 
 def test_covers_cap():
-    with pytest.raises(TooLarge):
-        list(wr.enumerate_covers(range(1, 6), range(1, 6)))
-    with pytest.raises(TooLarge):
-        list(wr.enumerate_covers(range(1, 4), range(1, 4), cap=8))
-    assert len(list(wr.enumerate_covers(range(1, 4), range(1, 4), cap=9))) == 265
+    with pytest.raises(SearchSpaceTooLarge):
+        list(enumerate_covers(range(1, 6), range(1, 6)))
+    with pytest.raises(SearchSpaceTooLarge):
+        list(enumerate_covers(range(1, 4), range(1, 4), cap=8))
+    assert len(list(enumerate_covers(range(1, 4), range(1, 4), cap=9))) == 265
 
 
 # --------------------------------------------------------------- group
@@ -205,8 +265,8 @@ def test_identity_false_pair():
 
 
 def test_identity_subset_cap():
-    # past the word search's subset cap the verdict needs no enumeration:
-    # one-sided generators leave no pair, so the maximal support is empty
+    # one-sided generators leave no pair, so the maximal support is
+    # empty however many there are
     gens = wr.GeneratorSet((L([1]),) * 13, ())
     assert wr.identity_in_semigroup(gens) is False
     assert wr.identity_witness_word(gens) == (False, None)
@@ -231,39 +291,12 @@ def _cover_oracle(gens):
         return [c for k in range(1, n + 1) for c in combinations(idx, k)]
 
     rows, cols = len(gens.plus), len(gens.minus)
-    group = any(solvable(c) for c in wr.enumerate_covers(range(1, rows + 1),
-                                                          range(1, cols + 1)))
+    group = any(solvable(c) for c in enumerate_covers(range(1, rows + 1),
+                                                       range(1, cols + 1)))
     identity = any(solvable(c) for ps in nonempty_subsets(rows)
                    for qs in nonempty_subsets(cols)
-                   for c in wr.enumerate_covers(ps, qs))
+                   for c in enumerate_covers(ps, qs))
     return group, identity
-
-
-def _first_cover_oracle(gens):
-    """(cover, witness) an identity word is synthesized from.
-
-    The first solvable cover over all generators: signed subsets by
-    ascending size, each with its covers smallest first, and no
-    maximal-support filter.  A subset whose first solvable cover has no
-    witness within the degree cap is passed over.
-    """
-    hij = wr.build_hij(gens)
-    tagged = [(A, i) for i in range(1, len(gens.plus) + 1)]
-    tagged += [(B, j) for j in range(1, len(gens.minus) + 1)]
-    for size in range(2, len(tagged) + 1):
-        for combo in combinations(tagged, size):
-            ps = [i for side, i in combo if side == A]
-            qs = [j for side, j in combo if side == B]
-            if not ps or not qs:
-                continue
-            for cover in wr.enumerate_covers(ps, qs):
-                hs, _ = laurent_normalize([hij[p] for p in cover.pairs])
-                verdict = decide(hs, want_witness=True)
-                if verdict.status == SOLVABLE:
-                    if verdict.certificate is not None:
-                        return cover, verdict.certificate
-                    break
-    return None
 
 
 def _counting_decide(monkeypatch):
@@ -283,24 +316,40 @@ def _nonzero_pairs(gens):
 
 
 def test_maximal_support_matches_cover_oracle(monkeypatch):
-    # synthesis is a function of (gens, cover, witness), so comparing the
-    # pair it receives compares the words without building them (some
-    # run to tens of millions of letters)
-    monkeypatch.setattr(wr, "synthesize_identity_word",
-                        lambda gens, cover, witness: (cover, witness))
+    # every identity word is synthesized on M from find_witness on M,
+    # and multiplies to the identity
+    synthesize = wr.synthesize_identity_word
+    inputs = []
+
+    def recorded(gens, cover, witness):
+        inputs.append((cover, witness))
+        return synthesize(gens, cover, witness)
+
+    monkeypatch.setattr(wr, "synthesize_identity_word", recorded)
     rng = random.Random(4242)
     calls = _counting_decide(monkeypatch)
+    words = 0
     for trial in range(200):
         gens = _random_gens(rng, rng.randint(1, 3), rng.randint(1, 3))
         want = _cover_oracle(gens)
         got = (wr.is_group(gens)[0], wr.identity_in_semigroup(gens))
         assert got == want, (trial, gens)
-        if want[1]:
-            assert wr.identity_witness_word(gens) == (True, _first_cover_oracle(gens))
         hij = wr.build_hij(gens)
+        del inputs[:]
+        found, word = wr.identity_witness_word(gens)
+        assert found == want[1], trial
+        if found:
+            support = wr._maximal_support(hij, hij)
+            hs, _ = laurent_normalize([hij[p] for p in support])
+            assert inputs == [(wr.CoverSubset(support), nx.find_witness(hs))], trial
+            assert wr.word_product(gens, word) == wr.WreathElement.identity(), trial
+            words += 1
+        else:
+            assert word is None and inputs == [], trial
         del calls[:]
         wr._maximal_support(hij, hij)
         assert len(calls) <= _nonzero_pairs(gens) + 1, trial
+    assert words > 40
 
 
 def test_witnesses_match_fraction_lp_on_cover_oracle_grids(monkeypatch):
@@ -351,7 +400,7 @@ def test_five_by_five_verdicts(monkeypatch):
     assert wr.identity_in_semigroup(row) is True
     found, word = wr.identity_witness_word(row)
     assert found and wr.word_product(row, word) == wr.WreathElement.identity()
-    assert {side for side, i in word.letters if i > 1} <= {B}
+    assert {side for side, i in _expand(word.letters) if i > 1} <= {B}
 
 
 def test_exhaustive_search_finds_shortest():
@@ -427,7 +476,8 @@ def test_plan_single_pair_valley_loop():
 def test_plan_constant_inputs_anchor_at_front():
     plan = wr._plan(((1, 1), (2, 1)), {(1, 1): P(2), (2, 1): P(1)})
     assert plan.base == ()
-    assert plan.letters == ((A, 1), (B, 1), (A, 1), (B, 1), (A, 2), (B, 1))
+    assert plan.letters == ((((A, 1), (B, 1)), 2), (A, 2), (B, 1))
+    assert _expand(plan.letters) == ((A, 1), (B, 1), (A, 1), (B, 1), (A, 2), (B, 1))
 
 
 def test_plan_scale_lifts_gaps():
@@ -526,7 +576,7 @@ def test_u_conservation_random():
     for trial in range(220):
         np_, nm = rng.randint(1, 3), rng.randint(1, 3)
         gens = _random_gens(rng, np_, nm)
-        covers = list(wr.enumerate_covers(range(1, np_ + 1), range(1, nm + 1)))
+        covers = list(enumerate_covers(range(1, np_ + 1), range(1, nm + 1)))
         cover = rng.choice(covers)
         f_map = {p: _random_nat_poly(rng) for p in cover.pairs}
         plan = wr._plan(cover.pairs, f_map)
@@ -563,5 +613,5 @@ def test_plan_uses_every_pair(cs1, cs2):
         cs2 = cs2 + [2]
     pairs = ((1, 1), (2, 1))
     plan = wr._plan(pairs, {(1, 1): IntPoly(cs1), (2, 1): IntPoly(cs2)})
-    used = {(side, i) for side, i in plan.letters}
+    used = set(_expand(plan.letters))
     assert (A, 1) in used and (A, 2) in used and (B, 1) in used

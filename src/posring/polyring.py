@@ -70,13 +70,6 @@ class IntPoly:
     def constant(self):
         return self._coeffs[0] if self._coeffs else 0
 
-    @property
-    def leading(self):
-        return self._coeffs[-1] if self._coeffs else 0
-
-    def as_list(self):
-        return list(self._coeffs)
-
     def __add__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -163,11 +156,6 @@ class LaurentPoly:
     @property
     def is_zero(self):
         return self._body.is_zero
-
-    @property
-    def highest(self):
-        # degree of the top term; only meaningful when nonzero
-        return self._lowest + self._body.degree
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):

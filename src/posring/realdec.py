@@ -16,13 +16,23 @@ candidate, because isolation already proves two facts:
   root to the left with that root's owners made nonzero, and with no
   roots the signs at 0 hold on all of [0, oo).
 
-Internally each polynomial is reduced to its squarefree part, isolated
-by Descartes bisection in the Bernstein basis (one Taylor shift per
-polynomial, then one addition-only de Casteljau pass per split), and
-refined by sign changes.  Squarefreeness and coprimality are certified
-modulo a prime whenever possible; the exact subresultant gcd only runs
-when the modular certificate fails, which keeps large random inputs
-cheap.
+Internally each polynomial is reduced to its squarefree part s,
+isolated by Descartes bisection in the Bernstein basis (one Taylor
+shift per polynomial, then one addition-only de Casteljau pass per
+split), and refined by sign changes.  Squarefreeness and coprimality
+are certified modulo a prime whenever possible; the exact subresultant
+gcd only runs when the modular certificate fails, which keeps large
+random inputs cheap.
+
+Isolation leaves every interval dyadic-root-free: each is narrowed
+once, before any refinement, until it is at most 2^-v wide, v the
+number of times 2 divides lc(s), and s is nonzero at both ends.  A
+dyadic root a/2^j of s in lowest terms needs 2^j to divide lc(s), so it
+is a multiple of 2^-v and never strictly inside an aligned dyadic
+interval that narrow: the root inside is not dyadic, and no later
+bisection midpoint, which is dyadic, can land on a root of s.  Every
+dyadic root comes out exact on the way.
+
 ``sign_at_root`` refines an interval by a derivative bound; it serves
 as the independent re-check of a certificate, not the scan.
 """
@@ -133,11 +143,6 @@ def cauchy_root_bound(p):
 # isolation internals
 
 
-class _NewExact(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
 def _sqfree_data(q):
     """(s, g) for q with q(0) != 0, deg >= 1: s is the squarefree part.
 
@@ -226,6 +231,40 @@ def _vca_isolate(s):
     return exacts, ivals
 
 
+def _dyadic_free(s, exacts, ivals):
+    """Make the raw intervals of s dyadic-root-free (see the module doc).
+
+    Each is halved until it is at most 2^-v wide, v the number of times 2
+    divides lc(s), and s is nonzero at both ends.  A midpoint that lands
+    on the interval's root joins ``exacts``, and the interval is dropped.
+    Returns the others as (lo, hi, slo), slo the sign of s at lo.
+    """
+    lc = s[-1]
+    width = Fraction(1, lc & -lc)
+    # a raw end is 0 or the root bound 2^K, where s is nonzero, or a split
+    # point, where _vca_isolate finds every root: these are the root ends
+    roots = set(exacts)
+    out = []
+    for lo, hi in ivals:
+        lo_root, hi_root = lo in roots, hi in roots
+        # at a root lo, s is squarefree, so it has the sign of s'(lo)
+        # just right of lo
+        slo = _sgn(_ev(_k.deriv(s), lo) if lo_root else _ev(s, lo))
+        while hi - lo > width or lo_root or hi_root:
+            m = (lo + hi) / 2
+            vm = _ev(s, m)
+            if vm == 0:
+                exacts.append(m)
+                break
+            if _sgn(vm) != slo:
+                hi, hi_root = m, False
+            else:
+                lo, lo_root = m, False
+        else:
+            out.append((lo, hi, slo))
+    return out
+
+
 class _PolyData:
     __slots__ = ("cs", "k0", "q", "s", "gfac", "exacts", "ivals")
 
@@ -238,7 +277,8 @@ class _PolyData:
         self.q = cs[k0:]
         if len(self.q) >= 2:
             self.s, self.gfac = _sqfree_data(self.q)
-            self.exacts, self.ivals = _vca_isolate(self.s)
+            self.exacts, ivals = _vca_isolate(self.s)
+            self.ivals = _dyadic_free(self.s, self.exacts, ivals)
         else:
             self.s, self.gfac = self.q, None
             self.exacts, self.ivals = [], []
@@ -264,7 +304,7 @@ def _refine_step(c):
     m = (c.lo + c.hi) / 2
     vm = _ev(c.rep(), m)
     if vm == 0:
-        raise _NewExact(m)
+        raise PostconditionFailed("bisection landed on the root at %s" % m)
     if _sgn(vm) != c.slo:
         c.hi = m
     else:
@@ -278,56 +318,12 @@ def _shrink_to_exclude(s, lo, hi, r, slo):
         m = (lo + hi) / 2
         vm = _ev(s, m)
         if vm == 0:
-            raise _NewExact(m)
+            raise PostconditionFailed("bisection landed on the root at %s" % m)
         if _sgn(vm) != slo:
             hi = m
         else:
             lo = m
     return lo, hi
-
-
-def _clean_interval(s, lo, hi, known):
-    """Move root endpoints of a raw isolating interval inward.
-
-    The raw interval holds exactly one root of s strictly inside, but an
-    endpoint may be a different (already recorded) root of s.  Returns
-    the cleaned pair, or None when the interior root turns out to be a
-    known rational; an unseen rational interior root raises _NewExact.
-    The pair comes with the sign of s at the cleaned lo: (lo, hi, slo).
-    """
-    vlo = _ev(s, lo)
-    if vlo:
-        slo = _sgn(vlo)
-    else:
-        # lo is a simple root of s, so s keeps the sign of s'(lo) just
-        # right of it
-        slo = _sgn(_ev(_k.deriv(s), lo))
-        j = 1
-        while True:
-            c = lo + (hi - lo) / 2**j
-            vc = _ev(s, c)
-            if vc == 0:
-                if c in known:
-                    return None
-                raise _NewExact(c)
-            if _sgn(vc) == slo:
-                lo = c
-                break
-            j += 1
-    if _ev(s, hi) == 0:
-        j = 1
-        while True:
-            c = hi - (hi - lo) / 2**j
-            vc = _ev(s, c)
-            if vc == 0:
-                if c in known:
-                    return None
-                raise _NewExact(c)
-            if _sgn(vc) != slo:
-                hi = c
-                break
-            j += 1
-    return lo, hi, slo
 
 
 def _lo(c):
@@ -370,8 +366,14 @@ def _resolve_overlap(a, b):
     return None
 
 
-def _build_clusters(data, known):
-    # exact root -> owner list, by direct evaluation
+def _build_clusters(data):
+    # the known exact roots (0 when X divides an input), each with its
+    # owner list by direct evaluation
+    known = set()
+    for d in data:
+        if d.k0:
+            known.add(Fraction(0))
+        known.update(d.exacts)
     ordered = sorted(known)
     exact_owned = {}
     for r in ordered:
@@ -382,13 +384,10 @@ def _build_clusters(data, known):
 
     recs = []
     for i, d in enumerate(data):
-        for lo, hi in d.ivals:
-            cleaned = _clean_interval(d.s, lo, hi, known)
-            if cleaned is None:
-                continue
-            lo, hi, slo = cleaned
-            # drop before shrinking: a shrink bisection must never land
-            # on a known root, which only its own drop check rules out
+        for lo, hi, slo in d.ivals:
+            # drop before shrinking: the interval's root may be a known
+            # root that is not dyadic, such as 1/3 from 3X - 1, and no
+            # bisection excludes it
             inside = [r for r in ordered if lo < r <= hi]
             if any(_ev(d.s, r) == 0 for r in inside):
                 continue
@@ -462,8 +461,11 @@ def _synthesize(data, exact_owned, recs):
                 g = data[i].gfac
                 if g is None or len(g) == 1:
                     continue
-                while _ev(g, c.lo) == 0 or _ev(g, c.hi) == 0:
-                    _refine_step(c)
+                # g's roots are roots of member i's part, and no endpoint
+                # is one: each is an end of i's stored interval or a
+                # dyadic point inside it
+                if _ev(g, c.lo) == 0 or _ev(g, c.hi) == 0:
+                    raise PostconditionFailed("a cluster endpoint is a root")
                 gch = _k.signed_prs(g)
                 if _var_chain(gch, c.lo) - _var_chain(gch, c.hi) >= 1:
                     mult_free = False
@@ -491,19 +493,8 @@ def isolate_nonneg_roots(hs):
         if h.is_zero:
             raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
     data = [_PolyData(list(h.coeffs)) for h in hs]
-
-    known = set()
-    for d in data:
-        if d.k0:
-            known.add(Fraction(0))
-        known.update(d.exacts)
-
-    while True:
-        try:
-            exact_owned, recs = _build_clusters(data, known)
-            return _synthesize(data, exact_owned, recs)
-        except _NewExact as e:
-            known.add(e.value)
+    exact_owned, recs = _build_clusters(data)
+    return _synthesize(data, exact_owned, recs)
 
 
 def sign_at_root(q, root):

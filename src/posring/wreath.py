@@ -230,6 +230,12 @@ def _projections(pairs):
     return {i for i, _ in pairs}, {j for _, j in pairs}
 
 
+def _witness_on(hij, support, degree_cap):
+    # find_witness on the normalized h_ij of the maximal solvable support
+    hs, _ = laurent_normalize([hij[p] for p in support])
+    return find_witness(hs, degree_cap)
+
+
 def is_group(gens, degree_cap=DEGREE_CAP):
     """Decide whether the generated semigroup is a group.
 
@@ -243,8 +249,7 @@ def is_group(gens, degree_cap=DEGREE_CAP):
     rows, cols = _projections(support)
     if not support or len(rows) < len(gens.plus) or len(cols) < len(gens.minus):
         return False, None
-    hs, _ = laurent_normalize([hij[p] for p in support])
-    return True, (CoverSubset(support), find_witness(hs, degree_cap))
+    return True, (CoverSubset(support), _witness_on(hij, support, degree_cap))
 
 
 def identity_in_semigroup(gens):
@@ -269,8 +274,7 @@ def identity_witness_word(gens, degree_cap=DEGREE_CAP):
     support = _maximal_support(hij, hij)
     if not support:
         return False, None
-    hs, _ = laurent_normalize([hij[p] for p in support])
-    witness = find_witness(hs, degree_cap)
+    witness = _witness_on(hij, support, degree_cap)
     if witness is None:
         return True, None
     return True, synthesize_identity_word(gens, CoverSubset(support), witness)

@@ -18,7 +18,6 @@ from posring.realdec import (
     AlgebraicRoot,
     RationalPoint,
     _IvalCluster,
-    _clean_interval,
     _ev,
     _overlap,
     _resolve_overlap,
@@ -563,8 +562,13 @@ def test_non_owner_sign_at_root_is_sign_at_hi(hs, share):
 # ------------------------------------------------------- overlap sweep
 
 
-def _build_clusters_reference(data, known):
+def _build_clusters_reference(data):
     # exact root -> owner list, by direct evaluation
+    known = set()
+    for d in data:
+        if d.k0:
+            known.add(Fraction(0))
+        known.update(d.exacts)
     exact_owned = {}
     for r in sorted(known):
         owners = [i for i, d in enumerate(data) if _ev(d.cs, r) == 0]
@@ -574,11 +578,7 @@ def _build_clusters_reference(data, known):
 
     recs = []
     for i, d in enumerate(data):
-        for lo, hi in d.ivals:
-            cleaned = _clean_interval(d.s, lo, hi, known)
-            if cleaned is None:
-                continue
-            lo, hi, slo = cleaned
+        for lo, hi, slo in d.ivals:
             # drop before shrinking: a shrink bisection must never land
             # on a known root, which only its own drop check rules out
             inside = [r for r in sorted(known) if lo < r <= hi]
@@ -778,13 +778,111 @@ def test_one_taylor_shift_per_isolated_part():
     assert calls[0] == 1
 
 
+# ------------------------------------------------ dyadic-root-free intervals
+
+
+def _two_part(n):
+    p = 1
+    while n % (2 * p) == 0:
+        p *= 2
+    return p
+
+
+def _assert_dyadic_free(cs):
+    d = realdec._PolyData(cs)
+    if len(d.q) < 2:
+        return 0
+    width = Fraction(1, _two_part(d.s[-1]))
+    for lo, hi, slo in d.ivals:
+        assert 0 < hi - lo <= width, (cs, lo, hi)
+        # aligned: lo is a multiple of the power-of-two width
+        assert (lo / (hi - lo)).denominator == 1, (cs, lo, hi)
+        vlo, vhi = _ev(d.s, lo), _ev(d.s, hi)
+        assert vlo != 0 and vhi != 0, (cs, lo, hi)
+        assert slo == realdec._sgn(vlo) != realdec._sgn(vhi), (cs, lo, hi)
+    return len(d.ivals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_family, st.booleans())
+def test_stored_intervals_are_dyadic_root_free(hs, share):
+    for h in _shared(hs, share):
+        _assert_dyadic_free(list(h.coeffs))
+
+
+def test_stored_intervals_are_dyadic_root_free_on_fixed_parts():
+    # raw intervals already narrow enough, with a root at one end: (1, 2)
+    # for (X - 1)(X^2 - 3) and (0, 1) for (X - 1)(3X^2 - X - 1)
+    kept = 0
+    for cs in (_k.mul([-1, 1], [-3, 0, 1]), _k.mul([-1, 1], [-1, -1, 3])):
+        kept += _assert_dyadic_free(cs)
+    for seed in range(40):
+        kept += _assert_dyadic_free(_dyadic_product(seed))
+    for seed in range(6):
+        kept += _assert_dyadic_free(_dense_part(seed))
+    assert kept > 40, kept
+
+
+def _count_builds(hs):
+    calls = [0]
+    build = realdec._build_clusters
+
+    def counted(*args):
+        calls[0] += 1
+        return build(*args)
+
+    with mock.patch.object(realdec, "_build_clusters", counted):
+        isolate_nonneg_roots(hs)
+    return calls[0]
+
+
+def test_clusters_are_built_once():
+    # no refinement can land on a root, so nothing restarts the build,
+    # also on families with many dyadic roots
+    families = [_wide_family(1503, 50)]
+    families += [[IntPoly(_dyadic_product(s))] for s in range(40)]
+    families += [[IntPoly(_dyadic_product(s)), IntPoly(_dyadic_product(s + 40))]
+                 for s in range(20)]
+    for hs in families:
+        assert _count_builds(hs) == 1, [list(h.coeffs) for h in hs]
+
+
+def test_dyadic_root_with_large_power_of_two_comes_out_exact():
+    # the root 3/2^20 sits deep inside the raw interval; narrowing to
+    # width 2^-20 meets it on a midpoint
+    h = IntPoly(_k.mul([-3, 2**20], [-2, 0, 1]))
+    ivs = isolate_nonneg_roots([h])
+    assert [(iv.owners, iv.exact) for iv in ivs] == [
+        ((0,), Fraction(3, 2**20)),
+        ((0,), None),
+    ]
+
+
+_NON_DYADIC_KNOWN_ROOT = """
+from posring.polyring import IntPoly
+from posring.realdec import isolate_nonneg_roots
+ivs = isolate_nonneg_roots([IntPoly([2, -6, -1, 3]), IntPoly([-1, 3])])
+print([(iv.owners, str(iv.exact)) for iv in ivs])
+"""
+
+
+def test_non_dyadic_known_root_drops_its_interval():
+    # (3X - 1)(X^2 - 2) and 3X - 1: 1/3 is inside the first one's raw
+    # interval, and no bisection excludes it, so the interval must be
+    # dropped, not shrunk; the child's timeout turns a spin into a failure
+    proc = subprocess.run([sys.executable, "-c", _NON_DYADIC_KNOWN_ROOT],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[((0, 1), '1/3'), ((0,), 'None')]"
+
+
 def _refine_step_reference(c):
     # re-reads the sign at lo on every step
     m = (c.lo + c.hi) / 2
     s = c.rep()
     vm = realdec._ev(s, m)
     if vm == 0:
-        raise realdec._NewExact(m)
+        raise PostconditionFailed("bisection landed on the root at %s" % m)
     if realdec._sgn(vm) != realdec._sgn(realdec._ev(s, c.lo)):
         c.hi = m
     else:
@@ -841,7 +939,7 @@ def _reread_shrink(s, lo, hi, r, slo):
         m = (lo + hi) / 2
         vm = realdec._ev(s, m)
         if vm == 0:
-            raise realdec._NewExact(m)
+            raise PostconditionFailed("bisection landed on the root at %s" % m)
         if realdec._sgn(vm) != slo:
             hi = m
         else:
@@ -875,8 +973,8 @@ def _count_build_evs(hs, cluster, shrink):
     return out, counts
 
 
-def test_cluster_takes_the_sign_at_lo_from_clean_interval():
-    # _clean_interval returns the sign at lo it has computed, so building
+def test_cluster_takes_the_sign_at_lo_from_the_narrowing_pass():
+    # the narrowing pass stores the sign at lo it has computed, so building
     # a cluster, and each shrink before it, saves exactly one evaluation
     for hs in [_wide_family(1503, 50), _wide_family(7, 30)]:
         got, new = _count_build_evs(hs, realdec._IvalCluster,
@@ -888,17 +986,23 @@ def test_cluster_takes_the_sign_at_lo_from_clean_interval():
         assert old["ev"] - new["ev"] == new["built"] + new["shrink"]
 
 
-_BROKEN_DIVISION = """
+_BROKEN_INVARIANTS = """
 import sys
 sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
 from oracles import squarefree_part
 from posring import kernels
 from posring.errors import PostconditionFailed
 from posring.polyring import IntPoly
-from posring.realdec import isolate_nonneg_roots
+from posring.realdec import (_IvalCluster, _refine_step, _shrink_to_exclude,
+                             isolate_nonneg_roots)
 kernels.exact_div = lambda a, b: None
+lo, hi = Fraction(0), Fraction(2)
 for call in (lambda: squarefree_part(IntPoly([0, 0, 1])),
-             lambda: isolate_nonneg_roots([IntPoly([1, -2, 1])])):
+             lambda: isolate_nonneg_roots([IntPoly([1, -2, 1])]),
+             # X - 1 on (0, 2), which breaks the dyadic-root-free invariant
+             lambda: _refine_step(_IvalCluster(lo, hi, {0: [-1, 1]}, -1)),
+             lambda: _shrink_to_exclude([-1, 1], lo, hi, Fraction(3, 2), -1)):
     try:
         call()
     except PostconditionFailed as exc:
@@ -907,12 +1011,15 @@ for call in (lambda: squarefree_part(IntPoly([0, 0, 1])),
 
 
 def test_invariant_checks_survive_optimize():
-    # a gcd that fails to divide must be caught even where -O strips asserts
-    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_DIVISION,
+    # a gcd that fails to divide, or a bisection that lands on a root,
+    # must be caught even where -O strips asserts
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_INVARIANTS,
                            os.path.dirname(os.path.abspath(__file__))],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "1 gcd(p, p') does not divide p's primitive part",
         "1 gcd(q, q') does not divide q's primitive part",
+        "1 bisection landed on the root at 1",
+        "1 bisection landed on the root at 1",
     ]

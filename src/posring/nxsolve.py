@@ -18,7 +18,7 @@ from math import gcd as _igcd, lcm as _ilcm
 
 from . import kernels as _k
 from .errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
-from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many
+from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many, order_at_zero
 from .realdec import RationalPoint, SignVector, sign_at_root, uniform_sign_exists
 
 DEGREE_CAP = 40
@@ -117,12 +117,14 @@ def normalize(hs):
             return EarlyUnsolvable(sv, hs, g, xdiv)
         if any(s > 0 for s in signs) and any(s < 0 for s in signs):
             return NormalizedInstance(hs, g, xdiv)
-        # same weak sign with zeros present: strip X where h(0) = 0
+        # same weak sign with zeros present: strip X where h(0) = 0, k
+        # times at once, since the signs stay put until an order runs out
+        k = min(order_at_zero(h) for h in hs if h.constant == 0)
         hs = tuple(
-            IntPoly._raw(list(h.coeffs)[1:]) if h.constant == 0 else h for h in hs
+            IntPoly._raw(list(h.coeffs)[k:]) if h.constant == 0 else h for h in hs
         )
-        xdiv += 1
-        budget -= 1
+        xdiv += k
+        budget -= k
         if budget < 0:
             raise PostconditionFailed("X-division loop exceeded degree budget")
 

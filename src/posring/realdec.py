@@ -24,6 +24,13 @@ are certified modulo a prime whenever possible; the exact subresultant
 gcd only runs when the modular certificate fails, which keeps large
 random inputs cheap.
 
+Every endpoint isolation touches is dyadic, so an interval is kept as
+integers (a, b, k) for (a/2^k, b/2^k].  A bisection step evaluates s at
+a + b over 2^(k + 1) and goes to (2a, a + b, k + 1) or (a + b, 2b, k + 1);
+two intervals compare at the larger exponent, by shifts.  Fractions are
+left for exact roots, which need not be dyadic (1/3 from 3X - 1), and
+for ``IsolatingInterval.lo`` and ``hi`` at the public boundary.
+
 Isolation leaves every interval dyadic-root-free: each is narrowed
 once, before any refinement, until it is at most 2^-v wide, v the
 number of times 2 divides lc(s), and s is nonzero at both ends.  A
@@ -45,7 +52,7 @@ from math import comb, lcm
 
 from posring import kernels as _k
 from posring.errors import PostconditionFailed, ZeroPolynomial
-from posring.polyring import IntPoly, gcd_mod_first
+from posring.polyring import gcd_mod_first
 
 
 @dataclass(frozen=True)
@@ -82,12 +89,13 @@ class IsolatingInterval:
     """One distinct real root, boxed in the half-open interval (lo, hi].
 
     The squarefree part of every owning polynomial has exactly one root
-    there.  ``exact`` carries the root value when it is a known rational
-    (then hi equals the root and ``s`` is None).  Otherwise no other
-    input polynomial has a root in (lo, hi], and ``s`` is the squarefree
-    part of owner ``owners[0]``, with opposite nonzero signs at lo and
-    hi.  ``multiplicity_free`` is true when the root is simple in every
-    owner.
+    there.  lo and hi are Fractions, converted from isolation's integer
+    form (see the module doc).  ``exact`` carries the root value when it
+    is a known rational (then hi equals the root and ``s`` is None).
+    Otherwise no other input polynomial has a root in (lo, hi], and
+    ``s`` is the squarefree part of owner ``owners[0]``, with opposite
+    nonzero signs at lo and hi.  ``multiplicity_free`` is true when the
+    root is simple in every owner.
     """
 
     __slots__ = ("owners", "lo", "hi", "multiplicity_free", "exact", "s")
@@ -178,9 +186,10 @@ def _unx_weights(n):
 def _vca_isolate(s):
     """Positive roots of a squarefree s with s(0) != 0, deg >= 1.
 
-    Returns (exacts, intervals) with dyadic interval endpoints: each
-    interval holds exactly one root, strictly inside, so the signs of s
-    at the two endpoints differ.
+    Returns (exacts, intervals), the exacts as Fractions and each
+    interval as an integer triple (a, b, k) for (a/2^k, b/2^k]: it holds
+    exactly one root, strictly inside, so the signs of s at the two
+    endpoints differ.
 
     Each node of the bisection tree is a subinterval, mapped onto (0, 1)
     as q = sum b_i C(n, i) x^i (1 - x)^(n - i), and kept as a positive
@@ -198,10 +207,9 @@ def _vca_isolate(s):
     if len(s) == 2:
         r = Fraction(-s[0], s[1])
         return ([r] if r > 0 else []), []
-    bound = cauchy_root_bound(IntPoly._raw(s))
-    K = 0
-    while 2**K < bound:
-        K += 1
+    # the least K with 2^K >= cauchy_root_bound(s) = 1 + m / |lc(s)|, m
+    # the largest other |coefficient|: 2^K - 1 >= ceil(m / |lc(s)|)
+    K = (-(-max(abs(c) for c in s[:-1]) // abs(s[-1]))).bit_length()
     # map (0, 2^K) onto (0, 1)
     p0 = _k.strip2([c << (K * i) for i, c in enumerate(s)])
     n = len(p0) - 1
@@ -215,14 +223,15 @@ def _vca_isolate(s):
         v = _k.sign_variations(b)
         if v == 0:
             continue
-        scale = Fraction(2**K, 2**k)
         if v == 1:
-            ivals.append((c * scale, (c + 1) * scale))
+            # the node is (c 2^K / 2^k, (c + 1) 2^K / 2^k]
+            e = k - K
+            ivals.append((c, c + 1, e) if e >= 0 else (c << -e, (c + 1) << -e, 0))
             continue
         left, right = _k.casteljau_split(b)
         right = _k.strip2(right)
         if right[0] == 0:
-            exacts.append((2 * c + 1) * scale / 2)
+            exacts.append(Fraction((2 * c + 1) << K, 2 << k))
             if right[1] == 0:
                 raise PostconditionFailed("squarefree part has a double root")
             right = _k.strip2([x * f for x, f in zip(right[1:], _unx_weights(len(b) - 1))])
@@ -237,31 +246,33 @@ def _dyadic_free(s, exacts, ivals):
     Each is halved until it is at most 2^-v wide, v the number of times 2
     divides lc(s), and s is nonzero at both ends.  A midpoint that lands
     on the interval's root joins ``exacts``, and the interval is dropped.
-    Returns the others as (lo, hi, slo), slo the sign of s at lo.
+    Returns the others as (a, b, k, slo), slo the sign of s at a/2^k.
     """
     lc = s[-1]
-    width = Fraction(1, lc & -lc)
+    v = (lc & -lc).bit_length() - 1
     # a raw end is 0 or the root bound 2^K, where s is nonzero, or a split
     # point, where _vca_isolate finds every root: these are the root ends
     roots = set(exacts)
     out = []
-    for lo, hi in ivals:
-        lo_root, hi_root = lo in roots, hi in roots
+    for a, b, k in ivals:
+        lo_root = hi_root = False
+        if roots:
+            lo_root, hi_root = Fraction(a, 1 << k) in roots, Fraction(b, 1 << k) in roots
         # at a root lo, s is squarefree, so it has the sign of s'(lo)
         # just right of lo
-        slo = _sgn(_ev(_k.deriv(s), lo) if lo_root else _ev(s, lo))
-        while hi - lo > width or lo_root or hi_root:
-            m = (lo + hi) / 2
-            vm = _ev(s, m)
+        slo = _sgn(_k.eval_scaled(_k.deriv(s) if lo_root else s, a, 1 << k))
+        while (b - a) << v > 1 << k or lo_root or hi_root:
+            m, k = a + b, k + 1
+            vm = _k.eval_scaled(s, m, 1 << k)
             if vm == 0:
-                exacts.append(m)
+                exacts.append(Fraction(m, 1 << k))
                 break
             if _sgn(vm) != slo:
-                hi, hi_root = m, False
+                a, b, hi_root = a << 1, m, False
             else:
-                lo, lo_root = m, False
+                a, b, lo_root = m, b << 1, False
         else:
-            out.append((lo, hi, slo))
+            out.append((a, b, k, slo))
     return out
 
 
@@ -285,11 +296,10 @@ class _PolyData:
 
 
 class _IvalCluster:
-    __slots__ = ("lo", "hi", "members", "slo")
+    __slots__ = ("a", "b", "k", "members", "slo")
 
-    def __init__(self, lo, hi, members, slo):
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, a, b, k, members, slo):
+        self.a, self.b, self.k = a, b, k  # the interval (a/2^k, b/2^k]
         self.members = members  # index -> squarefree part
         # sign of the representative at lo: lo only moves toward the
         # root, never onto or past it, so the sign holds while the
@@ -299,39 +309,40 @@ class _IvalCluster:
     def rep(self):
         return next(iter(self.members.values()))
 
+    def __lt__(self, other):
+        # order by lo, for the sort and bisect of the overlap sweep
+        d = self.k - other.k
+        if d >= 0:
+            return self.a < other.a << d
+        return self.a << -d < other.a
+
 
 def _refine_step(c):
-    m = (c.lo + c.hi) / 2
-    vm = _ev(c.rep(), m)
+    m = c.a + c.b
+    k = c.k + 1
+    vm = _k.eval_scaled(c.rep(), m, 1 << k)
     if vm == 0:
-        raise PostconditionFailed("bisection landed on the root at %s" % m)
+        raise PostconditionFailed("bisection landed on the root at %s" % Fraction(m, 1 << k))
+    c.k = k
     if _sgn(vm) != c.slo:
-        c.hi = m
+        c.a, c.b = c.a << 1, m
     else:
-        c.lo = m
+        c.a, c.b = m, c.b << 1
 
 
-def _shrink_to_exclude(s, lo, hi, r, slo):
-    # bisect around the interval's root until r is outside; slo is the
-    # sign of s at lo, which every move of lo keeps
-    while lo < r <= hi:
-        m = (lo + hi) / 2
-        vm = _ev(s, m)
-        if vm == 0:
-            raise PostconditionFailed("bisection landed on the root at %s" % m)
-        if _sgn(vm) != slo:
-            hi = m
-        else:
-            lo = m
-    return lo, hi
+def _shrink_to_exclude(c, r):
+    # bisect around the cluster's root until the rational r is outside
+    p, q = r.numerator, r.denominator
+    while c.a * q < p << c.k <= c.b * q:
+        _refine_step(c)
 
 
-def _lo(c):
-    return c.lo
-
-
-def _overlap(a, b):
-    return max(a.lo, b.lo) < min(a.hi, b.hi)
+def _overlap(x, y):
+    # lo_x < hi_y and lo_y < hi_x, at the larger exponent
+    d = x.k - y.k
+    if d >= 0:
+        return x.a < y.b << d and y.a << d < x.b
+    return x.a << -d < y.b and y.a < x.b << -d
 
 
 def _separate(a, b):
@@ -354,14 +365,16 @@ def _resolve_overlap(a, b):
     # g divides both squarefree parts, so it has at most one root in the
     # intersection and non-root endpoints; a sign change means the root
     # is shared
-    L = max(a.lo, b.lo)
-    H = min(a.hi, b.hi)
-    if _sgn(_ev(g, L)) != _sgn(_ev(g, H)):
+    k = max(a.k, b.k)
+    L = max(a.a << (k - a.k), b.a << (k - b.k))
+    H = min(a.b << (k - a.k), b.b << (k - b.k))
+    den = 1 << k
+    if _sgn(_k.eval_scaled(g, L, den)) != _sgn(_k.eval_scaled(g, H, den)):
         members = dict(a.members)
         members.update(b.members)
         # a's part stays the representative, and L lies in a's interval
         # left of the shared root, so a's sign at lo carries over
-        return _IvalCluster(L, H, members, a.slo)
+        return _IvalCluster(L, H, k, members, a.slo)
     _separate(a, b)
     return None
 
@@ -375,6 +388,7 @@ def _build_clusters(data):
             known.add(Fraction(0))
         known.update(d.exacts)
     ordered = sorted(known)
+    ordered_pq = [(r.numerator, r.denominator, r) for r in ordered]
     exact_owned = {}
     for r in ordered:
         owners = [i for i, d in enumerate(data) if _ev(d.cs, r) == 0]
@@ -384,16 +398,17 @@ def _build_clusters(data):
 
     recs = []
     for i, d in enumerate(data):
-        for lo, hi, slo in d.ivals:
+        for a, b, k, slo in d.ivals:
             # drop before shrinking: the interval's root may be a known
             # root that is not dyadic, such as 1/3 from 3X - 1, and no
             # bisection excludes it
-            inside = [r for r in ordered if lo < r <= hi]
+            inside = [r for p, q, r in ordered_pq if a * q < p << k <= b * q]
             if any(_ev(d.s, r) == 0 for r in inside):
                 continue
+            c = _IvalCluster(a, b, k, {i: d.s}, slo)
             for r in inside:
-                lo, hi = _shrink_to_exclude(d.s, lo, hi, r, slo)
-            recs.append(_IvalCluster(lo, hi, {i: d.s}, slo))
+                _shrink_to_exclude(c, r)
+            recs.append(c)
 
     # resolve overlaps: merge shared roots, separate distinct ones.  One
     # sweep picks the same pairs, in the same order, as rescanning every
@@ -408,7 +423,7 @@ def _build_clusters(data):
     #   cluster after its ties and each of a separated pair before its
     #   ties, all at x or later (a separated pair is disjoint, so it ties
     #   neither with itself nor with the prefix).
-    recs.sort(key=_lo)
+    recs.sort()
     x = 0
     while x + 1 < len(recs):
         a, b = recs[x], recs[x + 1]
@@ -418,16 +433,16 @@ def _build_clusters(data):
         merged = _resolve_overlap(a, b)
         del recs[x:x + 2]
         if merged is not None:
-            bisect.insort_right(recs, merged, lo=x, key=_lo)
+            bisect.insort_right(recs, merged, lo=x)
         else:
             for c in (a, b):
-                recs.insert(bisect.bisect_left(recs, c.lo, lo=x, key=_lo), c)
+                recs.insert(bisect.bisect_left(recs, c, lo=x), c)
     return exact_owned, recs
 
 
 def _synthesize(data, exact_owned, recs):
     items = [("exact", r, owners) for r, owners in exact_owned.items()]
-    items += [("ival", c.lo, c) for c in recs]
+    items += [("ival", Fraction(c.a, 1 << c.k), c) for c in recs]
     items.sort(key=lambda it: (it[1], 0 if it[0] == "exact" else 1))
 
     out = []
@@ -454,7 +469,9 @@ def _synthesize(data, exact_owned, recs):
             prev_hi = r
         else:
             c = payload
-            if prev_hi is not None and c.lo < prev_hi:
+            den = 1 << c.k
+            lo, hi = key, Fraction(c.b, den)
+            if prev_hi is not None and lo < prev_hi:
                 raise PostconditionFailed("isolating intervals overlap")
             mult_free = True
             for i in sorted(c.members):
@@ -464,22 +481,17 @@ def _synthesize(data, exact_owned, recs):
                 # g's roots are roots of member i's part, and no endpoint
                 # is one: each is an end of i's stored interval or a
                 # dyadic point inside it
-                if _ev(g, c.lo) == 0 or _ev(g, c.hi) == 0:
+                if _k.eval_scaled(g, c.a, den) == 0 or _k.eval_scaled(g, c.b, den) == 0:
                     raise PostconditionFailed("a cluster endpoint is a root")
                 gch = _k.signed_prs(g)
-                if _var_chain(gch, c.lo) - _var_chain(gch, c.hi) >= 1:
+                if _k.var_at(gch, c.a, den) - _k.var_at(gch, c.b, den) >= 1:
                     mult_free = False
                     break
             owners = sorted(c.members)
             s = c.members[owners[0]]
-            out.append(IsolatingInterval(owners, c.lo, c.hi, mult_free, None, s))
-            prev_hi = c.hi
+            out.append(IsolatingInterval(owners, lo, hi, mult_free, None, s))
+            prev_hi = hi
     return out
-
-
-def _var_chain(chain, t):
-    n, d = _num_den(t)
-    return _k.var_at(chain, n, d)
 
 
 def isolate_nonneg_roots(hs):
@@ -570,8 +582,9 @@ def uniform_sign_exists(hs):
         sample = AlgebraicRoot(root) if root.exact is None else RationalPoint(root.exact)
         candidates.append((sample, root.hi, root.owners))
     for sample, t, owners in candidates:
+        n, d = t.numerator, t.denominator
         vec = SignVector(sample, tuple(
-            0 if i in owners else _sgn(_ev(cs, t)) for i, cs in enumerate(hs_cs)
+            0 if i in owners else _sgn(_k.eval_scaled(cs, n, d)) for i, cs in enumerate(hs_cs)
         ))
         if vec.is_uniform:
             return vec

@@ -5,7 +5,9 @@ Sturm chains over Q[X] count distinct real roots exactly, and
 derivative.  posring itself isolates roots with Descartes bisection in
 the Bernstein basis; ``vca_isolate_reference`` is the same bisection on
 monomial coefficients, three integer Taylor shifts per split, whose
-tree, exact roots and intervals it must match in order.
+tree, exact roots and intervals it must match in order, and
+``isolate_nonneg_roots_reference`` repeats posring's bisections on
+Fraction endpoints, which its integer ones must match exactly.
 ``rational_feasibility_reference`` is the phase-1
 simplex over Fractions that posring's integer tableau must match pivot
 for pivot.  ``brute_force_oracle`` enumerates bounded witness tuples and
@@ -205,6 +207,140 @@ def vca_isolate_reference(s):
         stack.append((2 * c, k + 1, left))
         stack.append((2 * c + 1, k + 1, right))
     return exacts, ivals
+
+
+def _sgn_at(cs, t):
+    v = _k.eval_scaled(cs, t.numerator, t.denominator)
+    return (v > 0) - (v < 0)
+
+
+class _Box:
+    """An isolating interval (lo, hi] on Fraction endpoints, its owners'
+    squarefree parts (the first one bisects) and that part's sign at lo."""
+
+    def __init__(self, lo, hi, members, slo):
+        self.lo, self.hi, self.members, self.slo = lo, hi, members, slo
+
+    def step(self):
+        s = next(iter(self.members.values()))
+        m = (self.lo + self.hi) / 2
+        sm = _sgn_at(s, m)
+        if sm == 0:
+            raise PostconditionFailed("bisection landed on the root at %s" % m)
+        if sm != self.slo:
+            self.hi = m
+        else:
+            self.lo = m
+
+    def overlaps(self, other):
+        return max(self.lo, other.lo) < min(self.hi, other.hi)
+
+
+def _narrow_reference(s, exacts, ivals):
+    # halve each raw interval until it is at most 2^-v wide, 2^v the
+    # power of two in lc(s), with s nonzero at both ends
+    width = Fraction(1, s[-1] & -s[-1])
+    roots = set(exacts)
+    out = []
+    for lo, hi in ivals:
+        lo_root, hi_root = lo in roots, hi in roots
+        slo = _sgn_at(_k.deriv(s) if lo_root else s, lo)
+        while hi - lo > width or lo_root or hi_root:
+            m = (lo + hi) / 2
+            sm = _sgn_at(s, m)
+            if sm == 0:
+                exacts.append(m)
+                break
+            if sm != slo:
+                hi, hi_root = m, False
+            else:
+                lo, lo_root = m, False
+        else:
+            out.append((lo, hi, slo))
+    return out
+
+
+def _resolve_reference(a, b):
+    for _ in range(8):
+        a.step()
+        b.step()
+        if not a.overlaps(b):
+            return None
+    g = _k.gcd(next(iter(a.members.values())), next(iter(b.members.values())))
+    L, H = max(a.lo, b.lo), min(a.hi, b.hi)
+    if len(g) > 1 and _sgn_at(g, L) != _sgn_at(g, H):
+        return _Box(L, H, {**a.members, **b.members}, a.slo)
+    while a.overlaps(b):
+        a.step()
+        b.step()
+    return None
+
+
+def isolate_nonneg_roots_reference(hs):
+    """posring's isolating intervals, as (owners, lo, hi, exact) tuples,
+    computed on Fraction endpoints.
+
+    The bisections are posring's own, in the same order, so the
+    intervals must agree exactly: each raw interval is narrowed until it
+    is dyadic-root-free, shrunk off every known exact root inside it (or
+    dropped when that root is its own), and overlapping intervals are
+    merged or separated, rescanning every pair after each step.
+    """
+    parts, known = [], set()
+    for h in hs:
+        cs = list(h.coeffs)
+        k0 = next(i for i, c in enumerate(cs) if c)
+        if k0:
+            known.add(Fraction(0))
+        s = list(squarefree_part(IntPoly(cs[k0:])).coeffs)
+        ivals = []
+        if len(s) >= 2:
+            exacts, raw = vca_isolate_reference(s)
+            ivals = _narrow_reference(s, exacts, raw)
+            known.update(exacts)
+        parts.append((cs[k0:], s, ivals))
+    ordered = sorted(known)
+    boxes = []
+    for i, (_, s, ivals) in enumerate(parts):
+        for lo, hi, slo in ivals:
+            inside = [r for r in ordered if lo < r <= hi]
+            if any(_sgn_at(s, r) == 0 for r in inside):
+                continue
+            box = _Box(lo, hi, {i: s}, slo)
+            for r in inside:
+                while box.lo < r <= box.hi:
+                    box.step()
+            boxes.append(box)
+    while True:
+        boxes.sort(key=lambda b: b.lo)
+        pair = next(((x, y) for x in range(len(boxes)) for y in range(x + 1, len(boxes))
+                     if boxes[x].overlaps(boxes[y])), None)
+        if pair is None:
+            break
+        merged = _resolve_reference(*(boxes[j] for j in pair))
+        if merged is not None:
+            boxes = [b for j, b in enumerate(boxes) if j not in pair] + [merged]
+
+    # exact roots first among equal lo; an exact root's lo lies left of
+    # every root of its owners and clear of the interval before it
+    items = sorted([(r, 0, None) for r in ordered] + [(b.lo, 1, b) for b in boxes],
+                   key=lambda t: t[:2])
+    out, prev_hi = [], Fraction(0)
+    for r, _, box in items:
+        if box is not None:
+            out.append((tuple(sorted(box.members)), box.lo, box.hi, None))
+            prev_hi = box.hi
+            continue
+        owners = tuple(i for i, h in enumerate(hs) if _sgn_at(list(h.coeffs), r) == 0)
+        lo = max(r - 1, prev_hi)
+        if r == 0:
+            lo = -Fraction(1, 2)
+            for q in (parts[i][0] for i in owners if len(parts[i][0]) >= 2):
+                bound = 1 + Fraction(max(abs(v) for v in q[1:]), abs(q[0]))
+                lo = max(lo, -1 / (2 * bound))
+        out.append((owners, lo, r, r))
+        prev_hi = r
+    return out
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,36 @@ def test_normalize_rejects_zero_entry():
         nx.normalize([])
 
 
+def test_normalize_strips_differing_x_orders():
+    # X^2 + X^3, -X^4 and 1: X^2 comes off both, then X^2 more off -X^4
+    r = nx.normalize([P(0, 0, 1, 1), P(0, 0, 0, 0, -1), P(1)])
+    assert isinstance(r, nx.NormalizedInstance)
+    assert r.hs == (P(1, 1), P(-1), P(1))
+    assert r.x_divisions == 4
+    r = nx.normalize([P(0, 0, 1, 1), P(0, 0, 0, 0, 1), P(1)])
+    assert isinstance(r, nx.EarlyUnsolvable)
+    assert r.hs == (P(1, 1), P(1), P(1))
+    assert r.x_divisions == 4
+
+
+_HIGH_X_ORDER = """
+from posring.nxsolve import normalize
+from posring.polyring import IntPoly
+r = normalize([IntPoly([0] * 200000 + [1]), IntPoly([-1, 1])])
+print(r.x_divisions, r.hs)
+"""
+
+
+def test_normalize_high_x_order_is_not_quadratic():
+    # X^200000 and X - 1: stripping one X per round, copying every entry
+    # each time, takes minutes; the child's timeout turns that into a
+    # failure
+    proc = subprocess.run([sys.executable, "-c", _HIGH_X_ORDER],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "200000"
+
+
 # ---------------------------------------------------------------- decide
 
 

@@ -32,6 +32,7 @@ from oracles import (
     EndpointIsRoot,
     RatPoly,
     count_roots,
+    isolate_nonneg_roots_reference,
     squarefree_part,
     sturm_chain,
     vca_isolate_reference,
@@ -578,19 +579,20 @@ def _build_clusters_reference(data):
 
     recs = []
     for i, d in enumerate(data):
-        for lo, hi, slo in d.ivals:
+        for a, b, k, slo in d.ivals:
             # drop before shrinking: a shrink bisection must never land
             # on a known root, which only its own drop check rules out
-            inside = [r for r in sorted(known) if lo < r <= hi]
+            inside = [r for r in sorted(known) if Fraction(a, 1 << k) < r <= Fraction(b, 1 << k)]
             if any(_ev(d.s, r) == 0 for r in inside):
                 continue
+            c = _IvalCluster(a, b, k, {i: d.s}, slo)
             for r in inside:
-                lo, hi = _shrink_to_exclude(d.s, lo, hi, r, slo)
-            recs.append(_IvalCluster(lo, hi, {i: d.s}, slo))
+                _shrink_to_exclude(c, r)
+            recs.append(c)
 
     # resolve overlaps: merge shared roots, separate distinct ones
     while True:
-        recs.sort(key=lambda c: c.lo)
+        recs.sort(key=lambda c: Fraction(c.a, 1 << c.k))
         pair = None
         for x in range(len(recs)):
             for y in range(x + 1, len(recs)):
@@ -617,7 +619,7 @@ def _isolate_with(build, hs):
     pairs = []
 
     def traced(a, b):
-        pairs.append(tuple((c.lo, c.hi, tuple(c.members)) for c in (a, b)))
+        pairs.append(tuple((c.a, c.b, c.k, tuple(c.members)) for c in (a, b)))
         return resolve(a, b)
 
     with mock.patch.object(realdec, "_build_clusters", build), \
@@ -683,6 +685,43 @@ def test_sweep_overlap_checks_stay_near_linear():
     assert 0 < calls[0] < 3000, calls[0]
 
 
+# ------------------------------------------- integer against Fraction ends
+
+
+# factors the integer endpoints must get right: X^2 - 2, shared and
+# squared; the dyadic root 3/2^20; the non-dyadic known root 1/3; and
+# 2^40 X^2 - 3, whose leading coefficient makes narrowing go 40 levels
+_SPECIAL = ([-2, 0, 1], [4, 0, -4, 0, 1], [-3, 2**20], [-1, 3], [-3, 0, 2**40])
+_special_poly = st.tuples(_poly, st.lists(st.sampled_from(_SPECIAL), max_size=2)).map(
+    lambda t: prod(t[0], *(IntPoly(f) for f in t[1]))
+)
+
+
+def _assert_matches_fraction_reference(hs):
+    got = [(iv.owners, iv.lo, iv.hi, iv.exact) for iv in isolate_nonneg_roots(hs)]
+    assert got == isolate_nonneg_roots_reference(hs), [list(h.coeffs) for h in hs]
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_special_poly, min_size=1, max_size=4), st.booleans())
+def test_integer_endpoints_match_fraction_reference(hs, share):
+    _assert_matches_fraction_reference(_shared(hs, share))
+
+
+def test_integer_endpoints_match_fraction_reference_on_fixed_families():
+    third = P(-1, 3) * P(-2, 0, 1)
+    got = _assert_matches_fraction_reference([third, P(-1, 3)])
+    assert [(owners, exact) for owners, _, _, exact in got] == [
+        ((0, 1), Fraction(1, 3)), ((0,), None)]
+    got = _assert_matches_fraction_reference([P(-3, 2**20) * P(-2, 0, 1)])
+    assert got[0][3] == Fraction(3, 2**20)
+    got = _assert_matches_fraction_reference([P(-3, 0, 2**40), P(0, -1, 0, 1)])
+    assert [owners for owners, *_ in got] == [(1,), (0,), (1,)]
+    for seed in range(3):
+        _assert_matches_fraction_reference(_wide_family(seed, 40 + 5 * seed))
+
+
 # ------------------------------------------------- Bernstein subdivision
 
 
@@ -697,7 +736,8 @@ def _parts(hs):
 
 
 def _assert_vca_matches_reference(s):
-    got = realdec._vca_isolate(s)
+    exacts, ivals = realdec._vca_isolate(s)
+    got = exacts, [(Fraction(a, 1 << k), Fraction(b, 1 << k)) for a, b, k in ivals]
     assert got == vca_isolate_reference(s), s
     return got
 
@@ -793,7 +833,8 @@ def _assert_dyadic_free(cs):
     if len(d.q) < 2:
         return 0
     width = Fraction(1, _two_part(d.s[-1]))
-    for lo, hi, slo in d.ivals:
+    for a, b, k, slo in d.ivals:
+        lo, hi = Fraction(a, 1 << k), Fraction(b, 1 << k)
         assert 0 < hi - lo <= width, (cs, lo, hi)
         # aligned: lo is a multiple of the power-of-two width
         assert (lo / (hi - lo)).denominator == 1, (cs, lo, hi)
@@ -878,30 +919,33 @@ def test_non_dyadic_known_root_drops_its_interval():
 
 def _refine_step_reference(c):
     # re-reads the sign at lo on every step
-    m = (c.lo + c.hi) / 2
     s = c.rep()
-    vm = realdec._ev(s, m)
+    m, k = c.a + c.b, c.k + 1
+    vm = _k.eval_scaled(s, m, 1 << k)
     if vm == 0:
-        raise PostconditionFailed("bisection landed on the root at %s" % m)
-    if realdec._sgn(vm) != realdec._sgn(realdec._ev(s, c.lo)):
-        c.hi = m
+        raise PostconditionFailed("bisection landed on the root at %s" % Fraction(m, 1 << k))
+    if realdec._sgn(vm) != realdec._sgn(_k.eval_scaled(s, c.a, 1 << c.k)):
+        c.a, c.b = 2 * c.a, m
     else:
-        c.lo = m
+        c.a, c.b = m, 2 * c.b
+    c.k = k
+
+
+_eval_scaled = _k.eval_scaled
 
 
 def _count_evs(hs, refine):
     counts = {"ev": 0, "step": 0}
-    ev = realdec._ev
 
-    def counted_ev(cs, t):
+    def counted_ev(*args):
         counts["ev"] += 1
-        return ev(cs, t)
+        return _eval_scaled(*args)
 
     def counted_step(c):
         counts["step"] += 1
         return refine(c)
 
-    with mock.patch.object(realdec, "_ev", counted_ev), \
+    with mock.patch.object(_k, "eval_scaled", counted_ev), \
             mock.patch.object(realdec, "_refine_step", counted_step):
         ivs = isolate_nonneg_roots(hs)
     out = [(iv.owners, iv.lo, iv.hi, iv.multiplicity_free, iv.exact) for iv in ivs]
@@ -910,7 +954,8 @@ def _count_evs(hs, refine):
 
 def test_refine_step_reuses_the_stored_sign_at_lo():
     # a cluster's sign at lo is read once when it is built, so every
-    # refinement step saves exactly one evaluation
+    # refinement step, shrinks' steps included, saves exactly one
+    # evaluation
     hs = _wide_family(1503, 50)
     got, new = _count_evs(hs, realdec._refine_step)
     want, old = _count_evs(hs, _refine_step_reference)
@@ -925,47 +970,40 @@ class _RereadCluster(realdec._IvalCluster):
     # the constructor once did; a merge keeps its first member's sign
     __slots__ = ()
 
-    def __init__(self, lo, hi, members, slo):
-        self.lo, self.hi, self.members = lo, hi, members
+    def __init__(self, a, b, k, members, slo):
+        self.a, self.b, self.k, self.members = a, b, k, members
         if len(members) == 1:
-            slo = realdec._sgn(realdec._ev(self.rep(), lo))
+            slo = realdec._sgn(_k.eval_scaled(self.rep(), a, 1 << k))
         self.slo = slo
 
 
-def _reread_shrink(s, lo, hi, r, slo):
+_shrink = realdec._shrink_to_exclude
+
+
+def _reread_shrink(c, r):
     # _shrink_to_exclude as it was, reading the sign at lo again
-    slo = realdec._sgn(realdec._ev(s, lo))
-    while lo < r <= hi:
-        m = (lo + hi) / 2
-        vm = realdec._ev(s, m)
-        if vm == 0:
-            raise PostconditionFailed("bisection landed on the root at %s" % m)
-        if realdec._sgn(vm) != slo:
-            hi = m
-        else:
-            lo = m
-    return lo, hi
+    c.slo = realdec._sgn(_k.eval_scaled(c.rep(), c.a, 1 << c.k))
+    _shrink(c, r)
 
 
 def _count_build_evs(hs, cluster, shrink):
     """isolate_nonneg_roots with the given cluster class and shrink,
-    counting _ev calls, clusters built from one interval and shrinks."""
+    counting evaluations, clusters built from one interval and shrinks."""
     counts = Counter()
-    ev = realdec._ev
 
-    def counted_ev(cs, t):
+    def counted_ev(*args):
         counts["ev"] += 1
-        return ev(cs, t)
+        return _eval_scaled(*args)
 
-    def counted_cluster(lo, hi, members, slo):
+    def counted_cluster(a, b, k, members, slo):
         counts["built"] += len(members) == 1  # a merge unites two polys
-        return cluster(lo, hi, members, slo)
+        return cluster(a, b, k, members, slo)
 
     def counted_shrink(*args):
         counts["shrink"] += 1
         return shrink(*args)
 
-    with mock.patch.object(realdec, "_ev", counted_ev), \
+    with mock.patch.object(_k, "eval_scaled", counted_ev), \
             mock.patch.object(realdec, "_IvalCluster", counted_cluster), \
             mock.patch.object(realdec, "_shrink_to_exclude", counted_shrink):
         ivs = isolate_nonneg_roots(hs)
@@ -997,12 +1035,12 @@ from posring.polyring import IntPoly
 from posring.realdec import (_IvalCluster, _refine_step, _shrink_to_exclude,
                              isolate_nonneg_roots)
 kernels.exact_div = lambda a, b: None
-lo, hi = Fraction(0), Fraction(2)
+# X - 1 on (0, 2], which breaks the dyadic-root-free invariant
+box = lambda: _IvalCluster(0, 2, 0, {0: [-1, 1]}, -1)
 for call in (lambda: squarefree_part(IntPoly([0, 0, 1])),
              lambda: isolate_nonneg_roots([IntPoly([1, -2, 1])]),
-             # X - 1 on (0, 2), which breaks the dyadic-root-free invariant
-             lambda: _refine_step(_IvalCluster(lo, hi, {0: [-1, 1]}, -1)),
-             lambda: _shrink_to_exclude([-1, 1], lo, hi, Fraction(3, 2), -1)):
+             lambda: _refine_step(box()),
+             lambda: _shrink_to_exclude(box(), Fraction(3, 2))):
     try:
         call()
     except PostconditionFailed as exc:

@@ -16,13 +16,19 @@ candidate, because isolation already proves two facts:
   root to the left with that root's owners made nonzero, and with no
   roots the signs at 0 hold on all of [0, oo).
 
-Internally each polynomial is reduced to its squarefree part s,
-isolated by Descartes bisection in the Bernstein basis (one Taylor
+Internally each polynomial q, with X^k stripped, is isolated on a
+representative s in which every positive root of q is simple: first
+primitive(q), by Descartes bisection in the Bernstein basis (one Taylor
 shift per polynomial, then one addition-only de Casteljau pass per
-split), and refined by sign changes.  Squarefreeness and coprimality
-are certified modulo a prime whenever possible; the exact subresultant
-gcd only runs when the modular certificate fails, which keeps large
-random inputs cheap.
+split).  Descartes' bound counts roots with multiplicity, so that tree
+ends as it would on the squarefree part unless q has a multiple root on
+or near the positive axis.  Only when the tree runs deep, or meets a
+double root at a split point, is gcd(q, q') computed; s is then the
+squarefree part, unless q proves squarefree and the tree just goes on.
+Intervals are refined by sign changes of s.  Squarefreeness and
+coprimality are certified modulo a prime whenever possible; the exact
+subresultant gcd only runs when the modular certificate fails, which
+keeps large random inputs cheap.
 
 Every endpoint isolation touches is dyadic, so an interval is kept as
 integers (a, b, k) for (a/2^k, b/2^k].  A bisection step evaluates s at
@@ -88,14 +94,16 @@ class SignVector:
 class IsolatingInterval:
     """One distinct real root, boxed in the half-open interval (lo, hi].
 
-    The squarefree part of every owning polynomial has exactly one root
-    there.  lo and hi are Fractions, converted from isolation's integer
-    form (see the module doc).  ``exact`` carries the root value when it
-    is a known rational (then hi equals the root and ``s`` is None).
-    Otherwise no other input polynomial has a root in (lo, hi], and
-    ``s`` is the squarefree part of owner ``owners[0]``, with opposite
-    nonzero signs at lo and hi.  ``multiplicity_free`` is true when the
-    root is simple in every owner.
+    Every owner has this root and no other in (lo, hi].  lo and hi are
+    Fractions, converted from isolation's integer form (see the module
+    doc).  ``exact`` carries the root value when it is a known rational
+    (then hi equals the root and ``s`` is None).  Otherwise no other
+    input polynomial has a root in (lo, hi], and ``s`` is the
+    representative of owner ``owners[0]``, the polynomial isolation ran
+    on: a primitive integer polynomial dividing that owner, whose only
+    root in (lo, hi] is this one, simple, so its signs at lo and hi are
+    opposite and nonzero.
+    ``multiplicity_free`` is true when the root is simple in every owner.
     """
 
     __slots__ = ("owners", "lo", "hi", "multiplicity_free", "exact", "s")
@@ -134,28 +142,30 @@ def _sgn(v):
     return (v > 0) - (v < 0)
 
 
-def cauchy_root_bound(p):
-    """1 + max |a_i| / |a_deg| over i < deg; 0 for constants.
-
-    Every real root of p has absolute value strictly below the bound.
-    """
-    cs = p.coeffs
-    if len(cs) < 2:
-        return Fraction(0)
-    lead = abs(cs[-1])
-    m = max(abs(c) for c in cs[:-1])
-    return 1 + Fraction(m, lead)
-
-
 # ---------------------------------------------------------------------------
 # isolation internals
+
+
+# A tree on primitive(q) that splits a node this deep is the only one
+# that pays for gcd(q, q').  A multiple positive root of q keeps every
+# node around it at two or more sign variations, so that tree never
+# ends; on a squarefree q it ends where the roots separate.  Measured
+# over every part the decide calls of perfbench's dense_decide,
+# wide_decide and wreath_grid pools isolate (215, 2124 and 1498 parts):
+# the deepest split in a squarefree part is at depth 8; of the 268
+# non-squarefree wide_decide parts, 258 still split past depth 200, 9
+# meet a double midpoint root and 1 ends at once; all 10 non-squarefree
+# wreath_grid parts meet a double root or end at once.  16 leaves room
+# above 8, and a squarefree part that runs deeper only pays the gcd it
+# always paid before this budget existed.
+_SQFREE_DEPTH = 16
 
 
 def _sqfree_data(q):
     """(s, g) for q with q(0) != 0, deg >= 1: s is the squarefree part.
 
-    g is None when q is squarefree (all roots simple), else the exact
-    gcd(q, q') for multiplicity checks.
+    g is None when q is squarefree (all roots simple, s = primitive(q)),
+    else the exact gcd(q, q') for multiplicity checks.
     """
     g = gcd_mod_first(q, _k.deriv(q))
     if len(g) == 1:
@@ -183,13 +193,23 @@ def _unx_weights(n):
     return tuple(m // (k + 1) for k in range(n))
 
 
-def _vca_isolate(s):
-    """Positive roots of a squarefree s with s(0) != 0, deg >= 1.
+def _vca_isolate(s, squarefree=None):
+    """Positive roots of s with s(0) != 0, deg >= 1, each simple in s.
 
     Returns (exacts, intervals), the exacts as Fractions and each
     interval as an integer triple (a, b, k) for (a/2^k, b/2^k]: it holds
-    exactly one root, strictly inside, so the signs of s at the two
-    endpoints differ.
+    exactly one root, strictly inside and simple, so the signs of s at
+    the two endpoints differ.
+
+    Without ``squarefree``, s must be squarefree.  With it, s may have
+    multiple roots, and ``squarefree()`` says whether it has none.  It is
+    called at most once: at the first split of a node _SQFREE_DEPTH deep,
+    or at the first double root on a split point.  If it returns True the
+    same tree goes on with no budget; if False, _vca_isolate returns None.
+    A tree that ends before either event needs no call: Descartes' bound
+    counts roots with multiplicity, so a leaf with one sign variation
+    holds one simple root, and a split-point root with right_1 != 0 is
+    simple.
 
     Each node of the bisection tree is a subinterval, mapped onto (0, 1)
     as q = sum b_i C(n, i) x^i (1 - x)^(n - i), and kept as a positive
@@ -201,14 +221,15 @@ def _vca_isolate(s):
     Taylor shift to get them, and every split one de Casteljau pass.
     A root at the midpoint shows as right_0 == 0; it is divided out of
     the right child, whose degree n - 1 coefficients are
-    b_(k+1) n / (k + 1).  A zero right_1 as well would make the root
-    double and raises PostconditionFailed.
+    b_(k+1) n / (k + 1).  A zero right_1 as well makes the root double,
+    which raises PostconditionFailed once s is known to be squarefree.
     """
     if len(s) == 2:
         r = Fraction(-s[0], s[1])
         return ([r] if r > 0 else []), []
-    # the least K with 2^K >= cauchy_root_bound(s) = 1 + m / |lc(s)|, m
-    # the largest other |coefficient|: 2^K - 1 >= ceil(m / |lc(s)|)
+    # the least K with 2^K >= 1 + m / |lc(s)|, m the largest other
+    # |coefficient|, which Cauchy's bound puts above every |root| of s:
+    # 2^K - 1 >= ceil(m / |lc(s)|)
     K = (-(-max(abs(c) for c in s[:-1]) // abs(s[-1]))).bit_length()
     # map (0, 2^K) onto (0, 1)
     p0 = _k.strip2([c << (K * i) for i, c in enumerate(s)])
@@ -228,12 +249,18 @@ def _vca_isolate(s):
             e = k - K
             ivals.append((c, c + 1, e) if e >= 0 else (c << -e, (c + 1) << -e, 0))
             continue
+        if squarefree is not None and k >= _SQFREE_DEPTH:
+            if not squarefree():
+                return None
+            squarefree = None
         left, right = _k.casteljau_split(b)
         right = _k.strip2(right)
         if right[0] == 0:
-            exacts.append(Fraction((2 * c + 1) << K, 2 << k))
             if right[1] == 0:
+                if squarefree is not None and not squarefree():
+                    return None
                 raise PostconditionFailed("squarefree part has a double root")
+            exacts.append(Fraction((2 * c + 1) << K, 2 << k))
             right = _k.strip2([x * f for x, f in zip(right[1:], _unx_weights(len(b) - 1))])
         stack.append((2 * c, k + 1, _k.strip2(left)))
         stack.append((2 * c + 1, k + 1, right))
@@ -258,8 +285,8 @@ def _dyadic_free(s, exacts, ivals):
         lo_root = hi_root = False
         if roots:
             lo_root, hi_root = Fraction(a, 1 << k) in roots, Fraction(b, 1 << k) in roots
-        # at a root lo, s is squarefree, so it has the sign of s'(lo)
-        # just right of lo
+        # a root at lo is simple in s, so s has the sign of s'(lo) just
+        # right of lo
         slo = _sgn(_k.eval_scaled(_k.deriv(s) if lo_root else s, a, 1 << k))
         while (b - a) << v > 1 << k or lo_root or hi_root:
             m, k = a + b, k + 1
@@ -287,12 +314,22 @@ class _PolyData:
         self.k0 = k0
         self.q = cs[k0:]
         if len(self.q) >= 2:
-            self.s, self.gfac = _sqfree_data(self.q)
-            self.exacts, ivals = _vca_isolate(self.s)
+            # s, the representative: primitive(q), or q's squarefree part
+            # when isolation had to compute gcd(q, q') and found it not 1;
+            # gfac is then that gcd
+            self.s, self.gfac = _k.primitive_signed(self.q), None
+            found = _vca_isolate(self.s, self._squarefree)
+            if found is None:
+                found = _vca_isolate(self.s)
+            self.exacts, ivals = found
             self.ivals = _dyadic_free(self.s, self.exacts, ivals)
         else:
             self.s, self.gfac = self.q, None
             self.exacts, self.ivals = [], []
+
+    def _squarefree(self):
+        self.s, self.gfac = _sqfree_data(self.q)
+        return self.gfac is None
 
 
 class _IvalCluster:
@@ -300,7 +337,7 @@ class _IvalCluster:
 
     def __init__(self, a, b, k, members, slo):
         self.a, self.b, self.k = a, b, k  # the interval (a/2^k, b/2^k]
-        self.members = members  # index -> squarefree part
+        self.members = members  # index -> representative
         # sign of the representative at lo: lo only moves toward the
         # root, never onto or past it, so the sign holds while the
         # cluster lives
@@ -362,9 +399,10 @@ def _resolve_overlap(a, b):
     if len(g) == 1:
         _separate(a, b)
         return None
-    # g divides both squarefree parts, so it has at most one root in the
-    # intersection and non-root endpoints; a sign change means the root
-    # is shared
+    # g divides both representatives, each with one simple root in its
+    # interval and none at its ends, so g has at most one root in the
+    # intersection, a simple one, and non-root endpoints; a sign change
+    # means the root is shared
     k = max(a.k, b.k)
     L = max(a.a << (k - a.k), b.a << (k - b.k))
     H = min(a.b << (k - a.k), b.b << (k - b.k))
@@ -512,8 +550,9 @@ def isolate_nonneg_roots(hs):
 def sign_at_root(q, root):
     """Sign of q at the root described by an IsolatingInterval.
 
-    Returns 0 exactly when gcd(squarefree part of the owner, q) has a
-    root in the interval; otherwise refines the interval until the sign
+    Returns 0 exactly when gcd(root.s, q) has a root in the interval,
+    root.s being the owner's representative, whose only root there is
+    simple; otherwise refines the interval until the sign
     of q is certified constant on it and reads it at the midpoint.
     """
     qcs = list(q.coeffs)

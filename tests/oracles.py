@@ -26,7 +26,7 @@ from posring import kernels as _k
 from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
 from posring.nxsolve import WitnessTuple, verify_witness
 from posring.polyring import IntPoly, eval_at_rational
-from posring.realdec import cauchy_root_bound
+from posring.realdec import _SQFREE_DEPTH
 from posring.wreath import MINUS, PLUS, CoverSubset, Word, WreathElement, mul
 
 _ORACLE_SPACE_CAP = 2 * 10**7
@@ -141,6 +141,19 @@ class RatPoly:
         return "RatPoly(%r)" % ([str(c) for c in self._coeffs],)
 
 
+def cauchy_root_bound(p):
+    """1 + max |a_i| / |a_deg| over i < deg; 0 for constants.
+
+    Every real root of p has absolute value strictly below the bound.
+    """
+    cs = p.coeffs
+    if len(cs) < 2:
+        return Fraction(0)
+    lead = abs(cs[-1])
+    m = max(abs(c) for c in cs[:-1])
+    return 1 + Fraction(m, lead)
+
+
 def squarefree_part(p):
     """p / gcd(p, p'): same real roots as p, each with multiplicity one.
 
@@ -168,12 +181,14 @@ def _var01(q):
     return _k.sign_variations(_k.shift1(q[::-1]))
 
 
-def vca_isolate_reference(s):
+def vca_isolate_reference(s, budgeted=False):
     """Positive roots of a squarefree s with s(0) != 0, deg >= 1.
 
     Returns (exacts, intervals) with dyadic interval endpoints: each
     interval holds exactly one root, strictly inside, so the signs of s
-    at the two endpoints differ.
+    at the two endpoints differ.  ``budgeted`` admits any s, and returns
+    None instead where posring would certify squarefreeness: at a split
+    of a node _SQFREE_DEPTH deep or a double root on a split point.
     """
     if len(s) == 2:
         r = Fraction(-s[0], s[1])
@@ -196,6 +211,8 @@ def vca_isolate_reference(s):
         if v == 1:
             ivals.append((c * scale, (c + 1) * scale))
             continue
+        if budgeted and k >= _SQFREE_DEPTH:
+            return None
         n = len(q)
         left = _k.strip2([q[i] << (n - 1 - i) for i in range(n)])
         right = _k.shift1(left)
@@ -203,6 +220,8 @@ def vca_isolate_reference(s):
             exacts.append((2 * c + 1) * scale / 2)
             right = right[1:]
             if right[0] == 0:
+                if budgeted:
+                    return None
                 raise PostconditionFailed("squarefree part has a double root")
         stack.append((2 * c, k + 1, left))
         stack.append((2 * c + 1, k + 1, right))
@@ -215,8 +234,9 @@ def _sgn_at(cs, t):
 
 
 class _Box:
-    """An isolating interval (lo, hi] on Fraction endpoints, its owners'
-    squarefree parts (the first one bisects) and that part's sign at lo."""
+    """An isolating interval (lo, hi] on Fraction endpoints, the
+    polynomials its owners were isolated on (the first one bisects) and
+    that one's sign at lo."""
 
     def __init__(self, lo, hi, members, slo):
         self.lo, self.hi, self.members, self.slo = lo, hi, members, slo
@@ -280,6 +300,11 @@ def isolate_nonneg_roots_reference(hs):
     """posring's isolating intervals, as (owners, lo, hi, exact) tuples,
     computed on Fraction endpoints.
 
+    Each input's roots are isolated on its primitive part when the
+    budgeted tree on that ends, else on its squarefree part.  When the
+    input is squarefree the two are equal, so where posring certifies
+    squarefreeness and goes on with the same tree the results agree.
+
     The bisections are posring's own, in the same order, so the
     intervals must agree exactly: each raw interval is narrowed until it
     is dyadic-root-free, shrunk off every known exact root inside it (or
@@ -292,10 +317,14 @@ def isolate_nonneg_roots_reference(hs):
         k0 = next(i for i, c in enumerate(cs) if c)
         if k0:
             known.add(Fraction(0))
-        s = list(squarefree_part(IntPoly(cs[k0:])).coeffs)
+        s = _k.primitive_signed(cs[k0:])
         ivals = []
         if len(s) >= 2:
-            exacts, raw = vca_isolate_reference(s)
+            found = vca_isolate_reference(s, budgeted=True)
+            if found is None:
+                s = list(squarefree_part(IntPoly(s)).coeffs)
+                found = vca_isolate_reference(s)
+            exacts, raw = found
             ivals = _narrow_reference(s, exacts, raw)
             known.update(exacts)
         parts.append((cs[k0:], s, ivals))

@@ -22,7 +22,6 @@ from posring.realdec import (
     _overlap,
     _resolve_overlap,
     _shrink_to_exclude,
-    cauchy_root_bound,
     isolate_nonneg_roots,
     sign_at_root,
     uniform_sign_exists,
@@ -31,6 +30,7 @@ from posring.realdec import (
 from oracles import (
     EndpointIsRoot,
     RatPoly,
+    cauchy_root_bound,
     count_roots,
     isolate_nonneg_roots_reference,
     squarefree_part,
@@ -720,6 +720,11 @@ def test_integer_endpoints_match_fraction_reference_on_fixed_families():
     assert [owners for owners, *_ in got] == [(1,), (0,), (1,)]
     for seed in range(3):
         _assert_matches_fraction_reference(_wide_family(seed, 40 + 5 * seed))
+    # (2X + 1)^2 (3X - 4) is isolated on its primitive part, whose leading
+    # coefficient 12 narrows to width 1/4 where the squarefree part's 6
+    # would stop at 1/2
+    got = _assert_matches_fraction_reference([prod(P(1, 2), P(1, 2), P(-4, 3))])
+    assert [(lo, hi) for _, lo, hi, _ in got] == [(Fraction(5, 4), Fraction(3, 2))]
 
 
 # ------------------------------------------------- Bernstein subdivision
@@ -796,6 +801,119 @@ def test_bernstein_double_root_is_caught():
     for isolate in (realdec._vca_isolate, vca_isolate_reference):
         with pytest.raises(PostconditionFailed, match="double root"):
             isolate([4, -4, 1])
+    # with a squarefreeness test, the double root asks it first
+    assert realdec._vca_isolate([4, -4, 1], lambda: False) is None
+    assert vca_isolate_reference([4, -4, 1], budgeted=True) is None
+    with pytest.raises(PostconditionFailed, match="double root"):
+        realdec._vca_isolate([4, -4, 1], lambda: True)
+
+
+# ------------------------------------------- squarefreeness on demand
+
+
+def _isolate_counting_sqfree(hs):
+    """isolate_nonneg_roots, and for each _sqfree_data call the number of
+    de Casteljau splits made before it."""
+    calls, splits = [], [0]
+    sqfree, split = realdec._sqfree_data, _k.casteljau_split
+
+    def counted_sqfree(q):
+        calls.append(splits[0])
+        return sqfree(q)
+
+    def counted_split(b):
+        splits[0] += 1
+        return split(b)
+
+    with mock.patch.object(realdec, "_sqfree_data", counted_sqfree), \
+            mock.patch.object(_k, "casteljau_split", counted_split):
+        ivs = isolate_nonneg_roots(hs)
+    return ivs, calls
+
+
+def _assert_sturm_agrees(h, ivs):
+    # each interval holds one distinct root of h, they hold all of them,
+    # and multiplicity_free says whether gcd(h, h') vanishes there
+    s = _stripped_sqfree(h)
+    cs = list(h.coeffs)
+    g = IntPoly(_k.gcd(cs, _k.deriv(cs)))
+    for iv in ivs:
+        if iv.exact is not None:
+            assert _exact_sign(h, iv.exact) == 0
+            simple = _exact_sign(IntPoly(_k.deriv(cs)), iv.exact) != 0
+        else:
+            assert _count_half_open(s, iv.lo, iv.hi) == 1
+            simple = g.degree < 1 or count_roots(sturm_chain(g), iv.lo, iv.hi) == 0
+        assert iv.multiplicity_free == simple, (cs, iv)
+    assert len(ivs) == _indep_nonneg_count(s) + (order_at_zero(h) > 0)
+
+
+def test_multiple_roots_off_the_positive_axis_need_no_gcd():
+    # q has multiple roots, none positive: the tree on primitive(q) ends,
+    # and its intervals hold one simple root each
+    sq = lambda f: prod(f, f)  # noqa: E731
+    for h, exacts in ((prod(sq(P(1, 0, 1)), P(-2, 1)), [2]),
+                      (prod(sq(P(1, 1)), P(-3, 1)), [3]),
+                      (prod(sq(P(1, 1)), sq(P(1, 0, 1)), P(-3, 0, 1)), [None])):
+        ivs, calls = _isolate_counting_sqfree([h])
+        assert calls == []
+        assert [iv.exact for iv in ivs] == exacts
+        assert all(iv.multiplicity_free for iv in ivs)
+        _assert_sturm_agrees(h, ivs)
+        d = realdec._PolyData(list(h.coeffs))
+        assert d.s == list(h.coeffs) and d.gfac is None
+
+
+def test_multiple_irrational_root_falls_back_at_the_depth_budget():
+    # (X^2 - 2)^2 (X - 3): the nodes around sqrt(2) never drop below two
+    # sign variations, so the tree reaches the budget, the gcd runs once,
+    # and the squarefree part is isolated from scratch
+    h = prod(P(-2, 0, 1), P(-2, 0, 1), P(-3, 1))
+    ivs, calls = _isolate_counting_sqfree([h])
+    assert len(calls) == 1 and calls[0] >= realdec._SQFREE_DEPTH
+    assert [(iv.exact, iv.multiplicity_free) for iv in ivs] == [(None, False), (3, True)]
+    _assert_sturm_agrees(h, ivs)
+    d = realdec._PolyData(list(h.coeffs))
+    assert d.s == _k.mul([-2, 0, 1], [-3, 1]) and d.gfac == [-2, 0, 1]
+
+
+def test_double_midpoint_root_falls_back_at_once():
+    # (X - 1)^2: the second split lands on 1 with right_0 == right_1 == 0
+    h = P(1, -2, 1)
+    ivs, calls = _isolate_counting_sqfree([h])
+    assert len(calls) == 1 and calls[0] < realdec._SQFREE_DEPTH
+    assert [(iv.exact, iv.multiplicity_free) for iv in ivs] == [(1, False)]
+    _assert_sturm_agrees(h, ivs)
+
+
+def test_squarefree_part_only_where_the_tree_runs_deep():
+    # a dense degree-100 part ends well inside the budget; a part with the
+    # squared X^2 - 2 factor, as in the wide decide workload, needs exactly
+    # one gcd(q, q')
+    rng = random.Random(100)
+    cs = [rng.getrandbits(64) - (1 << 63) for _ in range(101)]
+    cs[0] = cs[0] or 1
+    ivs, calls = _isolate_counting_sqfree([IntPoly(cs)])
+    assert ivs and calls == []
+    h = prod(P(-7, -5, 2), P(-2, 0, 1), P(-2, 0, 1))
+    ivs, calls = _isolate_counting_sqfree([h])
+    assert len(calls) == 1
+    assert [iv.multiplicity_free for iv in ivs] == [False, True]
+    _assert_sturm_agrees(h, ivs)
+
+
+def test_squarefree_part_deeper_than_the_budget_goes_on():
+    # 1024/1025 and 1025/1026 lie about 2^-20 apart, so the tree splits
+    # past the budget; the gcd is 1, and the same tree goes on
+    h = prod(P(-1024, 1025), P(-1025, 1026), P(-3, 0, 1))
+    q = list(h.coeffs)
+    ivs, calls = _isolate_counting_sqfree([h])
+    assert len(calls) == 1 and calls[0] >= realdec._SQFREE_DEPTH
+    assert all(iv.multiplicity_free for iv in ivs)
+    _assert_sturm_agrees(h, ivs)
+    d = realdec._PolyData(q)
+    assert d.gfac is None and d.s == _k.primitive_signed(q)
+    assert realdec._vca_isolate(d.s) == realdec._vca_isolate(d.s, lambda: True)
 
 
 def test_one_taylor_shift_per_isolated_part():

@@ -245,18 +245,27 @@ def rational_feasibility(sys):
     """Exact feasible point of the system, or None.
 
     Phase-1 simplex: surplus variables on the >= rows, artificials
-    everywhere, minimizing the artificial sum.  The tableau and the
-    w-row hold integers, each D times the true entry, where D is the
-    last pivot (1 before the first): D is the determinant of the current
-    basis, so every stored entry is a minor of the integer input.  D > 0
-    throughout, because the ratio test only pivots on a > 0 and the new
-    D is D * a.  A pivot keeps the pivot row and maps every other row
-    (the w-row too) to (piv * row - f * pivot row) / D, a division that
-    is exact by Sylvester's identity (Edmonds, Bareiss 1968); a remainder
-    raises PostconditionFailed.  Bland's rule (smallest eligible index
-    in, smallest basic index out on ratio ties, ratios compared by cross
+    everywhere, minimizing the artificial sum.  The tableau holds
+    integers.  After a pivot, D, the pivot entry just used (1 before
+    the first), is the determinant of the current basis (Edmonds,
+    Bareiss 1968), and D > 0 throughout, because the ratio test only
+    pivots on a > 0 and the new D is D * a.  Row r is stored as
+    scale[r] times its true row, scale[r] being the D under which it
+    was last changed (1 at the start); the w-row is always D times its
+    true row.  A pivot leaves every row whose entry in the entering
+    column is 0 alone, as its true row does not change.  It brings the
+    leaving row up to D first (row * D / scale[leave]), then maps each
+    other row with entry f != 0 to (piv * row - f * pivot row) /
+    scale[r] and sets scale[r] = piv, the new D; the w-row is mapped
+    the same way, dividing by D.  Each result is a determinant times a
+    true row, a minor of the integer input, so the division is exact by
+    Sylvester's identity; a remainder raises PostconditionFailed.  A
+    positive row scale changes neither the sign test nor the ratio
+    comparison, so the pivots are those of the tableau scaled by D
+    throughout.  Bland's rule (smallest eligible index in, smallest
+    basic index out on ratio ties, ratios compared by cross
     multiplication) rules out cycling.  Returns the structural variable
-    values only, each basic one as Fraction(rhs, D).
+    values only, each basic one as Fraction(rhs, scale[r]).
     """
     nv = sys.n * (sys.degree + 1)
     ns = len(sys.ge)
@@ -270,6 +279,7 @@ def rational_feasibility(sys):
     # w-row for minimizing the artificial sum: w + sum_j W[j] x_j = Wrhs
     W = [sum(r[j] for r in rows) for j in range(ncols + 1)]
     basis = [ncols + i for i in range(m)]  # virtual artificial ids
+    scale = [1] * m
     den = 1
     while True:
         enter = next((j for j in range(ncols) if W[j] > 0), None)
@@ -290,19 +300,23 @@ def rational_feasibility(sys):
         if leave is None:
             raise PostconditionFailed("phase-1 objective is unbounded")
         prow = rows[leave]
+        if scale[leave] != den:
+            prow = rows[leave] = _pivot_row(prow, prow, 0, den, scale[leave])
         piv = prow[enter]
         for r in range(m):
-            if r != leave:
-                rows[r] = _pivot_row(rows[r], prow, rows[r][enter], piv, den)
+            f = rows[r][enter]
+            if f and r != leave:
+                rows[r] = _pivot_row(rows[r], prow, f, piv, scale[r])
+                scale[r] = piv
         W = _pivot_row(W, prow, W[enter], piv, den)
-        den = piv
+        den = scale[leave] = piv
         basis[leave] = enter
     if W[ncols] != 0:
         return None
     x = [Fraction(0)] * nv
     for r, bv in enumerate(basis):
         if bv < nv:
-            x[bv] = Fraction(rows[r][ncols], den)
+            x[bv] = Fraction(rows[r][ncols], scale[r])
     return x
 
 

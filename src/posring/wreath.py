@@ -13,6 +13,12 @@ nonzero h_ij plus one.  The generated semigroup is a group exactly when
 M has full projections onto I and J, and the identity lies in it
 exactly when M is nonempty.
 
+One generator set gets one analysis: M, and the witness on M when a
+group verdict or a word needs one.  Each is memoized for the last
+generator set asked about only, and holds an immutable value, so
+is_group, identity_in_semigroup and identity_witness_word asked in turn
+about one set share a single run of the decide rounds and the LP.
+
 Identity words are synthesized from a witness (f_ij) on M itself, the
 one the group test's LP finds: a zigzag base word realizes the two
 pivot pairs' geometric blocks, and each remaining coefficient c X**k of
@@ -25,6 +31,7 @@ exact multiplication before it is returned.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import BadIndex, InvalidWitness, LengthMismatch, PostconditionFailed
@@ -230,9 +237,21 @@ def _projections(pairs):
     return {i for i, _ in pairs}, {j for _, j in pairs}
 
 
-def _witness_on(hij, support, degree_cap):
-    # find_witness on the normalized h_ij of the maximal solvable support
-    hs, _ = laurent_normalize([hij[p] for p in support])
+# The two steps of the analysis, each a one-entry memo keyed by the
+# frozen GeneratorSet.  M's elimination rounds, once recorded, belong
+# in _support's entry beside M.
+@lru_cache(maxsize=1)
+def _support(gens):
+    """M for gens, as _maximal_support returns it."""
+    hij = build_hij(gens)
+    return _maximal_support(hij, hij)
+
+
+@lru_cache(maxsize=1)
+def _witness(gens, degree_cap):
+    """find_witness on the normalized h_ij of M, or None past degree_cap."""
+    hij = build_hij(gens)
+    hs, _ = laurent_normalize([hij[p] for p in _support(gens)])
     return find_witness(hs, degree_cap)
 
 
@@ -242,24 +261,26 @@ def is_group(gens, degree_cap=DEGREE_CAP):
     True iff the maximal solvable support M has full projections; then
     M is returned as the cover, together with a witness on M when the
     search finds one within degree_cap.  Without a generator on each
-    side no nonempty word has height 0, so False.
+    side no nonempty word has height 0, so False, and no witness is
+    searched for.  M and the witness are memoized for the last
+    generator set asked about, so identity_in_semigroup and
+    identity_witness_word on the same gens reuse this analysis.
     """
-    hij = build_hij(gens)
-    support = _maximal_support(hij, hij)
+    support = _support(gens)
     rows, cols = _projections(support)
     if not support or len(rows) < len(gens.plus) or len(cols) < len(gens.minus):
         return False, None
-    return True, (CoverSubset(support), _witness_on(hij, support, degree_cap))
+    return True, (CoverSubset(support), _witness(gens, degree_cap))
 
 
 def identity_in_semigroup(gens):
     """True iff the identity is a product of a nonempty generator word.
 
     Equivalent to some nonempty subset of the generators generating a
-    group, that is, to a nonempty maximal solvable support.
+    group, that is, to a nonempty maximal solvable support.  Reads the
+    memoized M; never searches for a witness.
     """
-    hij = build_hij(gens)
-    return bool(_maximal_support(hij, hij))
+    return bool(_support(gens))
 
 
 def identity_witness_word(gens, degree_cap=DEGREE_CAP):
@@ -268,13 +289,15 @@ def identity_witness_word(gens, degree_cap=DEGREE_CAP):
     The verdict is identity_in_semigroup's.  The word is synthesized on
     the maximal solvable support M from the witness find_witness gives
     on M, the one is_group reports; word is None when that search hits
-    degree_cap first.
+    degree_cap first.  M and the witness come from the same one-entry
+    memo as is_group's, so asking both about one generator set costs
+    one analysis; the word itself is synthesized and checked by exact
+    multiplication on every call.
     """
-    hij = build_hij(gens)
-    support = _maximal_support(hij, hij)
+    support = _support(gens)
     if not support:
         return False, None
-    witness = _witness_on(hij, support, degree_cap)
+    witness = _witness(gens, degree_cap)
     if witness is None:
         return True, None
     return True, synthesize_identity_word(gens, CoverSubset(support), witness)

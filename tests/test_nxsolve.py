@@ -250,6 +250,41 @@ def test_integer_tableau_matches_fraction_reference(hs, d):
         assert all(type(v) is Fraction for v in got)
 
 
+# SHIFT_PAIR at degree 3 takes 10 pivots over m = 7 rows, and at one of
+# them the leaving row was last changed under an older determinant
+SHIFT3 = nx.build_feasibility(SHIFT_PAIR, 3)
+SHIFT3_PIVOTS = 10
+
+
+def _counting_pivot_rows(monkeypatch):
+    # one entry per _pivot_row call: True when it refreshes a row in place
+    calls = []
+    real = nx._pivot_row
+
+    def counted(row, prow, f, piv, den):
+        calls.append(row is prow)
+        return real(row, prow, f, piv, den)
+
+    monkeypatch.setattr(nx, "_pivot_row", counted)
+    return calls
+
+
+def test_stale_leaving_row_is_refreshed(monkeypatch):
+    calls = _counting_pivot_rows(monkeypatch)
+    got = nx.rational_feasibility(SHIFT3)
+    assert any(calls)
+    assert got == rational_feasibility_reference(SHIFT3)
+    assert got == [1, Fraction(1, 2), 0, 0, Fraction(1, 2), Fraction(1, 2), 0, 0]
+
+
+def test_pivots_skip_rows_they_leave_unchanged(monkeypatch):
+    # every other row plus the w-row would be m calls per pivot
+    calls = _counting_pivot_rows(monkeypatch)
+    nx.rational_feasibility(SHIFT3)
+    m = len(SHIFT3.eq) + len(SHIFT3.ge)
+    assert len(calls) < (m - 1) * SHIFT3_PIVOTS
+
+
 def test_pivot_row_division_is_exact():
     # 2 * [3, 4] - 1 * [2, 2] = [4, 6] over 2
     assert nx._pivot_row([3, 4], [2, 2], 1, 2, 2) == [2, 3]

@@ -45,6 +45,20 @@ laurents = st.builds(
 )
 
 
+def _forget_analysis():
+    wr._support.cache_clear()
+    wr._witness.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_analysis():
+    # M and the witness on M are memoized per generator set; a test that
+    # patches decide or the LP must see them run
+    _forget_analysis()
+    yield
+    _forget_analysis()
+
+
 def _expand(entries):
     """A word's letters with every power (loop, count) written out."""
     out = []
@@ -367,6 +381,8 @@ def test_witnesses_match_fraction_lp_on_cover_oracle_grids(monkeypatch):
     fast = answers()
     assert sum(word is not None for _, (_, word) in fast) > 40
     monkeypatch.setattr(nx, "rational_feasibility", rational_feasibility_reference)
+    # the memo holds the last grid's witness from the integer tableau
+    _forget_analysis()
     assert answers() == fast
 
 
@@ -401,6 +417,76 @@ def test_five_by_five_verdicts(monkeypatch):
     found, word = wr.identity_witness_word(row)
     assert found and wr.word_product(row, word) == wr.WreathElement.identity()
     assert {side for side, i in _expand(word.letters) if i > 1} <= {B}
+
+
+# ------------------------------------------------------- shared analysis
+
+# cleared h_ij = i + a_j X with a = (-1, 2): M is all four pairs
+SMALL_GROUP = wr.GeneratorSet((L([0]), L([1])), (L([-1]), L([2])))
+# M is row 1 alone: identity but no group
+ROW_ONLY = wr.GeneratorSet((L([0]), L([1])), (L([1, -1]), L([-2, 2])))
+
+
+def _counting_analysis(monkeypatch):
+    """Counter of calls to wreath's decide ("decide") and the LP ("lp")."""
+    counts = Counter()
+    real_decide, real_lp = wr.decide, nx.rational_feasibility
+
+    def decide_(*args, **kwargs):
+        counts["decide"] += 1
+        return real_decide(*args, **kwargs)
+
+    def lp(*args, **kwargs):
+        counts["lp"] += 1
+        return real_lp(*args, **kwargs)
+
+    monkeypatch.setattr(wr, "decide", decide_)
+    monkeypatch.setattr(nx, "rational_feasibility", lp)
+    return counts
+
+
+def test_group_then_word_costs_one_analysis(monkeypatch):
+    counts = _counting_analysis(monkeypatch)
+    found, word = wr.identity_witness_word(SMALL_GROUP)
+    alone = dict(counts)
+    assert found and alone["decide"] >= 1 and alone["lp"] >= 1
+    _forget_analysis()
+    counts.clear()
+    ok, (cover, witness) = wr.is_group(SMALL_GROUP)
+    assert ok and witness is not None
+    assert wr.identity_witness_word(SMALL_GROUP) == (found, word)
+    assert dict(counts) == alone
+
+
+def test_identity_verdict_reuses_either_analysis(monkeypatch):
+    counts = _counting_analysis(monkeypatch)
+    for first in (wr.is_group, wr.identity_witness_word):
+        _forget_analysis()
+        first(SMALL_GROUP)
+        counts.clear()
+        assert wr.identity_in_semigroup(SMALL_GROUP) is True
+        assert counts["decide"] == 0 and counts["lp"] == 0
+
+
+def test_non_group_runs_no_lp(monkeypatch):
+    counts = _counting_analysis(monkeypatch)
+    assert wr.is_group(ROW_ONLY) == (False, None)
+    assert wr.identity_in_semigroup(ROW_ONLY) is True
+    assert counts["decide"] >= 1 and counts["lp"] == 0
+    found, word = wr.identity_witness_word(ROW_ONLY)
+    assert found and wr.word_product(ROW_ONLY, word) == wr.WreathElement.identity()
+    assert counts["lp"] >= 1
+
+
+def test_analysis_memo_holds_one_generator_set(monkeypatch):
+    counts = _counting_analysis(monkeypatch)
+    wr.identity_witness_word(SMALL_GROUP)
+    alone = dict(counts)
+    wr.identity_witness_word(ROW_ONLY)
+    counts.clear()
+    # ROW_ONLY displaced SMALL_GROUP, so its analysis runs again in full
+    wr.identity_witness_word(SMALL_GROUP)
+    assert dict(counts) == alone
 
 
 def test_exhaustive_search_finds_shortest():

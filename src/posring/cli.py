@@ -177,26 +177,13 @@ def problem_to_json(pf):
     return {"wreath": {"generators": entries}}
 
 
-def emit_output(report, fmt="json"):
-    """Serialize a report dict; text mode renders flat 'key: value' lines."""
-    if fmt == "json":
-        return (json.dumps(report, indent=2) + "\n").encode("ascii")
-    lines = []
-    for key, value in report.items():
-        lines.append("%s: %s" % (key, _text_value(value)))
-    return ("\n".join(lines) + "\n").encode("ascii")
+def emit_output(report):
+    """Serialize a report dict as indented ASCII JSON."""
+    return (json.dumps(report, indent=2) + "\n").encode("ascii")
 
 
-def _text_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    if isinstance(value, (list, tuple)):
-        return " ".join(_text_value(v) for v in value)
-    if isinstance(value, dict):
-        return json.dumps(value)
-    return str(value)
+def _text_value(flag):
+    return "true" if flag else "false"
 
 
 # ------------------------------------------------------------- commands
@@ -334,7 +321,7 @@ def cmd_wreath(args):
 
 def _write_report(args, report, lines):
     if args.fmt == "json":
-        sys.stdout.buffer.write(emit_output(report, "json"))
+        sys.stdout.buffer.write(emit_output(report))
     else:
         sys.stdout.write("\n".join(lines) + "\n")
     sys.stdout.flush()

@@ -23,12 +23,13 @@ shift per polynomial, then one addition-only de Casteljau pass per
 split).  Descartes' bound counts roots with multiplicity, so that tree
 ends as it would on the squarefree part unless q has a multiple root on
 or near the positive axis.  Only when the tree runs deep, or meets a
-double root at a split point, is gcd(q, q') computed; s is then the
-squarefree part, unless q proves squarefree and the tree just goes on.
-Intervals are refined by sign changes of s.  Squarefreeness and
-coprimality are certified modulo a prime whenever possible; the exact
-subresultant gcd only runs when the modular certificate fails, which
-keeps large random inputs cheap.
+double root at a split point, does it give up; then gcd(q, q') is
+computed, and a tree with no budget runs on the squarefree part s
+(primitive(q) again when q proves squarefree).  Intervals are refined
+by sign changes of s.  Squarefreeness and coprimality are certified
+modulo a prime whenever possible; the exact subresultant gcd only runs
+when the modular certificate fails, which keeps large random inputs
+cheap.
 
 Every endpoint isolation touches is dyadic, so an interval is kept as
 integers (a, b, k) for (a/2^k, b/2^k].  A bisection step evaluates s at
@@ -37,14 +38,16 @@ two intervals compare at the larger exponent, by shifts.  Fractions are
 left for exact roots, which need not be dyadic (1/3 from 3X - 1), and
 for ``IsolatingInterval.lo`` and ``hi`` at the public boundary.
 
-Isolation leaves every interval dyadic-root-free: each is narrowed
-once, before any refinement, until it is at most 2^-v wide, v the
-number of times 2 divides lc(s), and s is nonzero at both ends.  A
-dyadic root a/2^j of s in lowest terms needs 2^j to divide lc(s), so it
-is a multiple of 2^-v and never strictly inside an aligned dyadic
-interval that narrow: the root inside is not dyadic, and no later
-bisection midpoint, which is dyadic, can land on a root of s.  Every
-dyadic root comes out exact on the way.
+Isolation leaves every interval dyadic-root-free: the tree narrows each
+leaf as it emits it, before any refinement, until it is at most 2^-v
+wide, v the number of times 2 divides lc(s), and s is nonzero at both
+ends; the leaf's first Bernstein coefficient gives the sign of s just
+right of lo, and the splits tell which ends are roots.  A dyadic root
+a/2^j of s in lowest terms needs 2^j to divide lc(s), so it is a
+multiple of 2^-v and never strictly inside an aligned dyadic interval
+that narrow: the root inside is not dyadic, and no later bisection
+midpoint, which is dyadic, can land on a root of s.  Every dyadic root
+comes out exact on the way.
 
 ``sign_at_root`` refines an interval by a derivative bound; it serves
 as the independent re-check of a certificate, not the scan.
@@ -126,16 +129,9 @@ class IsolatingInterval:
         )
 
 
-def _num_den(t):
-    if not isinstance(t, Fraction):
-        t = Fraction(t)
-    return t.numerator, t.denominator
-
-
 def _ev(cs, t):
-    # integer with the sign of (poly cs)(t)
-    n, d = _num_den(t)
-    return _k.eval_scaled(cs, n, d)
+    # integer with the sign of (poly cs)(t), t an int or a Fraction
+    return _k.eval_scaled(cs, t.numerator, t.denominator)
 
 
 def _sgn(v):
@@ -146,18 +142,18 @@ def _sgn(v):
 # isolation internals
 
 
-# A tree on primitive(q) that splits a node this deep is the only one
-# that pays for gcd(q, q').  A multiple positive root of q keeps every
-# node around it at two or more sign variations, so that tree never
-# ends; on a squarefree q it ends where the roots separate.  Measured
-# over every part the decide calls of perfbench's dense_decide,
-# wide_decide and wreath_grid pools isolate (215, 2124 and 1498 parts):
-# the deepest split in a squarefree part is at depth 8; of the 268
-# non-squarefree wide_decide parts, 258 still split past depth 200, 9
-# meet a double midpoint root and 1 ends at once; all 10 non-squarefree
-# wreath_grid parts meet a double root or end at once.  16 leaves room
-# above 8, and a squarefree part that runs deeper only pays the gcd it
-# always paid before this budget existed.
+# A budgeted tree on primitive(q) gives up at the split of a node this
+# deep, and only then is gcd(q, q') paid for.  A multiple positive root
+# of q keeps every node around it at two or more sign variations, so
+# that tree never ends; on a squarefree q it ends where the roots
+# separate.  Measured over every part the decide calls of perfbench's
+# dense_decide, wide_decide and wreath_grid pools isolate (215, 2124 and
+# 1498 parts): the deepest split in a squarefree part is at depth 8; of
+# the 268 non-squarefree wide_decide parts, 258 still split past depth
+# 200, 9 meet a double midpoint root and 1 ends at once; all 10
+# non-squarefree wreath_grid parts meet a double root or end at once.
+# 16 leaves room above 8, and a squarefree part that runs deeper pays
+# for the gcd and a second tree.
 _SQFREE_DEPTH = 16
 
 
@@ -193,23 +189,22 @@ def _unx_weights(n):
     return tuple(m // (k + 1) for k in range(n))
 
 
-def _vca_isolate(s, squarefree=None):
+def _vca_isolate(s, budgeted=False):
     """Positive roots of s with s(0) != 0, deg >= 1, each simple in s.
 
     Returns (exacts, intervals), the exacts as Fractions and each
-    interval as an integer triple (a, b, k) for (a/2^k, b/2^k]: it holds
-    exactly one root, strictly inside and simple, so the signs of s at
-    the two endpoints differ.
+    interval as (a, b, k, slo) for (a/2^k, b/2^k]: it holds exactly one
+    root, strictly inside and simple, it is dyadic-root-free (see the
+    module doc), and slo is the sign of s at a/2^k, opposite to the sign
+    at b/2^k.
 
-    Without ``squarefree``, s must be squarefree.  With it, s may have
-    multiple roots, and ``squarefree()`` says whether it has none.  It is
-    called at most once: at the first split of a node _SQFREE_DEPTH deep,
-    or at the first double root on a split point.  If it returns True the
-    same tree goes on with no budget; if False, _vca_isolate returns None.
-    A tree that ends before either event needs no call: Descartes' bound
-    counts roots with multiplicity, so a leaf with one sign variation
-    holds one simple root, and a split-point root with right_1 != 0 is
-    simple.
+    Unless ``budgeted``, s must be squarefree.  A budgeted tree admits
+    any s and gives up, returning None, at the first split of a node
+    _SQFREE_DEPTH deep or at the first double root on a split point.  A
+    tree that ends before either event is right on any s: Descartes'
+    bound counts roots with multiplicity, so a leaf with one sign
+    variation holds one simple root, and a split-point root with
+    right_1 != 0 is simple.
 
     Each node of the bisection tree is a subinterval, mapped onto (0, 1)
     as q = sum b_i C(n, i) x^i (1 - x)^(n - i), and kept as a positive
@@ -222,7 +217,14 @@ def _vca_isolate(s, squarefree=None):
     A root at the midpoint shows as right_0 == 0; it is divided out of
     the right child, whose degree n - 1 coefficients are
     b_(k+1) n / (k + 1).  A zero right_1 as well makes the root double,
-    which raises PostconditionFailed once s is known to be squarefree.
+    which raises PostconditionFailed in an unbudgeted tree.
+
+    A one-variation leaf is narrowed as it is emitted, from what the
+    tree knows: b_0 has the sign of the node's polynomial at lo, which
+    is the sign of s just right of lo, since a root at lo has been
+    divided out; hi is a root exactly when b_n == 0; and lo is a root
+    exactly when the node descends by left children only from the right
+    child of a split on a root.
     """
     if len(s) == 2:
         r = Fraction(-s[0], s[1])
@@ -236,71 +238,52 @@ def _vca_isolate(s, squarefree=None):
     n = len(p0) - 1
     t = _k.shift1(p0[::-1])
     w = _bernstein_weights(n)
+    # 2^v divides lc(s): leaves are narrowed to width 2^-v
+    v = (s[-1] & -s[-1]).bit_length() - 1
     exacts = []
     ivals = []
-    stack = [(0, 0, _k.strip2([t[n - i] * w[i] for i in range(n + 1)]))]
+    # (c, k, b_i, whether lo is a root of s)
+    stack = [(0, 0, _k.strip2([t[n - i] * w[i] for i in range(n + 1)]), False)]
     while stack:
-        c, k, b = stack.pop()
-        v = _k.sign_variations(b)
-        if v == 0:
+        c, k, bs, lo_root = stack.pop()
+        var = _k.sign_variations(bs)
+        if var == 0:
             continue
-        if v == 1:
-            # the node is (c 2^K / 2^k, (c + 1) 2^K / 2^k]
+        if var == 1:
+            # the node is (c 2^K / 2^k, (c + 1) 2^K / 2^k]: halve it until
+            # it is at most 2^-v wide and s is nonzero at both ends; a
+            # midpoint that lands on the root joins exacts instead
+            slo, hi_root = _sgn(bs[0]), bs[-1] == 0
             e = k - K
-            ivals.append((c, c + 1, e) if e >= 0 else (c << -e, (c + 1) << -e, 0))
+            a, b, k = (c, c + 1, e) if e >= 0 else (c << -e, (c + 1) << -e, 0)
+            while (b - a) << v > 1 << k or lo_root or hi_root:
+                m, k = a + b, k + 1
+                vm = _k.eval_scaled(s, m, 1 << k)
+                if vm == 0:
+                    exacts.append(Fraction(m, 1 << k))
+                    break
+                if _sgn(vm) != slo:
+                    a, b, hi_root = a << 1, m, False
+                else:
+                    a, b, lo_root = m, b << 1, False
+            else:
+                ivals.append((a, b, k, slo))
             continue
-        if squarefree is not None and k >= _SQFREE_DEPTH:
-            if not squarefree():
-                return None
-            squarefree = None
-        left, right = _k.casteljau_split(b)
+        if budgeted and k >= _SQFREE_DEPTH:
+            return None
+        left, right = _k.casteljau_split(bs)
         right = _k.strip2(right)
-        if right[0] == 0:
+        mid_root = right[0] == 0
+        if mid_root:
             if right[1] == 0:
-                if squarefree is not None and not squarefree():
+                if budgeted:
                     return None
                 raise PostconditionFailed("squarefree part has a double root")
             exacts.append(Fraction((2 * c + 1) << K, 2 << k))
-            right = _k.strip2([x * f for x, f in zip(right[1:], _unx_weights(len(b) - 1))])
-        stack.append((2 * c, k + 1, _k.strip2(left)))
-        stack.append((2 * c + 1, k + 1, right))
+            right = _k.strip2([x * f for x, f in zip(right[1:], _unx_weights(len(bs) - 1))])
+        stack.append((2 * c, k + 1, _k.strip2(left), lo_root))
+        stack.append((2 * c + 1, k + 1, right, mid_root))
     return exacts, ivals
-
-
-def _dyadic_free(s, exacts, ivals):
-    """Make the raw intervals of s dyadic-root-free (see the module doc).
-
-    Each is halved until it is at most 2^-v wide, v the number of times 2
-    divides lc(s), and s is nonzero at both ends.  A midpoint that lands
-    on the interval's root joins ``exacts``, and the interval is dropped.
-    Returns the others as (a, b, k, slo), slo the sign of s at a/2^k.
-    """
-    lc = s[-1]
-    v = (lc & -lc).bit_length() - 1
-    # a raw end is 0 or the root bound 2^K, where s is nonzero, or a split
-    # point, where _vca_isolate finds every root: these are the root ends
-    roots = set(exacts)
-    out = []
-    for a, b, k in ivals:
-        lo_root = hi_root = False
-        if roots:
-            lo_root, hi_root = Fraction(a, 1 << k) in roots, Fraction(b, 1 << k) in roots
-        # a root at lo is simple in s, so s has the sign of s'(lo) just
-        # right of lo
-        slo = _sgn(_k.eval_scaled(_k.deriv(s) if lo_root else s, a, 1 << k))
-        while (b - a) << v > 1 << k or lo_root or hi_root:
-            m, k = a + b, k + 1
-            vm = _k.eval_scaled(s, m, 1 << k)
-            if vm == 0:
-                exacts.append(Fraction(m, 1 << k))
-                break
-            if _sgn(vm) != slo:
-                a, b, hi_root = a << 1, m, False
-            else:
-                a, b, lo_root = m, b << 1, False
-        else:
-            out.append((a, b, k, slo))
-    return out
 
 
 class _PolyData:
@@ -314,22 +297,19 @@ class _PolyData:
         self.k0 = k0
         self.q = cs[k0:]
         if len(self.q) >= 2:
-            # s, the representative: primitive(q), or q's squarefree part
-            # when isolation had to compute gcd(q, q') and found it not 1;
-            # gfac is then that gcd
+            # s, the representative: primitive(q) when the budgeted tree
+            # on it ends; else the tree gave up, and s is q's squarefree
+            # part, isolated again (primitive(q) when gcd(q, q') is 1),
+            # with gfac that gcd when it is not 1
             self.s, self.gfac = _k.primitive_signed(self.q), None
-            found = _vca_isolate(self.s, self._squarefree)
+            found = _vca_isolate(self.s, budgeted=True)
             if found is None:
+                self.s, self.gfac = _sqfree_data(self.q)
                 found = _vca_isolate(self.s)
-            self.exacts, ivals = found
-            self.ivals = _dyadic_free(self.s, self.exacts, ivals)
+            self.exacts, self.ivals = found
         else:
             self.s, self.gfac = self.q, None
             self.exacts, self.ivals = [], []
-
-    def _squarefree(self):
-        self.s, self.gfac = _sqfree_data(self.q)
-        return self.gfac is None
 
 
 class _IvalCluster:
@@ -441,7 +421,8 @@ def _build_clusters(data):
             # root that is not dyadic, such as 1/3 from 3X - 1, and no
             # bisection excludes it
             inside = [r for p, q, r in ordered_pq if a * q < p << k <= b * q]
-            if any(_ev(d.s, r) == 0 for r in inside):
+            # r > 0, and s has the positive roots of input i
+            if any(i in exact_owned[r] for r in inside):
                 continue
             c = _IvalCluster(a, b, k, {i: d.s}, slo)
             for r in inside:
@@ -590,8 +571,7 @@ def sign_at_root(q, root):
     dbound = sum(abs(c) * hi ** i for i, c in enumerate(dq))
     while True:
         m = (lo + hi) / 2
-        n, d = _num_den(m)
-        qm = Fraction(_k.eval_scaled(qcs, n, d), d ** (len(qcs) - 1))
+        qm = Fraction(_ev(qcs, m), m.denominator ** (len(qcs) - 1))
         if abs(qm) > dbound * (hi - lo):
             return _sgn(qm)
         lo, hi = narrow(lo, hi)

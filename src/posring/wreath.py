@@ -38,7 +38,6 @@ from .errors import BadIndex, InvalidWitness, LengthMismatch, PostconditionFaile
 from .nxsolve import (
     DEGREE_CAP,
     SOLVABLE,
-    UNIFORM_SIGN_AT_ZERO,
     decide,
     find_witness,
     verify_witness,
@@ -208,9 +207,10 @@ def _maximal_support(hij, pairs):
     are positive at the certificate's sample t > 0, so every reduced
     h'_ij(t) there is 0: a pair with a nonzero sign is in no solvable
     support (a lone nonzero h_ij, whose sample may be 0, never cancels
-    at all).  A UniformSignAtZero verdict stays strict for small t > 0
-    and drops every nonzero pair.  Zero h_ij are always kept.  The loop
-    ends on a Solvable set or an empty one, after at most (nonzero
+    at all).  A UniformSignAtZero sample is 0, but its signs are all
+    strict, and strict signs at 0 stay strict for small t > 0, so the
+    same rule drops every nonzero pair.  Zero h_ij are always kept.  The
+    loop ends on a Solvable set or an empty one, after at most (nonzero
     pairs + 1) decide calls.
     """
     live = tuple(sorted(pairs))
@@ -220,13 +220,10 @@ def _maximal_support(hij, pairs):
         if verdict.status == SOLVABLE:
             return live
         nonzero = [p for p, h in zip(live, hs) if not h.is_zero]
-        if verdict.unsolvable_reason == UNIFORM_SIGN_AT_ZERO:
-            drop = set(nonzero)
-        else:
-            signs = verdict.certificate.sign_vector.signs
-            if len(signs) != len(nonzero):
-                raise PostconditionFailed("certificate signs miss nonzero h_ij")
-            drop = {p for p, s in zip(nonzero, signs) if s}
+        signs = verdict.certificate.sign_vector.signs
+        if len(signs) != len(nonzero):
+            raise PostconditionFailed("certificate signs miss nonzero h_ij")
+        drop = {p for p, s in zip(nonzero, signs) if s}
         if not drop:
             raise PostconditionFailed("an Unsolvable round dropped no pair")
         live = tuple(p for p in live if p not in drop)

@@ -3,9 +3,12 @@
 Sturm chains over Q[X] count distinct real roots exactly, and
 ``squarefree_part`` reduces a polynomial by the exact gcd with its
 derivative.  posring itself isolates roots with Descartes bisection in
-the Bernstein basis; ``vca_isolate_reference`` is the same bisection on
-monomial coefficients, three integer Taylor shifts per split, whose
-tree, exact roots and intervals it must match in order, and
+the Bernstein basis and narrows each leaf as the tree emits it;
+``vca_isolate_reference`` is the same bisection on monomial
+coefficients, three integer Taylor shifts per split, and
+``_narrow_reference`` narrows its intervals afterwards, reading each
+sign at lo by evaluation, so the two together must give posring's exact
+roots and, in order, its intervals and signs at lo;
 ``isolate_nonneg_roots_reference`` repeats posring's bisections on
 Fraction endpoints, which its integer ones must match exactly.
 ``rational_feasibility_reference`` is the phase-1
@@ -301,9 +304,8 @@ def isolate_nonneg_roots_reference(hs):
     computed on Fraction endpoints.
 
     Each input's roots are isolated on its primitive part when the
-    budgeted tree on that ends, else on its squarefree part.  When the
-    input is squarefree the two are equal, so where posring certifies
-    squarefreeness and goes on with the same tree the results agree.
+    budgeted tree on that ends, else on its squarefree part, as posring
+    does.
 
     The bisections are posring's own, in the same order, so the
     intervals must agree exactly: each raw interval is narrowed until it

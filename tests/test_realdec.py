@@ -30,6 +30,7 @@ from posring.realdec import (
 from oracles import (
     EndpointIsRoot,
     RatPoly,
+    _narrow_reference,
     cauchy_root_bound,
     count_roots,
     isolate_nonneg_roots_reference,
@@ -741,10 +742,30 @@ def _parts(hs):
 
 
 def _assert_vca_matches_reference(s):
+    # the reference narrows its raw intervals afterwards and reads each
+    # sign at lo by evaluation; the tree narrows each leaf as it emits it
+    # and reads that sign off b_0, so exact roots come out in another order
     exacts, ivals = realdec._vca_isolate(s)
-    got = exacts, [(Fraction(a, 1 << k), Fraction(b, 1 << k)) for a, b, k in ivals]
-    assert got == vca_isolate_reference(s), s
+    got = sorted(exacts), [(Fraction(a, 1 << k), Fraction(b, 1 << k), slo)
+                           for a, b, k, slo in ivals]
+    ref_exacts, raw = vca_isolate_reference(s)
+    ref_ivals = _narrow_reference(s, ref_exacts, raw)
+    assert got == (sorted(ref_exacts), ref_ivals), s
     return got
+
+
+def _counting_evals(fn, *args):
+    """fn(*args), and the number of eval_scaled calls it made."""
+    calls = [0]
+    eval_scaled = _k.eval_scaled
+
+    def counted(*a):
+        calls[0] += 1
+        return eval_scaled(*a)
+
+    with mock.patch.object(_k, "eval_scaled", counted):
+        out = fn(*args)
+    return out, calls[0]
 
 
 def _dense_part(seed):
@@ -791,9 +812,12 @@ def test_bernstein_matches_monomial_reference_on_dyadic_roots():
     assert hits >= 20, hits
     # 4 is a midpoint, and a complex pair sits near 6.25 next to the root
     # 55/8: keeping the zero instead of dividing it out leaves a factor
-    # that hides two sign variations, and isolation stops at (6, 7]
+    # that hides two sign variations, and the leaf is (6, 7], not
+    # (13/2, 7]; narrowing then meets 55/8 at the third midpoint, not the
+    # second
     s = _k.mul(_k.mul([-4, 1], [-55, 8]), [627, -200, 16])
-    assert _assert_vca_matches_reference(s) == ([4], [(Fraction(13, 2), 7)])
+    assert _counting_evals(realdec._vca_isolate, s) == (([4, Fraction(55, 8)], []), 2)
+    _assert_vca_matches_reference(s)
 
 
 def test_bernstein_double_root_is_caught():
@@ -801,11 +825,9 @@ def test_bernstein_double_root_is_caught():
     for isolate in (realdec._vca_isolate, vca_isolate_reference):
         with pytest.raises(PostconditionFailed, match="double root"):
             isolate([4, -4, 1])
-    # with a squarefreeness test, the double root asks it first
-    assert realdec._vca_isolate([4, -4, 1], lambda: False) is None
+    # a budgeted tree gives up there instead
+    assert realdec._vca_isolate([4, -4, 1], budgeted=True) is None
     assert vca_isolate_reference([4, -4, 1], budgeted=True) is None
-    with pytest.raises(PostconditionFailed, match="double root"):
-        realdec._vca_isolate([4, -4, 1], lambda: True)
 
 
 # ------------------------------------------- squarefreeness on demand
@@ -902,18 +924,38 @@ def test_squarefree_part_only_where_the_tree_runs_deep():
     _assert_sturm_agrees(h, ivs)
 
 
-def test_squarefree_part_deeper_than_the_budget_goes_on():
+def test_squarefree_part_deeper_than_the_budget_is_isolated_again():
     # 1024/1025 and 1025/1026 lie about 2^-20 apart, so the tree splits
-    # past the budget; the gcd is 1, and the same tree goes on
+    # past the budget and gives up; the gcd is 1, and primitive(q) is
+    # isolated again, from a second Taylor shift, with no budget
     h = prod(P(-1024, 1025), P(-1025, 1026), P(-3, 0, 1))
     q = list(h.coeffs)
-    ivs, calls = _isolate_counting_sqfree([h])
+    shifts = [0]
+    shift1 = _k.shift1
+
+    def counted(p):
+        shifts[0] += 1
+        return shift1(p)
+
+    with mock.patch.object(_k, "shift1", counted):
+        ivs, calls = _isolate_counting_sqfree([h])
     assert len(calls) == 1 and calls[0] >= realdec._SQFREE_DEPTH
+    assert shifts[0] == 2
     assert all(iv.multiplicity_free for iv in ivs)
     _assert_sturm_agrees(h, ivs)
     d = realdec._PolyData(q)
     assert d.gfac is None and d.s == _k.primitive_signed(q)
-    assert realdec._vca_isolate(d.s) == realdec._vca_isolate(d.s, lambda: True)
+    assert realdec._vca_isolate(d.s, budgeted=True) is None
+    assert d.ivals == realdec._vca_isolate(d.s)[1]
+
+
+def test_narrowing_reads_the_sign_at_lo_from_the_tree():
+    # X^2 - 3X + 1 has a root in each of the leaves (0, 2] and (2, 4],
+    # and lc = 1 narrows them to width 1: one halving each, and no
+    # evaluation for either sign at lo, which is b_0's
+    d, calls = _counting_evals(realdec._PolyData, [1, -3, 1])
+    assert d.ivals == [(4, 6, 1, -1), (0, 2, 1, 1)]
+    assert calls == 2
 
 
 def test_one_taylor_shift_per_isolated_part():

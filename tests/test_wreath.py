@@ -419,6 +419,26 @@ def test_five_by_five_verdicts(monkeypatch):
     assert {side for side, i in _expand(word.letters) if i > 1} <= {B}
 
 
+def test_sign_at_zero_round_drops_every_nonzero_pair(monkeypatch):
+    # h_11 = X^-1 (1 + X) and h_12 = X^-1 (1 + 2X) are both positive at 0,
+    # h_13 = 0: the first round is UniformSignAtZero, its strict signs at
+    # 0 drop both nonzero pairs, and M is the zero pair alone
+    gens = wr.GeneratorSet(plus=(L([1]),), minus=(L([1]), L([2]), L([-1], -1)))
+    real, reasons = wr.decide, []
+
+    def recorded(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        reasons.append(verdict.unsolvable_reason)
+        return verdict
+
+    monkeypatch.setattr(wr, "decide", recorded)
+    hij = wr.build_hij(gens)
+    assert wr._maximal_support(hij, hij) == ((1, 3),)
+    assert reasons == [nx.UNIFORM_SIGN_AT_ZERO, None]
+    assert wr.is_group(gens) == (False, None)
+    assert wr.identity_in_semigroup(gens) is True
+
+
 # ------------------------------------------------------- shared analysis
 
 # cleared h_ij = i + a_j X with a = (-1, 2): M is all four pairs

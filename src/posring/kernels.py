@@ -272,7 +272,7 @@ def gcd_mod(a, b, m):
     if not A or not B or A[-1] == 0 or B[-1] == 0:
         return None
     while B:
-        inv = pow(B[-1], m - 2, m)
+        inv = pow(B[-1], -1, m)
         while len(A) >= len(B):
             c = A[-1] * inv % m
             if c:
@@ -283,5 +283,5 @@ def gcd_mod(a, b, m):
             while A and A[-1] == 0:
                 A.pop()
         A, B = B, A
-    inv = pow(A[-1], m - 2, m)
+    inv = pow(A[-1], -1, m)
     return [c * inv % m for c in A]

@@ -6,8 +6,8 @@ per distinct root, listing every input it is a root of; a uniform-sign
 scan decides whether some t >= 0 makes every h_i(t) weakly nonnegative
 or weakly nonpositive.
 
-The scan needs one exact rational evaluation per polynomial and
-candidate, because isolation already proves two facts:
+The scan is a sweep that evaluates each polynomial at t = 0 and then
+only where it owns a root, because isolation already proves two facts:
 
 - a root's interval (lo, hi] holds no root of a non-owner, so at an
   algebraic root every non-owner has its sign at hi;
@@ -15,6 +15,11 @@ candidate, because isolation already proves two facts:
   consecutive roots, and past the last one, the signs are those at the
   root to the left with that root's owners made nonzero, and with no
   roots the signs at 0 hold on all of [0, oo).
+
+So the sign vector changes only at a root, and only in that root's
+owners: set to 0 at the root, then to their sign just right of it.  The
+sweep keeps the vector with running counts of +1 and -1 entries, and
+tests each root for uniformity in time linear in its owners.
 
 Internally each polynomial q, with X^k stripped, is isolated on a
 representative s in which every positive root of q is simple: first
@@ -313,18 +318,22 @@ class _PolyData:
 
 
 class _IvalCluster:
-    __slots__ = ("a", "b", "k", "members", "slo")
+    __slots__ = ("a", "b", "k", "members", "slo", "rep")
 
-    def __init__(self, a, b, k, members, slo):
+    def __init__(self, a, b, k, members, slo, rep):
         self.a, self.b, self.k = a, b, k  # the interval (a/2^k, b/2^k]
-        self.members = members  # index -> representative
-        # sign of the representative at lo: lo only moves toward the
-        # root, never onto or past it, so the sign holds while the
-        # cluster lives
+        self.members = members  # index -> that input's part
+        # the polynomial refinement bisects: it divides every member,
+        # and its only root in the interval is the cluster's root,
+        # simple in it.  One interval's cluster starts with its owner's
+        # part; a merge takes the common factor it found.  Any such rep
+        # takes the same bisection branches, since a step only asks on
+        # which side of the midpoint the root lies
+        self.rep = rep
+        # sign of rep at lo: lo only moves toward the root, never onto
+        # or past it, so the sign holds while the cluster lives.  A merge
+        # changes rep, so it stores the new rep's sign at the new lo
         self.slo = slo
-
-    def rep(self):
-        return next(iter(self.members.values()))
 
     def __lt__(self, other):
         # order by lo, for the sort and bisect of the overlap sweep
@@ -337,7 +346,7 @@ class _IvalCluster:
 def _refine_step(c):
     m = c.a + c.b
     k = c.k + 1
-    vm = _k.eval_scaled(c.rep(), m, 1 << k)
+    vm = _k.eval_scaled(c.rep, m, 1 << k)
     if vm == 0:
         raise PostconditionFailed("bisection landed on the root at %s" % Fraction(m, 1 << k))
     c.k = k
@@ -368,6 +377,18 @@ def _separate(a, b):
         _refine_step(b)
 
 
+def _common_factor(p, q):
+    # gcd(p, q) up to sign, for primitive p and q: when one divides the
+    # other it is the gcd, and no modular or exact gcd runs.  After a
+    # cluster's first merge its rep is the shared factor, such as
+    # X^2 - 2, which divides each later member
+    if _k.exact_div(p, q) is not None:
+        return q
+    if _k.exact_div(q, p) is not None:
+        return p
+    return gcd_mod_first(p, q)
+
+
 def _resolve_overlap(a, b):
     # merge clusters sharing their root, else refine until disjoint
     for _ in range(8):
@@ -375,24 +396,25 @@ def _resolve_overlap(a, b):
         _refine_step(b)
         if not _overlap(a, b):
             return None
-    g = gcd_mod_first(a.rep(), b.rep())
+    g = _common_factor(a.rep, b.rep)
     if len(g) == 1:
         _separate(a, b)
         return None
-    # g divides both representatives, each with one simple root in its
-    # interval and none at its ends, so g has at most one root in the
+    # g divides both reps, each with one simple root in its interval
+    # and none at its ends, so g has at most one root in the
     # intersection, a simple one, and non-root endpoints; a sign change
     # means the root is shared
     k = max(a.k, b.k)
     L = max(a.a << (k - a.k), b.a << (k - b.k))
     H = min(a.b << (k - a.k), b.b << (k - b.k))
     den = 1 << k
-    if _sgn(_k.eval_scaled(g, L, den)) != _sgn(_k.eval_scaled(g, H, den)):
+    gL = _sgn(_k.eval_scaled(g, L, den))
+    if gL != _sgn(_k.eval_scaled(g, H, den)):
         members = dict(a.members)
         members.update(b.members)
-        # a's part stays the representative, and L lies in a's interval
-        # left of the shared root, so a's sign at lo carries over
-        return _IvalCluster(L, H, k, members, a.slo)
+        # g is the merged cluster's rep: it divides every member and has
+        # the shared root, simple, as its only root in (L, H]
+        return _IvalCluster(L, H, k, members, gL, g)
     _separate(a, b)
     return None
 
@@ -424,7 +446,7 @@ def _build_clusters(data):
             # r > 0, and s has the positive roots of input i
             if any(i in exact_owned[r] for r in inside):
                 continue
-            c = _IvalCluster(a, b, k, {i: d.s}, slo)
+            c = _IvalCluster(a, b, k, {i: d.s}, slo, d.s)
             for r in inside:
                 _shrink_to_exclude(c, r)
             recs.append(c)
@@ -583,28 +605,45 @@ def uniform_sign_exists(hs):
     """First sample t >= 0 where every h_i is weakly nonnegative or
     weakly nonpositive, or None.
 
-    Candidates, scanned left to right: t = 0, then every isolated root.
-    Owners of a root get sign 0; every other h_i is evaluated exactly at
-    the root when it is rational, else at its interval's hi, because no
-    non-owner has a root in (lo, hi].  No other point can come first:
-    between consecutive roots, and past the last one, the signs are
-    those at the root to the left with its owners made nonzero, so a
-    uniform point there makes that root uniform too.  Raises
-    ZeroPolynomial on a zero entry.
+    Candidates, scanned left to right: t = 0, then every isolated root;
+    no other point can come first (see the module doc).  Every h_i is
+    evaluated at t = 0, and the roots are isolated only when that vector
+    is not uniform.  At each root its owners get sign 0, and running
+    counts of +1 and -1 entries tell whether the vector is uniform.
+    After the root each owner takes its sign just right of it: at hi for
+    an algebraic root, since the owner has no other root in (lo, hi],
+    and the sign of the first nonzero derivative for an exact root.
+    Every other entry keeps its sign, having no root in between, so each
+    vector is the one exact evaluation would give at the root when it is
+    rational, else at its interval's hi.
+    Raises ZeroPolynomial on a zero entry.
     """
     for h in hs:
         if h.is_zero:
             raise ZeroPolynomial("uniform sign scan needs nonzero polynomials")
     hs_cs = [list(h.coeffs) for h in hs]
-    candidates = [(RationalPoint(Fraction(0)), Fraction(0), ())]
+    zero = Fraction(0)
+    signs = [_sgn(_ev(cs, zero)) for cs in hs_cs]
+    pos, neg = signs.count(1), signs.count(-1)
+    if not pos or not neg:
+        return SignVector(RationalPoint(zero), tuple(signs))
     for root in isolate_nonneg_roots(hs):
-        sample = AlgebraicRoot(root) if root.exact is None else RationalPoint(root.exact)
-        candidates.append((sample, root.hi, root.owners))
-    for sample, t, owners in candidates:
-        n, d = t.numerator, t.denominator
-        vec = SignVector(sample, tuple(
-            0 if i in owners else _sgn(_k.eval_scaled(cs, n, d)) for i, cs in enumerate(hs_cs)
-        ))
-        if vec.is_uniform:
-            return vec
+        for i in root.owners:
+            pos -= signs[i] > 0
+            neg -= signs[i] < 0
+            signs[i] = 0
+        if not pos or not neg:
+            sample = AlgebraicRoot(root) if root.exact is None else RationalPoint(root.exact)
+            return SignVector(sample, tuple(signs))
+        for i in root.owners:
+            if root.exact is None:
+                sg = _sgn(_ev(hs_cs[i], root.hi))
+            else:
+                d, sg = hs_cs[i], 0
+                while not sg:
+                    d = _k.deriv(d)
+                    sg = _sgn(_ev(d, root.exact))
+            signs[i] = sg
+            pos += sg > 0
+            neg += sg < 0
     return None

@@ -10,7 +10,10 @@ coefficients, three integer Taylor shifts per split, and
 sign at lo by evaluation, so the two together must give posring's exact
 roots and, in order, its intervals and signs at lo;
 ``isolate_nonneg_roots_reference`` repeats posring's bisections on
-Fraction endpoints, which its integer ones must match exactly.
+Fraction endpoints, which its integer ones must match exactly, and
+``uniform_sign_exists_reference`` evaluates every input at every
+candidate, where posring's scan sweeps the sign vector.
+``gcd_mod_fermat`` is the modular gcd with Fermat's inverse.
 ``rational_feasibility_reference`` is the phase-1
 simplex over Fractions that posring's integer tableau must match pivot
 for pivot.  ``brute_force_oracle`` enumerates bounded witness tuples and
@@ -29,7 +32,13 @@ from posring import kernels as _k
 from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
 from posring.nxsolve import WitnessTuple, verify_witness
 from posring.polyring import IntPoly, eval_at_rational
-from posring.realdec import _SQFREE_DEPTH
+from posring.realdec import (
+    _SQFREE_DEPTH,
+    AlgebraicRoot,
+    RationalPoint,
+    SignVector,
+    isolate_nonneg_roots,
+)
 from posring.wreath import MINUS, PLUS, CoverSubset, Word, WreathElement, mul
 
 _ORACLE_SPACE_CAP = 2 * 10**7
@@ -175,6 +184,45 @@ def squarefree_part(p):
     if q is None:
         raise PostconditionFailed("gcd(p, p') does not divide p's primitive part")
     return IntPoly._raw(q)
+
+
+def gcd_mod_fermat(a, b, m):
+    """Monic gcd of a and b modulo the prime m, inverting by Fermat's
+    little theorem; None when either leading coefficient vanishes mod m."""
+    A = [c % m for c in a]
+    B = [c % m for c in b]
+    if not A or not B or A[-1] == 0 or B[-1] == 0:
+        return None
+    while B:
+        inv = pow(B[-1], m - 2, m)
+        while len(A) >= len(B):
+            c = A[-1] * inv % m
+            if c:
+                off = len(A) - len(B)
+                for j in range(len(B) - 1):
+                    A[off + j] = (A[off + j] - c * B[j]) % m
+            A.pop()
+            while A and A[-1] == 0:
+                A.pop()
+        A, B = B, A
+    inv = pow(A[-1], m - 2, m)
+    return [c * inv % m for c in A]
+
+
+def uniform_sign_exists_reference(hs):
+    """posring's uniform-sign scan, candidate by candidate: t = 0, then
+    each isolated root, every input evaluated anew at each one (0 for an
+    owner, else the sign at the root when rational, at hi otherwise)."""
+    hs_cs = [list(h.coeffs) for h in hs]
+    candidates = [(RationalPoint(Fraction(0)), Fraction(0), ())]
+    for root in isolate_nonneg_roots(hs):
+        sample = AlgebraicRoot(root) if root.exact is None else RationalPoint(root.exact)
+        candidates.append((sample, root.hi, root.owners))
+    for sample, t, owners in candidates:
+        signs = tuple(0 if i in owners else _sgn_at(cs, t) for i, cs in enumerate(hs_cs))
+        if -1 not in signs or 1 not in signs:
+            return SignVector(sample, signs)
+    return None
 
 
 def _var01(q):

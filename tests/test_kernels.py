@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as K
-from posring.polyring import IntPoly
+from posring.polyring import _GCD_PRIMES, IntPoly
 
-from oracles import sturm_chain
+from oracles import gcd_mod_fermat, sturm_chain
 
 MERSENNE = (1 << 61) - 1
 SMALL_PRIME = 32749  # largest prime below 2^15
@@ -220,6 +220,20 @@ small_nonzero = st.lists(st.integers(-3 * SMALL_PRIME, 3 * SMALL_PRIME), max_siz
 @given(st.one_of(nonzero, small_nonzero), st.one_of(nonzero, small_nonzero), planted)
 def test_gcd_mod_is_monic_common_divisor_mod_small_prime(a, b, c):
     _check_gcd_mod(a, b, c, SMALL_PRIME)
+
+
+# leading coefficients that vanish mod either prime, next to ordinary ones
+lead_drop = st.tuples(st.lists(st.integers(-3, 3), max_size=6),
+                      st.sampled_from(_GCD_PRIMES)).map(lambda t: t[0] + [t[1]])
+
+
+@given(st.one_of(nonzero, small_nonzero, lead_drop),
+       st.one_of(nonzero, small_nonzero, lead_drop), planted)
+def test_gcd_mod_matches_fermat_inverse(a, b, c):
+    # pow(x, -1, m) is the inverse Fermat's pow(x, m - 2, m) gives
+    a, b = K.mul(a, c), K.mul(b, c)
+    for m in _GCD_PRIMES:
+        assert K.gcd_mod(list(a), list(b), m) == gcd_mod_fermat(a, b, m)
 
 
 def _bernstein_at(b, t):

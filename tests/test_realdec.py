@@ -36,6 +36,7 @@ from oracles import (
     isolate_nonneg_roots_reference,
     squarefree_part,
     sturm_chain,
+    uniform_sign_exists_reference,
     vca_isolate_reference,
 )
 
@@ -561,6 +562,100 @@ def test_non_owner_sign_at_root_is_sign_at_hi(hs, share):
                 assert sign_at_root(h, iv) == _exact_sign(h, iv.hi) != 0
 
 
+# sweep factors: X^2 - 2 shared across entries, rational roots of
+# multiplicity 1 to 3 (1/3 is not dyadic), and a root at 0
+_SWEEP_FACTORS = ([-2, 0, 1], [-1, 3], [1, -6, 9], [1, -2, 1], [-1, 3, -3, 1], [0, 1], [-2, 1])
+_sweep_poly = st.tuples(_poly, st.lists(st.sampled_from(_SWEEP_FACTORS), max_size=3)).map(
+    lambda t: prod(t[0], *(IntPoly(f) for f in t[1]))
+)
+
+
+def _at_zero_nonneg(hs):
+    # flip every entry negative at 0, so the family is uniform there
+    return [-h if _exact_sign(h, Fraction(0)) < 0 else h for h in hs]
+
+
+def _sign_vector_summary(sv):
+    if sv is None:
+        return None
+    if isinstance(sv.sample, RationalPoint):
+        return sv.sample.value, sv.signs
+    iv = sv.sample.interval
+    return (iv.lo, iv.hi, iv.owners, iv.s), sv.signs
+
+
+def _assert_sweep_matches_reference(hs):
+    got = _sign_vector_summary(uniform_sign_exists(hs))
+    assert got == _sign_vector_summary(uniform_sign_exists_reference(hs)), \
+        [list(h.coeffs) for h in hs]
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_sweep_poly, min_size=1, max_size=7), st.booleans())
+def test_sweep_matches_per_candidate_scan(hs, uniform_at_zero):
+    _assert_sweep_matches_reference(_at_zero_nonneg(hs) if uniform_at_zero else hs)
+
+
+def test_sweep_matches_per_candidate_scan_on_seeded_families():
+    rng = random.Random(1503)
+    kinds = Counter()
+    for _ in range(300):
+        hs = []
+        for _ in range(rng.randint(1, 7)):
+            cs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+            cs[-1] = cs[-1] or 1
+            fs = rng.sample(_SWEEP_FACTORS, rng.randint(0, 3))
+            hs.append(prod(IntPoly(cs), *(IntPoly(f) for f in fs)))
+        if rng.random() < 0.2:
+            hs = _at_zero_nonneg(hs)
+        got = _assert_sweep_matches_reference(hs)
+        kinds["none" if got is None else
+              "zero" if got[0] == 0 else
+              "rational" if isinstance(got[0], Fraction) else "algebraic"] += 1
+    assert min(kinds[k] for k in ("none", "zero", "rational", "algebraic")) > 10, kinds
+
+
+def _multiplicity(cs, r):
+    # times (den X - num) divides cs exactly
+    m, lin = 0, [-r.numerator, r.denominator]
+    while True:
+        q = _k.exact_div(cs, lin)
+        if q is None:
+            return m
+        cs, m = q, m + 1
+
+
+def test_sweep_evaluates_each_input_once_plus_once_per_owned_root():
+    # every input at t = 0, then each owner once after its root, plus one
+    # more derivative per extra multiplicity of an exact root; the
+    # constants 1 and -1 keep every vector mixed, so all roots are swept
+    sq = P(-2, 0, 1)
+    hs = _wide_family(1503, 50) + [
+        prod(P(-1, 1), P(-1, 1), sq),  # 1 double, shared sqrt(2)
+        prod(P(-1, 3), P(-1, 3), P(-1, 3)),  # 1/3 triple
+        prod(P(0, 1), P(0, 1), P(-1, 1)),  # 0 double, 1 simple
+        P(1),
+        P(-1),
+    ]
+    roots = isolate_nonneg_roots(hs)
+    slots = sum(len(root.owners) for root in roots)
+    extra = sum(_multiplicity(list(hs[i].coeffs), root.exact) - 1
+                for root in roots if root.exact is not None for i in root.owners)
+    assert extra >= 4  # the derivative path runs at 0, 1/3 and 1
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _eval_scaled(*args)
+
+    with mock.patch.object(realdec, "isolate_nonneg_roots", lambda _: roots), \
+            mock.patch.object(_k, "eval_scaled", counted):
+        assert uniform_sign_exists(hs) is None
+    assert calls[0] == len(hs) + slots + extra
+    assert slots > 50
+
+
 # ------------------------------------------------------- overlap sweep
 
 
@@ -586,7 +681,7 @@ def _build_clusters_reference(data):
             inside = [r for r in sorted(known) if Fraction(a, 1 << k) < r <= Fraction(b, 1 << k)]
             if any(_ev(d.s, r) == 0 for r in inside):
                 continue
-            c = _IvalCluster(a, b, k, {i: d.s}, slo)
+            c = _IvalCluster(a, b, k, {i: d.s}, slo, d.s)
             for r in inside:
                 _shrink_to_exclude(c, r)
             recs.append(c)
@@ -684,6 +779,62 @@ def test_sweep_overlap_checks_stay_near_linear():
     with mock.patch.object(realdec, "_overlap", counted):
         isolate_nonneg_roots(_wide_family(1503, 50))
     assert 0 < calls[0] < 3000, calls[0]
+
+
+def _build_calls(hs):
+    """isolate_nonneg_roots, counting the kernels.gcd calls made while the
+    clusters are built and recording each pair sent to _separate."""
+    seen = {"gcd": 0, "separated": []}
+    build, gcd, separate = realdec._build_clusters, _k.gcd, realdec._separate
+    active = [False]
+
+    def traced_build(*args):
+        active[0] = True
+        try:
+            return build(*args)
+        finally:
+            active[0] = False
+
+    def counted_gcd(*args):
+        seen["gcd"] += active[0]
+        return gcd(*args)
+
+    def traced_separate(a, b):
+        seen["separated"].append((tuple(a.members), tuple(b.members)))
+        return separate(a, b)
+
+    with mock.patch.object(realdec, "_build_clusters", traced_build), \
+            mock.patch.object(_k, "gcd", counted_gcd), \
+            mock.patch.object(realdec, "_separate", traced_separate):
+        ivs = isolate_nonneg_roots(hs)
+    return [(iv.owners, iv.lo, iv.hi, iv.exact) for iv in ivs], seen
+
+
+def test_merged_cluster_divides_later_members_without_a_gcd():
+    # eight multiples of X^2 - 2, two with it squared: seven merges, each
+    # an exact gcd when the first member's part is the rep; once a
+    # cluster's rep is X^2 - 2 it divides each later member, and only
+    # pairs that meet before joining a cluster need a gcd
+    sq = P(-2, 0, 1)
+    hs = [prod(sq, P(i, 1), sq if i in (3, 6) else P(1)) for i in range(1, 9)]
+    ivs, seen = _build_calls(hs)
+    assert ivs == isolate_nonneg_roots_reference(hs)
+    assert [iv[0] for iv in ivs] == [tuple(range(8))]
+    assert 0 < seen["gcd"] < 7, seen["gcd"]
+    assert seen["separated"] == []
+
+
+def test_dividing_rep_with_a_distinct_root_is_separated():
+    # 141421/100000 is a root of the second entry only, and its interval
+    # still overlaps sqrt(2)'s after the eight rounds: X^2 - 2 divides
+    # that interval's rep, yet the roots differ, so the pair separates
+    sq = P(-2, 0, 1)
+    hs = [sq, sq * P(-141421, 100000)]
+    ivs, seen = _build_calls(hs)
+    assert ivs == isolate_nonneg_roots_reference(hs)
+    assert [iv[0] for iv in ivs] == [(1,), (0, 1)]
+    assert seen["separated"] == [((0,), (1,))]
+    assert seen["gcd"] == 0
 
 
 # ------------------------------------------- integer against Fraction ends
@@ -1079,7 +1230,7 @@ def test_non_dyadic_known_root_drops_its_interval():
 
 def _refine_step_reference(c):
     # re-reads the sign at lo on every step
-    s = c.rep()
+    s = c.rep
     m, k = c.a + c.b, c.k + 1
     vm = _k.eval_scaled(s, m, 1 << k)
     if vm == 0:
@@ -1127,13 +1278,14 @@ def test_refine_step_reuses_the_stored_sign_at_lo():
 
 class _RereadCluster(realdec._IvalCluster):
     # a cluster built from one interval reads its sign at lo again, as
-    # the constructor once did; a merge keeps its first member's sign
+    # the constructor once did; a merge keeps the sign of its common
+    # factor at lo, which the merge test has read
     __slots__ = ()
 
-    def __init__(self, a, b, k, members, slo):
-        self.a, self.b, self.k, self.members = a, b, k, members
+    def __init__(self, a, b, k, members, slo, rep):
+        self.a, self.b, self.k, self.members, self.rep = a, b, k, members, rep
         if len(members) == 1:
-            slo = realdec._sgn(_k.eval_scaled(self.rep(), a, 1 << k))
+            slo = realdec._sgn(_k.eval_scaled(rep, a, 1 << k))
         self.slo = slo
 
 
@@ -1142,7 +1294,7 @@ _shrink = realdec._shrink_to_exclude
 
 def _reread_shrink(c, r):
     # _shrink_to_exclude as it was, reading the sign at lo again
-    c.slo = realdec._sgn(_k.eval_scaled(c.rep(), c.a, 1 << c.k))
+    c.slo = realdec._sgn(_k.eval_scaled(c.rep, c.a, 1 << c.k))
     _shrink(c, r)
 
 
@@ -1155,9 +1307,9 @@ def _count_build_evs(hs, cluster, shrink):
         counts["ev"] += 1
         return _eval_scaled(*args)
 
-    def counted_cluster(a, b, k, members, slo):
+    def counted_cluster(a, b, k, members, slo, rep):
         counts["built"] += len(members) == 1  # a merge unites two polys
-        return cluster(a, b, k, members, slo)
+        return cluster(a, b, k, members, slo, rep)
 
     def counted_shrink(*args):
         counts["shrink"] += 1
@@ -1196,7 +1348,7 @@ from posring.realdec import (_IvalCluster, _refine_step, _shrink_to_exclude,
                              isolate_nonneg_roots)
 kernels.exact_div = lambda a, b: None
 # X - 1 on (0, 2], which breaks the dyadic-root-free invariant
-box = lambda: _IvalCluster(0, 2, 0, {0: [-1, 1]}, -1)
+box = lambda: _IvalCluster(0, 2, 0, {0: [-1, 1]}, -1, [-1, 1])
 for call in (lambda: squarefree_part(IntPoly([0, 0, 1])),
              lambda: isolate_nonneg_roots([IntPoly([1, -2, 1])]),
              lambda: _refine_step(box()),

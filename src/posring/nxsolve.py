@@ -180,20 +180,26 @@ def _status(hs):
 
 
 def verify_certificate(cert):
-    """Re-check a SignCertificate by exact evaluation at its sample."""
+    """Re-check a SignCertificate by exact evaluation at its sample.
+
+    The sample must be >= 0 and the signs weakly uniform, one nonzero (at
+    t > 0 each nonzero f in N[X] is positive), all nonzero at t = 0.
+    """
     sv = cert.sign_vector
-    if not (sv.uniform_nonneg or sv.uniform_nonpos):
+    if not sv.is_uniform or not any(sv.signs):
         return False
     if len(sv.signs) != len(cert.hs):
         return False
     if isinstance(sv.sample, RationalPoint):
         t = sv.sample.value
-        if t < 0:
+        if t < 0 or (t == 0 and 0 in sv.signs):
             return False
         return all(
             _sgn(eval_at_rational(h, t)) == s for h, s in zip(cert.hs, sv.signs)
         )
     root = sv.sample.interval
+    if root.lo < 0:
+        return False
     return all(sign_at_root(h, root) == s for h, s in zip(cert.hs, sv.signs))
 
 

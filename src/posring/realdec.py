@@ -420,31 +420,28 @@ def _resolve_overlap(a, b):
 
 
 def _build_clusters(data):
-    # the known exact roots (0 when X divides an input), each with its
-    # owner list by direct evaluation
-    known = set()
-    for d in data:
-        if d.k0:
-            known.add(Fraction(0))
-        known.update(d.exacts)
-    ordered = sorted(known)
-    ordered_pq = [(r.numerator, r.denominator, r) for r in ordered]
+    # the known exact roots with their owners, read off the trees: 0 is
+    # owned by each input X divides, a positive r by each input whose
+    # tree found it exact, and below by each input with an interval
+    # holding r where s vanishes.  Every other positive root of an input
+    # is alone inside one of its intervals, so no owner is missed
     exact_owned = {}
-    for r in ordered:
-        owners = [i for i, d in enumerate(data) if _ev(d.cs, r) == 0]
-        if not owners:
-            raise PostconditionFailed("known root %s has no owner" % r)
-        exact_owned[r] = owners
+    for i, d in enumerate(data):
+        for r in ([Fraction(0)] if d.k0 else []) + d.exacts:
+            exact_owned.setdefault(r, []).append(i)
+    ordered_pq = [(r.numerator, r.denominator, r) for r in sorted(exact_owned)]
 
     recs = []
     for i, d in enumerate(data):
         for a, b, k, slo in d.ivals:
             # drop before shrinking: the interval's root may be a known
             # root that is not dyadic, such as 1/3 from 3X - 1, and no
-            # bisection excludes it
+            # bisection excludes it.  r > 0, and s has the positive roots
+            # of input i, at most one of them in the interval
             inside = [r for p, q, r in ordered_pq if a * q < p << k <= b * q]
-            # r > 0, and s has the positive roots of input i
-            if any(i in exact_owned[r] for r in inside):
+            owned = next((r for r in inside if _ev(d.s, r) == 0), None)
+            if owned is not None:
+                exact_owned[owned].append(i)
                 continue
             c = _IvalCluster(a, b, k, {i: d.s}, slo, d.s)
             for r in inside:
@@ -553,9 +550,10 @@ def isolate_nonneg_roots(hs):
 def sign_at_root(q, root):
     """Sign of q at the root described by an IsolatingInterval.
 
-    Returns 0 exactly when gcd(root.s, q) has a root in the interval,
-    root.s being the owner's representative, whose only root there is
-    simple; otherwise refines the interval until the sign
+    None, refusing the interval, unless root.s (the owner's
+    representative, whose only root there is simple) is nonzero at lo
+    and hi with opposite signs.  0 exactly when gcd(root.s, q) has a
+    root in the interval; otherwise refines the interval until the sign
     of q is certified constant on it and reads it at the midpoint.
     """
     qcs = list(q.coeffs)
@@ -566,29 +564,16 @@ def sign_at_root(q, root):
     s = root.s
     lo, hi = root.lo, root.hi
     slo = _sgn(_ev(s, lo))
-
-    def narrow(lo, hi):
-        m = (lo + hi) / 2
-        vm = _ev(s, m)
-        if vm == 0:
-            return m, m  # landed exactly on the root
-        if _sgn(vm) != slo:
-            return lo, m
-        return m, hi
-
+    if slo == 0 or _sgn(_ev(s, hi)) != -slo:
+        return None
     g = gcd_mod_first(s, qcs)
-    if len(g) >= 2:
-        # g divides s: at most one root in (lo, hi], endpoints first
-        # made root-free, then a sign change pins the shared root
-        while _ev(g, lo) == 0 or _ev(g, hi) == 0:
-            lo, hi = narrow(lo, hi)
-            if lo == hi:
-                return _sgn(_ev(qcs, lo))
-        if _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):
-            return 0
+    # g divides s, so it is nonzero at lo and hi too: a sign change
+    # pins the shared root
+    if len(g) >= 2 and _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):
+        return 0
 
     # the root is not a root of q: certify a constant sign of q over a
-    # small enough interval via a derivative bound
+    # small enough interval via a derivative bound, narrowing on s
     dq = _k.deriv(qcs)
     dbound = sum(abs(c) * hi ** i for i, c in enumerate(dq))
     while True:
@@ -596,9 +581,10 @@ def sign_at_root(q, root):
         qm = Fraction(_ev(qcs, m), m.denominator ** (len(qcs) - 1))
         if abs(qm) > dbound * (hi - lo):
             return _sgn(qm)
-        lo, hi = narrow(lo, hi)
-        if lo == hi:
-            return _sgn(_ev(qcs, lo))
+        vm = _ev(s, m)
+        if vm == 0:
+            return _sgn(qm)  # landed exactly on the root
+        lo, hi = (lo, m) if _sgn(vm) != slo else (m, hi)
 
 
 def uniform_sign_exists(hs):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from posring.errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
 from posring.polyring import IntPoly
-from posring.realdec import AlgebraicRoot, RationalPoint
+from posring.realdec import AlgebraicRoot, IsolatingInterval, RationalPoint, SignVector
 from posring import nxsolve as nx
 
 from oracles import (
@@ -184,6 +184,53 @@ def test_decide_algebraic_certificate():
     assert isinstance(sv.sample, AlgebraicRoot)
     assert sv.signs == (0, 0, 1)
     assert nx.verify_certificate(d.certificate)
+
+
+def _forged(hs, sample, signs):
+    return nx.SignCertificate(SignVector(sample, signs), tuple(hs), IntPoly.one(), 0)
+
+
+def _sqrt2_box(lo, hi):
+    return AlgebraicRoot(IsolatingInterval((0,), Fraction(lo), Fraction(hi), True, None,
+                                           [-2, 0, 1]))
+
+
+@pytest.mark.parametrize("hs, sample, signs", [
+    # a zero sign at t = 0, where f_1 = X vanishes: (1, X) solves it
+    ([P(0, 1), P(-1)], RationalPoint(Fraction(0)), (0, -1)),
+    # no nonzero sign at sqrt(2): (1, 1) solves it
+    ([P(-2, 0, 1), P(2, 0, -1)], _sqrt2_box(1, 2), (0, 0)),
+    # the root -sqrt(2), where both are positive: (1, X + 1) solves it
+    ([P(-1, 0, 1), P(1, -1)], _sqrt2_box(-2, -1), (1, 1)),
+])
+def test_forged_certificate_of_a_solvable_instance_is_rejected(hs, sample, signs):
+    cert = _forged(hs, sample, signs)
+    assert cert.sign_vector.is_uniform
+    assert not nx.verify_certificate(cert)
+    d = nx.decide(hs, want_witness=True)
+    assert d.status == nx.SOLVABLE
+    assert nx.verify_witness(hs, list(d.certificate.fs))
+
+
+_NO_SIGN_CHANGE = """
+from fractions import Fraction
+from posring.polyring import IntPoly
+from posring.nxsolve import SignCertificate, verify_certificate
+from posring.realdec import AlgebraicRoot, IsolatingInterval, SignVector, sign_at_root
+root = IsolatingInterval((0,), Fraction(2), Fraction(3), True, None, [-2, 0, 1])
+q = IntPoly([-3, 1])
+cert = SignCertificate(SignVector(AlgebraicRoot(root), (-1,)), (q,), IntPoly.one(), 0)
+print(sign_at_root(q, root), verify_certificate(cert))
+"""
+
+
+def test_interval_without_a_sign_change_is_refused():
+    # X^2 - 2 is positive on all of (2, 3]: the box holds no root to
+    # narrow onto; the child's timeout turns a spin into a failure
+    proc = subprocess.run([sys.executable, "-c", _NO_SIGN_CHANGE],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["None", "False"]
 
 
 # ------------------------------------------------------------ feasibility

@@ -766,6 +766,48 @@ def test_sweep_matches_all_pairs_reference_on_wide_families():
         assert any(len(owners) > 1 and exact is None for owners, _, _, _, exact in ivs)
 
 
+def test_sweep_matches_reference_with_a_non_dyadic_root_inside_an_interval():
+    # 1/3 is exact only in the trees of 3X - 1 and X(3X - 1); the trees of
+    # (3X - 1)(X^2 - 2) and of (3X - 1)^2 (X + 1), whose part is
+    # (3X - 1)(X + 1), box it in an interval, which must be dropped with
+    # its input taken as an owner of 1/3
+    third, sq = P(-1, 3), P(-2, 0, 1)
+    ivs, _ = _assert_matches_reference([third * sq, third])
+    assert [(owners, exact) for owners, _, _, _, exact in ivs] == [
+        ((0, 1), Fraction(1, 3)), ((0,), None)]
+    ivs, _ = _assert_matches_reference(
+        [third * sq, sq, P(0, 1) * third, prod(third, third, P(1, 1))])
+    assert [(owners, exact) for owners, _, _, _, exact in ivs] == [
+        ((2,), 0), ((0, 2, 3), Fraction(1, 3)), ((0, 1), None)]
+
+
+def test_owners_of_tree_found_roots_need_no_evaluation():
+    # each entry X(X - 1)(X + i) owns 0, through its factor X, and 1,
+    # which its tree finds exact, and has no interval: the owners are
+    # read off the trees, where evaluating every entry at every known
+    # root took 2 * 20 calls
+    hs = [prod(P(0, 1), P(-1, 1), P(i, 1)) for i in range(1, 21)]
+    build, calls, active = realdec._build_clusters, [0], [False]
+
+    def traced_build(*args):
+        active[0] = True
+        try:
+            return build(*args)
+        finally:
+            active[0] = False
+
+    def counted(*args):
+        calls[0] += active[0]
+        return _eval_scaled(*args)
+
+    with mock.patch.object(realdec, "_build_clusters", traced_build), \
+            mock.patch.object(_k, "eval_scaled", counted):
+        ivs = isolate_nonneg_roots(hs)
+    assert [(iv.owners, iv.exact) for iv in ivs] == [
+        (tuple(range(20)), 0), (tuple(range(20)), 1)]
+    assert calls[0] == 0
+
+
 def test_sweep_overlap_checks_stay_near_linear():
     # restarting an all-pairs scan after every step makes about 35 000
     # overlap checks on this family, the sweep about 340

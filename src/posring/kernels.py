@@ -9,6 +9,8 @@ returns canonical lists.
 from math import gcd as _igcd
 from operator import add as _add
 
+from posring.errors import PostconditionFailed
+
 
 def norm(cs):
     # strip trailing zeros in place, return the list
@@ -144,23 +146,65 @@ def pseudo_rem(a, b):
     return r
 
 
-def gcd(a, b):
-    # primitive PRS; result is primitive with positive leading coefficient
-    A = primitive_pos(a)
-    B = primitive_pos(b)
-    if not A:
-        return B
-    if not B:
-        return A
-    if len(A) < len(B):
-        A, B = B, A
+def _primes():
+    # 32749, the largest prime below 2^15, keeps gcd_mod on CPython's
+    # single-digit integer fast path; then 2^61 - 1 and the primes below
+    # it, by Miller-Rabin on bases 2 ... 37, exact below 3.3 * 10^24
+    yield 32749
+    n = 2**61 - 1
+    yield n
     while True:
-        if len(B) == 1:
+        n -= 2
+        r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+        d = (n - 1) >> r
+        if all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            yield n
+
+
+def gcd(a, b):
+    # Brown's modular gcd, primitive with positive leading coefficient;
+    # gcd([], b) is primitive_pos(b).  For primitive A, B of degrees m, n,
+    # G = gcd(A, B) and g = gcd(lc A, lc B), a prime dividing neither lc
+    # gives a monic image of degree >= deg G, larger only when it divides
+    # res(A/G, B/G): a unit image proves A, B coprime, a smaller degree
+    # restarts, a larger one is skipped.  g times a good image is
+    # g G / lc G mod p; CRT joins equal degrees, and a primitive symmetric
+    # lift dividing A and B is G, whatever the primes.  The budget, in
+    # floor(log2 p): bad primes share at most n (m + log2|A|) +
+    # m (n + log2|B|) bits (Hadamard's bound on the Sylvester matrix of
+    # A/G, B/G, whose 2-norms Landau-Mignotte puts below 2^m |A| and
+    # 2^n |B|); good ones lift exactly past 2^min(m, n) min(|A|, |B|), a
+    # bound on g G / lc G, plus one bit, and one more adds at most 60
+    A, B = primitive_pos(a), primitive_pos(b)
+    if not A or not B:
+        return A or B
+    m, n = len(A) - 1, len(B) - 1
+    lc = _igcd(A[-1], B[-1])
+    size, acc, mod, spent = min(m, n) + 1, None, 1, 0  # size: len(acc)
+    for p in _primes():
+        img = None if lc % p == 0 else gcd_mod(A, B, p)
+        if img is None:
+            continue
+        if len(img) == 1:
             return [1]
-        R = pseudo_rem(A, B)
-        if not R:
-            return primitive_pos(B)
-        A, B = B, primitive_pos(R)
+        if not spent:  # skipped when the first image certifies coprimality
+            la, lb = ((sum(c * c for c in P).bit_length() + 1) // 2 for P in (A, B))
+            budget = n * (m + la) + m * (n + lb) + min(m, n) + min(la, lb) + 61
+        spent += p.bit_length() - 1
+        if len(img) <= size:
+            img = [c * lc % p for c in img]
+            if len(img) < size or acc is None:
+                size, acc, mod = len(img), img, p
+            else:
+                inv = pow(mod, -1, p)
+                acc = [x + mod * ((y - x) * inv % p) for x, y in zip(acc, img)]
+                mod *= p
+            h = primitive_pos([x - mod if 2 * x > mod else x for x in acc])
+            if exact_div(A, h) is not None and exact_div(B, h) is not None:
+                return h
+        if spent > budget:
+            raise PostconditionFailed("modular gcd found no common divisor within its prime budget")
 
 
 def signed_prs(p):

@@ -258,44 +258,13 @@ def gcd_many(hs):
     Raises AllZero when every input is zero.
     """
     g = []
-    seen = False
     for h in hs:
-        if h.is_zero:
-            continue
-        seen = True
-        g = gcd_mod_first(g, list(h.coeffs))
+        g = _k.gcd(g, list(h.coeffs))
         if g == [1]:
             break
-    if not seen:
+    if not g:
         raise AllZero("gcd of all-zero inputs")
     return IntPoly._raw(g)
-
-
-# gcd degree can only grow under reduction mod p when p keeps both leading
-# coefficients, so a unit gcd mod any one such prime proves coprimality
-# over Q, whatever the prime's size.  32749, the largest prime below
-# 2^15, keeps every product inside gcd_mod below 2^30, on CPython's
-# single-digit integer fast path.  A small prime divides a leading
-# coefficient, or leaves a spurious common factor, more often, so a
-# non-unit result tries the next prime before the caller falls back to
-# the exact gcd.
-_GCD_PRIMES = (32749, 2**61 - 1)
-
-
-def _coprime_mod(a, b):
-    # True at the first prime with a unit gcd; False means "not certified"
-    for p in _GCD_PRIMES:
-        if _k.gcd_mod(a, b, p) == [1]:
-            return True
-    return False
-
-
-def gcd_mod_first(a, b):
-    """kernels.gcd(a, b), or [1] at once when a modular gcd certifies
-    the two coprime; with an empty input no modular gcd is tried."""
-    if a and b and _coprime_mod(a, b):
-        return [1]
-    return _k.gcd(a, b)
 
 
 def eval_at_rational(p, t):

@@ -31,10 +31,9 @@ or near the positive axis.  Only when the tree runs deep, or meets a
 double root at a split point, does it give up; then gcd(q, q') is
 computed, and a tree with no budget runs on the squarefree part s
 (primitive(q) again when q proves squarefree).  Intervals are refined
-by sign changes of s.  Squarefreeness and coprimality are certified
-modulo a prime whenever possible; the exact subresultant gcd only runs
-when the modular certificate fails, which keeps large random inputs
-cheap.
+by sign changes of s.  Every gcd is ``kernels.gcd``, Brown's modular
+gcd: one unit image mod a prime proves a pair coprime, and a common
+factor costs a CRT lift over a few primes and a trial division.
 
 Every endpoint isolation touches is dyadic, so an interval is kept as
 integers (a, b, k) for (a/2^k, b/2^k].  A bisection step evaluates s at
@@ -54,8 +53,9 @@ that narrow: the root inside is not dyadic, and no later bisection
 midpoint, which is dyadic, can land on a root of s.  Every dyadic root
 comes out exact on the way.
 
-``sign_at_root`` refines an interval by a derivative bound; it serves
-as the independent re-check of a certificate, not the scan.
+``sign_at_root`` checks by Descartes' rule that an interval holds one
+simple root, then refines it by a derivative bound; it serves as the
+independent re-check of a certificate, not the scan.
 """
 
 import bisect
@@ -66,7 +66,6 @@ from math import comb, lcm
 
 from posring import kernels as _k
 from posring.errors import PostconditionFailed, ZeroPolynomial
-from posring.polyring import gcd_mod_first
 
 
 @dataclass(frozen=True)
@@ -165,10 +164,10 @@ _SQFREE_DEPTH = 16
 def _sqfree_data(q):
     """(s, g) for q with q(0) != 0, deg >= 1: s is the squarefree part.
 
-    g is None when q is squarefree (all roots simple, s = primitive(q)),
-    else the exact gcd(q, q') for multiplicity checks.
+    g = gcd(q, q') by the modular gcd, kept for multiplicity checks, or
+    None when it is 1 (all roots simple, s = primitive(q)).
     """
-    g = gcd_mod_first(q, _k.deriv(q))
+    g = _k.gcd(q, _k.deriv(q))
     if len(g) == 1:
         return _k.primitive_signed(q), None
     s = _k.exact_div(_k.primitive_signed(q), g)
@@ -377,18 +376,6 @@ def _separate(a, b):
         _refine_step(b)
 
 
-def _common_factor(p, q):
-    # gcd(p, q) up to sign, for primitive p and q: when one divides the
-    # other it is the gcd, and no modular or exact gcd runs.  After a
-    # cluster's first merge its rep is the shared factor, such as
-    # X^2 - 2, which divides each later member
-    if _k.exact_div(p, q) is not None:
-        return q
-    if _k.exact_div(q, p) is not None:
-        return p
-    return gcd_mod_first(p, q)
-
-
 def _resolve_overlap(a, b):
     # merge clusters sharing their root, else refine until disjoint
     for _ in range(8):
@@ -396,7 +383,7 @@ def _resolve_overlap(a, b):
         _refine_step(b)
         if not _overlap(a, b):
             return None
-    g = _common_factor(a.rep, b.rep)
+    g = _k.gcd(a.rep, b.rep)
     if len(g) == 1:
         _separate(a, b)
         return None
@@ -551,10 +538,11 @@ def sign_at_root(q, root):
     """Sign of q at the root described by an IsolatingInterval.
 
     None, refusing the interval, unless root.s (the owner's
-    representative, whose only root there is simple) is nonzero at lo
-    and hi with opposite signs.  0 exactly when gcd(root.s, q) has a
-    root in the interval; otherwise refines the interval until the sign
-    of q is certified constant on it and reads it at the midpoint.
+    representative) is nonzero at lo and hi with opposite signs and
+    Descartes' rule proves it has one root in (lo, hi], a simple one.
+    0 exactly when gcd(root.s, q) has a root in the interval; otherwise
+    refines the interval until the sign of q is certified constant on it
+    and reads it at the midpoint.
     """
     qcs = list(q.coeffs)
     if not qcs:
@@ -566,7 +554,19 @@ def sign_at_root(q, root):
     slo = _sgn(_ev(s, lo))
     if slo == 0 or _sgn(_ev(s, hi)) != -slo:
         return None
-    g = gcd_mod_first(s, qcs)
+    # with lo = u/D and w = (hi - lo) D, the roots of s in (lo, hi) are
+    # those of R(y) = D^n s((u + w y)/D) in (0, 1), counted with
+    # multiplicity, up to an even excess, by the sign variations of
+    # (1 + x)^n R(1/(1 + x)); the count is odd, so 1 means one simple root
+    D = lcm(lo.denominator, hi.denominator)
+    u, w, n = int(lo * D), int((hi - lo) * D), len(s) - 1
+    r = [c * D ** (n - i) for i, c in enumerate(s)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            r[j] += u * r[j + 1]
+    if _k.sign_variations(_k.shift1([c * w**j for j, c in enumerate(r)][::-1])) != 1:
+        return None
+    g = _k.gcd(s, qcs)
     # g divides s, so it is nonzero at lo and hi too: a sign change
     # pins the shared root
     if len(g) >= 2 and _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):

@@ -1,7 +1,8 @@
 """Test-side oracles: textbook algorithms the tests compare posring against.
 
-Sturm chains over Q[X] count distinct real roots exactly, and
-``squarefree_part`` reduces a polynomial by the exact gcd with its
+Sturm chains over Q[X] count distinct real roots exactly, ``prs_gcd``
+is the primitive PRS that posring's modular gcd must match, and
+``squarefree_part`` reduces a polynomial by that gcd with its
 derivative.  posring itself isolates roots with Descartes bisection in
 the Bernstein basis and narrows each leaf as the tree emits it;
 ``vca_isolate_reference`` is the same bisection on monomial
@@ -166,6 +167,27 @@ def cauchy_root_bound(p):
     return 1 + Fraction(m, lead)
 
 
+def prs_gcd(a, b):
+    """gcd of coefficient lists a and b by the primitive PRS: primitive,
+    with positive leading coefficient, like ``kernels.gcd``, whose
+    modular algorithm it checks."""
+    A = _k.primitive_pos(a)
+    B = _k.primitive_pos(b)
+    if not A:
+        return B
+    if not B:
+        return A
+    if len(A) < len(B):
+        A, B = B, A
+    while True:
+        if len(B) == 1:
+            return [1]
+        R = _k.pseudo_rem(A, B)
+        if not R:
+            return _k.primitive_pos(B)
+        A, B = B, _k.primitive_pos(R)
+
+
 def squarefree_part(p):
     """p / gcd(p, p'): same real roots as p, each with multiplicity one.
 
@@ -176,7 +198,7 @@ def squarefree_part(p):
         raise ZeroInput("squarefree part of the zero polynomial")
     if p.degree < 1:
         return IntPoly.one()
-    g = _k.gcd(list(p.coeffs), _k.deriv(list(p.coeffs)))
+    g = prs_gcd(list(p.coeffs), _k.deriv(list(p.coeffs)))
     if len(g) == 1:
         return IntPoly._raw(_k.primitive_signed(list(p.coeffs)))
     # g is primitive, so it divides the primitive part exactly (Gauss)
@@ -337,7 +359,7 @@ def _resolve_reference(a, b):
         b.step()
         if not a.overlaps(b):
             return None
-    g = _k.gcd(next(iter(a.members.values())), next(iter(b.members.values())))
+    g = prs_gcd(next(iter(a.members.values())), next(iter(b.members.values())))
     L, H = max(a.lo, b.lo), min(a.hi, b.hi)
     if len(g) > 1 and _sgn_at(g, L) != _sgn_at(g, H):
         return _Box(L, H, {**a.members, **b.members}, a.slo)

@@ -1,16 +1,20 @@
 from fractions import Fraction
+from itertools import islice
 from math import comb
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as K
-from posring.polyring import _GCD_PRIMES, IntPoly
+from posring.polyring import IntPoly
 
-from oracles import gcd_mod_fermat, sturm_chain
+from oracles import gcd_mod_fermat, prs_gcd, sturm_chain
 
 MERSENNE = (1 << 61) - 1
 SMALL_PRIME = 32749  # largest prime below 2^15
+# the first two primes of kernels.gcd's walk
+WALK = (SMALL_PRIME, MERSENNE)
 
 coeff = st.integers(min_value=-(2 ** 192), max_value=2 ** 192)
 raw = st.lists(coeff, max_size=8)
@@ -144,6 +148,118 @@ def test_gcd_divides_both(a, b):
         assert g3 == K.mul(g, [1, 1])
 
 
+def _walk(a, b):
+    # (kernels.gcd(a, b), the primes it hands gcd_mod, pseudo_rem calls)
+    primes, prs = [], [0]
+    gcd_mod, pseudo_rem = K.gcd_mod, K.pseudo_rem
+
+    def counted_mod(x, y, m):
+        primes.append(m)
+        return gcd_mod(x, y, m)
+
+    def counted_prs(x, y):
+        prs[0] += 1
+        return pseudo_rem(x, y)
+
+    with mock.patch.object(K, "gcd_mod", counted_mod), \
+            mock.patch.object(K, "pseudo_rem", counted_prs):
+        g = K.gcd(a, b)
+    return g, primes, prs[0]
+
+
+def test_gcd_walk_unit_gcd_takes_one_prime():
+    assert _walk([-2, 0, 1], [3, 1]) == ([1], [SMALL_PRIME], 0)
+
+
+def test_gcd_walk_decides_a_spurious_factor_at_the_mersenne_prime():
+    # X - 1 and X - 1 - 32749 are coprime over Q but equal mod 32749
+    a, b = [-1, 1], [-1 - SMALL_PRIME, 1]
+    assert K.gcd_mod(a, b, SMALL_PRIME) == [SMALL_PRIME - 1, 1]
+    assert _walk(a, b) == ([1], list(WALK), 0)
+
+
+def test_gcd_walk_skips_a_prime_that_drops_a_leading_coefficient():
+    # 32749 X + 1 drops its degree mod 32749, so 2^61 - 1 decides
+    assert K.gcd_mod([1, SMALL_PRIME], [2, 1], SMALL_PRIME) is None
+    assert _walk([1, SMALL_PRIME], [2, 1]) == ([1], list(WALK), 0)
+    # a prime dividing both leading coefficients is never handed over
+    assert _walk([1, SMALL_PRIME], [2, SMALL_PRIME]) == ([1], [MERSENNE], 0)
+
+
+def test_gcd_walk_lifts_a_genuine_common_factor_without_a_prs():
+    a = K.mul([-2, 0, 1], [3, 1])
+    b = K.mul([-2, 0, 1], [-5, 1])
+    assert _walk(a, b) == ([-2, 0, 1], [SMALL_PRIME], 0)
+
+
+def test_gcd_walk_passes_two_primes_on_a_wide_factor():
+    # g's coefficients run to about 300 bits, so its lift needs more
+    # than 32749 * (2^61 - 1) and Miller-Rabin supplies the next primes
+    g = [(1 << 300) + 7, -(3 << 298) + 1, 5 << 297, 1]
+    a, b = K.mul(g, [2, 1]), K.mul(g, [-7, 0, 3])
+    got, primes, prs = _walk(a, b)
+    assert got == g and prs == 0
+    assert primes[:2] == list(WALK) and len(primes) > 2
+    assert primes[2:] == list(islice(K._primes(), 2, len(primes)))
+
+
+def _miller_rabin(n):
+    # independent of kernels._primes: deterministic below 3.3 * 10^24
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_gcd_walk_primes():
+    first = list(islice(K._primes(), 5))
+    assert first == [32749, 2305843009213693951, 2305843009213693921,
+                     2305843009213693907, 2305843009213693723]
+    assert all(_miller_rabin(p) for p in first)
+    # nothing skipped: 32749 is the largest prime below 2^15, and the
+    # walk below 2^61 - 1 passes over composites only
+    assert not any(_miller_rabin(n) for n in range(32751, 1 << 15, 2))
+    assert not any(_miller_rabin(n) for n in range(first[-1] + 2, first[1], 2)
+                   if n not in first)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Pairs with a planted common factor, where the first primes of the
+    walk may divide a leading coefficient or the cofactors' resultant."""
+    small = st.lists(st.integers(-40, 40), min_size=1, max_size=6).map(
+        lambda cs: K.norm(list(cs))).filter(bool)
+    g = draw(st.one_of(small, nonzero))
+    a, b = draw(small), draw(small)
+    p = draw(st.sampled_from(WALK))
+    how = draw(st.sampled_from(("plain", "lead", "both_leads", "resultant")))
+    if how in ("lead", "both_leads"):
+        a = a[:-1] + [a[-1] * p]
+    if how == "both_leads":
+        b = b[:-1] + [b[-1] * p]
+    if how == "resultant":
+        # b = a mod p: gcd(a, b) mod p is a, larger than over Q
+        b = K.add(a, K.scale(draw(small), p)) or [p]
+    return K.mul(a, g), K.mul(b, g)
+
+
+@settings(max_examples=300)
+@given(gcd_pairs())
+def test_gcd_matches_the_prs_oracle(pair):
+    a, b = pair
+    assert K.gcd(a, b) == prs_gcd(a, b)
+
+
 # ----------------------------------------------------- chains and signs
 
 
@@ -224,7 +340,7 @@ def test_gcd_mod_is_monic_common_divisor_mod_small_prime(a, b, c):
 
 # leading coefficients that vanish mod either prime, next to ordinary ones
 lead_drop = st.tuples(st.lists(st.integers(-3, 3), max_size=6),
-                      st.sampled_from(_GCD_PRIMES)).map(lambda t: t[0] + [t[1]])
+                      st.sampled_from(WALK)).map(lambda t: t[0] + [t[1]])
 
 
 @given(st.one_of(nonzero, small_nonzero, lead_drop),
@@ -232,7 +348,7 @@ lead_drop = st.tuples(st.lists(st.integers(-3, 3), max_size=6),
 def test_gcd_mod_matches_fermat_inverse(a, b, c):
     # pow(x, -1, m) is the inverse Fermat's pow(x, m - 2, m) gives
     a, b = K.mul(a, c), K.mul(b, c)
-    for m in _GCD_PRIMES:
+    for m in WALK:
         assert K.gcd_mod(list(a), list(b), m) == gcd_mod_fermat(a, b, m)
 
 

@@ -3,11 +3,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posring import kernels as _k
 from posring.errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
 from posring.polyring import IntPoly
 from posring.realdec import AlgebraicRoot, IsolatingInterval, RationalPoint, SignVector
@@ -202,6 +204,13 @@ def _sqrt2_box(lo, hi):
     ([P(-2, 0, 1), P(2, 0, -1)], _sqrt2_box(1, 2), (0, 0)),
     # the root -sqrt(2), where both are positive: (1, X + 1) solves it
     ([P(-1, 0, 1), P(1, -1)], _sqrt2_box(-2, -1), (1, 1)),
+    # p = (2X - 1)(2X - 3)(2X - 5) changes sign over (0, 3], as does
+    # gcd(p, h_i) for each zero sign, but at different roots of p: only
+    # Descartes' rule sees the three roots; (1, 1, 4) solves it
+    ([P(-1, 2), P(5, -2), P(-1)],
+     AlgebraicRoot(IsolatingInterval((0,), Fraction(0), Fraction(3), True, None,
+                                     [-15, 46, -36, 8])),
+     (0, 0, -1)),
 ])
 def test_forged_certificate_of_a_solvable_instance_is_rejected(hs, sample, signs):
     cert = _forged(hs, sample, signs)
@@ -210,6 +219,36 @@ def test_forged_certificate_of_a_solvable_instance_is_rejected(hs, sample, signs
     d = nx.decide(hs, want_witness=True)
     assert d.status == nx.SOLVABLE
     assert nx.verify_witness(hs, list(d.certificate.fs))
+
+
+def test_repeated_factor_decide_takes_a_few_modular_images():
+    # a 64-bit degree-200 part times (X^2 - 2)^2, with 1 and X^3 - 1: the
+    # squared factor sends isolation to gcd(q, q'), and the modular gcd
+    # lifts X^2 - 2 from one or two primes; gcd_many's unit certificate
+    # against 1 takes one more.  No pseudo-remainder sequence runs on q:
+    # the only ones are the Sturm chains of X^2 - 2 for multiplicity
+    rng = random.Random(0)
+    part = [rng.getrandbits(64) - (1 << 63) for _ in range(201)]
+    q = _k.mul(part, _k.mul([-2, 0, 1], [-2, 0, 1]))
+    hs = [IntPoly(q), P(1), P(-1, 0, 0, 1)]
+    primes, rem_degrees = [], set()
+    gcd_mod, pseudo_rem = _k.gcd_mod, _k.pseudo_rem
+
+    def counted(a, b, m):
+        primes.append(m)
+        return gcd_mod(a, b, m)
+
+    def counted_rem(a, b):
+        rem_degrees.add(len(a) - 1)
+        return pseudo_rem(a, b)
+
+    with mock.patch.object(_k, "gcd_mod", counted), \
+            mock.patch.object(_k, "pseudo_rem", counted_rem):
+        d = nx.decide(hs)
+    assert d.status == nx.UNSOLVABLE
+    assert nx.verify_certificate(d.certificate)
+    assert 0 < len(primes) <= 4, primes
+    assert max(rem_degrees, default=0) <= 2, rem_degrees
 
 
 _NO_SIGN_CHANGE = """

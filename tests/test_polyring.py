@@ -1,13 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posring import kernels as _k
-from posring import polyring
 from posring.errors import AllZero, NotDivisible, ZeroInput
 from posring.polyring import (
     IntPoly,
@@ -75,60 +72,6 @@ def test_gcd_examples():
     assert gcd_many([P(-2, -4), IntPoly.zero()]) == P(1, 2)
     with pytest.raises(AllZero):
         gcd_many([IntPoly.zero(), IntPoly.zero()])
-
-
-def _coprime_counting(a, b):
-    # (_coprime_mod verdict, primes tried, exact gcds run by gcd_many)
-    calls = {"gcd_mod": [], "gcd": 0}
-    gcd_mod, gcd = _k.gcd_mod, _k.gcd
-
-    def counted_mod(x, y, m):
-        calls["gcd_mod"].append(m)
-        return gcd_mod(x, y, m)
-
-    def counted(x, y):
-        # gcd_many seeds its running gcd with gcd([], first entry)
-        calls["gcd"] += bool(x and y)
-        return gcd(x, y)
-
-    with mock.patch.object(_k, "gcd_mod", counted_mod), mock.patch.object(_k, "gcd", counted):
-        verdict = polyring._coprime_mod(list(a.coeffs), list(b.coeffs))
-        calls["gcd_mod"].clear()
-        gcd_many([a, b])
-    return verdict, calls["gcd_mod"], calls["gcd"]
-
-
-def test_coprime_mod_tries_the_next_prime_on_a_spurious_factor():
-    # X - 1 and X - 1 - 32749 are coprime over Q but equal mod 32749
-    a, b = P(-1, 1), P(-1 - 32749, 1)
-    assert polyring._GCD_PRIMES == (32749, 2**61 - 1)
-    assert _k.gcd_mod([-1, 1], [-1 - 32749, 1], 32749) == [32748, 1]
-    verdict, primes, exact = _coprime_counting(a, b)
-    assert verdict is True
-    assert primes == [32749, 2**61 - 1]
-    # the certificate holds, so gcd_many never runs the exact gcd
-    assert exact == 0 and gcd_many([a, b]) == ONE
-
-
-def test_coprime_mod_small_prime_suffices_for_a_unit_gcd():
-    verdict, primes, _ = _coprime_counting(P(-2, 0, 1), P(3, 1))
-    assert verdict is True and primes == [32749]
-
-
-def test_coprime_mod_leading_coefficient_lost_mod_small_prime():
-    # 32749 X + 1 drops its degree mod 32749, so 2^61 - 1 decides
-    a, b = P(1, 32749), P(2, 1)
-    assert _k.gcd_mod([1, 32749], [2, 1], 32749) is None
-    verdict, primes, _ = _coprime_counting(a, b)
-    assert verdict is True and primes == [32749, 2**61 - 1]
-
-
-def test_coprime_mod_refuses_a_genuine_common_factor():
-    a = P(-2, 0, 1) * P(3, 1)
-    b = P(-2, 0, 1) * P(-5, 1)
-    verdict, primes, exact = _coprime_counting(a, b)
-    assert verdict is False and primes == [32749, 2**61 - 1]
-    assert exact == 1 and gcd_many([a, b]) == P(-2, 0, 1)
 
 
 def test_eval_examples():

@@ -34,6 +34,7 @@ from oracles import (
     cauchy_root_bound,
     count_roots,
     isolate_nonneg_roots_reference,
+    prs_gcd,
     squarefree_part,
     sturm_chain,
     uniform_sign_exists_reference,
@@ -824,46 +825,29 @@ def test_sweep_overlap_checks_stay_near_linear():
 
 
 def _build_calls(hs):
-    """isolate_nonneg_roots, counting the kernels.gcd calls made while the
-    clusters are built and recording each pair sent to _separate."""
-    seen = {"gcd": 0, "separated": []}
-    build, gcd, separate = realdec._build_clusters, _k.gcd, realdec._separate
-    active = [False]
-
-    def traced_build(*args):
-        active[0] = True
-        try:
-            return build(*args)
-        finally:
-            active[0] = False
-
-    def counted_gcd(*args):
-        seen["gcd"] += active[0]
-        return gcd(*args)
+    """isolate_nonneg_roots, recording each pair sent to _separate."""
+    separated = []
+    separate = realdec._separate
 
     def traced_separate(a, b):
-        seen["separated"].append((tuple(a.members), tuple(b.members)))
+        separated.append((tuple(a.members), tuple(b.members)))
         return separate(a, b)
 
-    with mock.patch.object(realdec, "_build_clusters", traced_build), \
-            mock.patch.object(_k, "gcd", counted_gcd), \
-            mock.patch.object(realdec, "_separate", traced_separate):
+    with mock.patch.object(realdec, "_separate", traced_separate):
         ivs = isolate_nonneg_roots(hs)
-    return [(iv.owners, iv.lo, iv.hi, iv.exact) for iv in ivs], seen
+    return [(iv.owners, iv.lo, iv.hi, iv.exact) for iv in ivs], separated
 
 
 def test_merged_cluster_divides_later_members_without_a_gcd():
-    # eight multiples of X^2 - 2, two with it squared: seven merges, each
-    # an exact gcd when the first member's part is the rep; once a
-    # cluster's rep is X^2 - 2 it divides each later member, and only
-    # pairs that meet before joining a cluster need a gcd
+    # eight multiples of X^2 - 2, two with it squared: seven merges, and
+    # once a cluster's rep is X^2 - 2 each later member shares its root,
+    # so no pair is separated
     sq = P(-2, 0, 1)
     hs = [prod(sq, P(i, 1), sq if i in (3, 6) else P(1)) for i in range(1, 9)]
-    ivs, seen = _build_calls(hs)
+    ivs, separated = _build_calls(hs)
     assert ivs == isolate_nonneg_roots_reference(hs)
     assert [iv[0] for iv in ivs] == [tuple(range(8))]
-    assert 0 < seen["gcd"] < 7, seen["gcd"]
-    assert seen["separated"] == []
+    assert separated == []
 
 
 def test_dividing_rep_with_a_distinct_root_is_separated():
@@ -872,11 +856,10 @@ def test_dividing_rep_with_a_distinct_root_is_separated():
     # that interval's rep, yet the roots differ, so the pair separates
     sq = P(-2, 0, 1)
     hs = [sq, sq * P(-141421, 100000)]
-    ivs, seen = _build_calls(hs)
+    ivs, separated = _build_calls(hs)
     assert ivs == isolate_nonneg_roots_reference(hs)
     assert [iv[0] for iv in ivs] == [(1,), (0, 1)]
-    assert seen["separated"] == [((0,), (1,))]
-    assert seen["gcd"] == 0
+    assert separated == [((0,), (1,))]
 
 
 # ------------------------------------------- integer against Fraction ends
@@ -1051,7 +1034,7 @@ def _assert_sturm_agrees(h, ivs):
     # and multiplicity_free says whether gcd(h, h') vanishes there
     s = _stripped_sqfree(h)
     cs = list(h.coeffs)
-    g = IntPoly(_k.gcd(cs, _k.deriv(cs)))
+    g = IntPoly(prs_gcd(cs, _k.deriv(cs)))
     for iv in ivs:
         if iv.exact is not None:
             assert _exact_sign(h, iv.exact) == 0
@@ -1411,7 +1394,7 @@ def test_invariant_checks_survive_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "1 gcd(p, p') does not divide p's primitive part",
-        "1 gcd(q, q') does not divide q's primitive part",
+        "1 modular gcd found no common divisor within its prime budget",
         "1 bisection landed on the root at 1",
         "1 bisection landed on the root at 1",
     ]

@@ -19,7 +19,7 @@ from math import gcd as _igcd, lcm as _ilcm
 from . import kernels as _k
 from .errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
 from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many, order_at_zero
-from .realdec import RationalPoint, SignVector, sign_at_root, uniform_sign_exists
+from .realdec import RationalPoint, SignVector, signs_at_root, uniform_sign_exists
 
 DEGREE_CAP = 40
 
@@ -41,8 +41,8 @@ class NormalizedInstance:
 
 
 @dataclass(frozen=True)
-class EarlyUnsolvable:
-    """Normalization ended with every h_i(0) strictly on one side."""
+class SignCertificate:
+    """Uniform SignVector plus the normalization trace it refers to."""
 
     sign_vector: SignVector
     hs: tuple
@@ -51,13 +51,11 @@ class EarlyUnsolvable:
 
 
 @dataclass(frozen=True)
-class SignCertificate:
-    """Uniform SignVector plus the normalization trace it refers to."""
+class EarlyUnsolvable(SignCertificate):
+    """Normalization ended with every h_i(0) strictly on one side.
 
-    sign_vector: SignVector
-    hs: tuple
-    gcd_removed: IntPoly
-    x_divisions: int
+    Its sample is t = 0, so it is itself the Unsolvable certificate.
+    """
 
 
 @dataclass(frozen=True)
@@ -152,26 +150,15 @@ def decide(hs, want_witness=False, degree_cap=DEGREE_CAP):
 
 
 def _status(hs):
+    # zero rows absorb any nonzero f, so the verdict rests on the rest.
+    # A single entry needs no branch of its own: the gcd leaves a
+    # nonzero constant, whose strict sign at 0 ends normalize early
     nonzero = [h for h in hs if not h.is_zero]
     if not nonzero:
         return SOLVABLE, None, None
-    if len(nonzero) < len(hs):
-        # zero rows absorb any nonzero f, so status rests on the rest
-        return _status(nonzero)
-    if len(hs) == 1:
-        h = hs[0]
-        t = 0
-        while eval_at_rational(h, Fraction(t)) == 0:
-            t += 1
-        sv = SignVector(
-            RationalPoint(Fraction(t)), (_sgn(eval_at_rational(h, Fraction(t))),)
-        )
-        cert = SignCertificate(sv, (h,), IntPoly.one(), 0)
-        return UNSOLVABLE, cert, UNIFORM_SIGN_WITNESS
-    norm = normalize(hs)
+    norm = normalize(nonzero)
     if isinstance(norm, EarlyUnsolvable):
-        cert = SignCertificate(norm.sign_vector, norm.hs, norm.gcd_removed, norm.x_divisions)
-        return UNSOLVABLE, cert, UNIFORM_SIGN_AT_ZERO
+        return UNSOLVABLE, norm, UNIFORM_SIGN_AT_ZERO
     sv = uniform_sign_exists(list(norm.hs))
     if sv is not None:
         cert = SignCertificate(sv, norm.hs, norm.gcd_removed, norm.x_divisions)
@@ -197,10 +184,12 @@ def verify_certificate(cert):
         return all(
             _sgn(eval_at_rational(h, t)) == s for h, s in zip(cert.hs, sv.signs)
         )
+    # an algebraic sample is never exact: decide gives exact roots as
+    # RationalPoints, which the t >= 0 rules above check
     root = sv.sample.interval
-    if root.lo < 0:
+    if root.lo < 0 or root.exact is not None:
         return False
-    return all(sign_at_root(h, root) == s for h, s in zip(cert.hs, sv.signs))
+    return signs_at_root(cert.hs, root) == tuple(sv.signs)
 
 
 def build_feasibility(hs, d):

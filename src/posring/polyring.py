@@ -47,12 +47,6 @@ class IntPoly:
     def x(cls):
         return cls._raw((0, 1))
 
-    @classmethod
-    def monomial(cls, k, c=1):
-        if c == 0:
-            return cls.zero()
-        return cls._raw((0,) * k + (c,))
-
     @property
     def coeffs(self):
         return self._coeffs

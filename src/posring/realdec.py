@@ -53,9 +53,10 @@ that narrow: the root inside is not dyadic, and no later bisection
 midpoint, which is dyadic, can land on a root of s.  Every dyadic root
 comes out exact on the way.
 
-``sign_at_root`` checks by Descartes' rule that an interval holds one
-simple root, then refines it by a derivative bound; it serves as the
-independent re-check of a certificate, not the scan.
+``signs_at_root`` checks by Descartes' rule that an interval holds one
+simple root, once, then signs each polynomial there, refining by a
+derivative bound; it serves as the independent re-check of a
+certificate, not the scan.
 """
 
 import bisect
@@ -105,11 +106,10 @@ class IsolatingInterval:
     Fractions, converted from isolation's integer form (see the module
     doc).  ``exact`` carries the root value when it is a known rational
     (then hi equals the root and ``s`` is None).  Otherwise no other
-    input polynomial has a root in (lo, hi], and ``s`` is the
-    representative of owner ``owners[0]``, the polynomial isolation ran
-    on: a primitive integer polynomial dividing that owner, whose only
-    root in (lo, hi] is this one, simple, so its signs at lo and hi are
-    opposite and nonzero.
+    input polynomial has a root in (lo, hi], and ``s`` is the sample
+    poly, the one refinement bisected: a primitive integer polynomial
+    dividing every owner, whose only root in (lo, hi] is this one,
+    simple, so its signs at lo and hi are opposite and nonzero.
     ``multiplicity_free`` is true when the root is simple in every owner.
     """
 
@@ -512,9 +512,7 @@ def _synthesize(data, exact_owned, recs):
                 if _k.var_at(gch, c.a, den) - _k.var_at(gch, c.b, den) >= 1:
                     mult_free = False
                     break
-            owners = sorted(c.members)
-            s = c.members[owners[0]]
-            out.append(IsolatingInterval(owners, lo, hi, mult_free, None, s))
+            out.append(IsolatingInterval(sorted(c.members), lo, hi, mult_free, None, c.rep))
             prev_hi = hi
     return out
 
@@ -535,20 +533,24 @@ def isolate_nonneg_roots(hs):
 
 
 def sign_at_root(q, root):
-    """Sign of q at the root described by an IsolatingInterval.
+    """Sign of q at an IsolatingInterval's root: signs_at_root for one q."""
+    signs = signs_at_root((q,), root)
+    return None if signs is None else signs[0]
 
-    None, refusing the interval, unless root.s (the owner's
-    representative) is nonzero at lo and hi with opposite signs and
-    Descartes' rule proves it has one root in (lo, hi], a simple one.
-    0 exactly when gcd(root.s, q) has a root in the interval; otherwise
-    refines the interval until the sign of q is certified constant on it
-    and reads it at the midpoint.
+
+def signs_at_root(qs, root):
+    """Tuple of the signs of each q in qs at an IsolatingInterval's root.
+
+    An exact root is evaluated at.  Otherwise None, refusing the
+    interval, unless root.s (the sample poly) is nonzero at lo and hi
+    with opposite signs and Descartes' rule proves it has one root in
+    (lo, hi], a simple one; this is checked once for all of qs.  A q's
+    sign is 0 exactly when gcd(root.s, q) has a root in the interval;
+    otherwise the interval is refined until the sign of q is certified
+    constant on it and read at the midpoint.
     """
-    qcs = list(q.coeffs)
-    if not qcs:
-        return 0
     if root.exact is not None:
-        return _sgn(_ev(qcs, root.exact))
+        return tuple(_sgn(_ev(list(q.coeffs), root.exact)) for q in qs)
     s = root.s
     lo, hi = root.lo, root.hi
     slo = _sgn(_ev(s, lo))
@@ -566,6 +568,14 @@ def sign_at_root(q, root):
             r[j] += u * r[j + 1]
     if _k.sign_variations(_k.shift1([c * w**j for j, c in enumerate(r)][::-1])) != 1:
         return None
+    return tuple(_sign_near(list(q.coeffs), s, slo, lo, hi) for q in qs)
+
+
+def _sign_near(qcs, s, slo, lo, hi):
+    # sign of qcs at the one root of s in (lo, hi], where s has sign slo
+    # at lo
+    if not qcs:
+        return 0
     g = _k.gcd(s, qcs)
     # g divides s, so it is nonzero at lo and hi too: a sign change
     # pins the shared root

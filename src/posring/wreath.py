@@ -26,8 +26,11 @@ the corrected witness becomes the two-letter loop (A_i B_j)^c spliced
 in where the suffix after it has height k, adding c X**k * h_ij to the
 upper-right entry.  A loop has height 0, so a word stores it once with
 its count and multiplies it in closed form; coefficients in the
-thousands cost no more than ones.  Every synthesized word is checked by
-exact multiplication before it is returned.
+thousands cost no more than ones.  A degenerate cover, whose h_ij are
+all zero, takes the same construction: every loop is then an identity
+word by itself, and the witness only sets the powers.  Every
+synthesized word is checked by exact multiplication before it is
+returned.
 """
 
 from dataclasses import dataclass
@@ -451,10 +454,11 @@ def synthesize_identity_word(gens, cover, witness):
     """Word over the generators whose product is the identity.
 
     The witness entries line up with cover.pairs in sorted order and
-    must verify against the X-cleared h_ij.  A degenerate cover whose
-    h_ij are all zero gets one loop A_i B_j per pair, each an identity
-    word on its own; otherwise the loop construction cancels the sum by
-    design.  The product is recomputed exactly before returning.
+    must verify against the X-cleared h_ij.  The loop construction
+    cancels the sum by design, also on a degenerate cover whose h_ij are
+    all zero: there every loop is an identity word on its own, and the
+    witness only sets the powers.  The product is recomputed exactly
+    before returning.
     """
     pairs = cover.pairs
     if not pairs:
@@ -473,11 +477,7 @@ def synthesize_identity_word(gens, cover, witness):
     if not ok:
         raise InvalidWitness("witness does not cancel the cover's h_ij")
 
-    if all(h.is_zero for h in hs_laurent):
-        letters = tuple(ref for p in pairs for ref in ((PLUS, p[0]), (MINUS, p[1])))
-        word = Word(letters)
-    else:
-        word = Word(_plan(pairs, dict(zip(pairs, fs))).letters)
+    word = Word(_plan(pairs, dict(zip(pairs, fs))).letters)
     if word_product(gens, word) != WreathElement.identity():
         raise PostconditionFailed("synthesized word failed the exact product check")
     return word

@@ -147,8 +147,10 @@ def test_decide_early_unsolvable_reason():
 def test_decide_single_polynomial():
     d = nx.decide([P(0, 1)])  # X alone: f*X = 0 forces f = 0
     assert d.status == nx.UNSOLVABLE
-    assert d.unsolvable_reason == nx.UNIFORM_SIGN_WITNESS
-    assert d.certificate.sign_vector.sample.value == 1  # skips the root at 0
+    # the gcd takes all of X out, and the constant left is positive at 0
+    assert d.unsolvable_reason == nx.UNIFORM_SIGN_AT_ZERO
+    assert d.certificate.sign_vector.sample.value == 0
+    assert d.certificate.hs == (P(1),) and d.certificate.gcd_removed == P(0, 1)
     assert nx.verify_certificate(d.certificate)
 
 
@@ -188,6 +190,38 @@ def test_decide_algebraic_certificate():
     assert nx.verify_certificate(d.certificate)
 
 
+def test_algebraic_certificate_checks_its_interval_once():
+    # one Descartes transform of the sample poly per certificate, not
+    # one per entry: each entry is then signed on the checked interval
+    sq = P(-2, 0, 1)
+    hs = [sq, -sq, P(-1, 1), sq * P(3, 1), P(-1, 0, 1)]
+    d = nx.decide(hs)
+    assert isinstance(d.certificate.sign_vector.sample, AlgebraicRoot)
+    calls = []
+    shift1 = _k.shift1
+
+    def counted(p):
+        calls.append(len(p))
+        return shift1(p)
+
+    with mock.patch.object(_k, "shift1", counted):
+        assert nx.verify_certificate(d.certificate)
+    assert len(calls) == 1, calls
+
+
+def test_decide_single_entry_takes_the_early_exit():
+    # the gcd of one entry is its primitive part, and the nonzero
+    # constant left is strictly signed at 0
+    for cs in [(0, 1), (3,), (-2, 0, 4), (0, 0, -5, 1), (1, -2, 1), (0, -1)]:
+        d = nx.decide([IntPoly.zero(), P(*cs)])
+        assert d.status == nx.UNSOLVABLE
+        assert d.unsolvable_reason == nx.UNIFORM_SIGN_AT_ZERO
+        assert isinstance(d.certificate, nx.EarlyUnsolvable)
+        assert d.certificate.hs[0].degree == 0
+        assert d.certificate.hs[0] * d.certificate.gcd_removed == P(*cs)
+        assert nx.verify_certificate(d.certificate)
+
+
 def _forged(hs, sample, signs):
     return nx.SignCertificate(SignVector(sample, signs), tuple(hs), IntPoly.one(), 0)
 
@@ -211,6 +245,12 @@ def _sqrt2_box(lo, hi):
      AlgebraicRoot(IsolatingInterval((0,), Fraction(0), Fraction(3), True, None,
                                      [-15, 46, -36, 8])),
      (0, 0, -1)),
+    # an algebraic sample carrying the exact value -1, where X + 1 is 0
+    # and -1 negative: the t >= 0 rules hold only for rational samples;
+    # (1, X + 1) solves it
+    ([P(1, 1), P(-1)],
+     AlgebraicRoot(IsolatingInterval((0,), Fraction(0), Fraction(1), True, -1, None)),
+     (0, -1)),
 ])
 def test_forged_certificate_of_a_solvable_instance_is_rejected(hs, sample, signs):
     cert = _forged(hs, sample, signs)

@@ -850,6 +850,20 @@ def test_merged_cluster_divides_later_members_without_a_gcd():
     assert separated == []
 
 
+def test_sample_poly_divides_every_owner():
+    # owner 0's part (X^2 - 2)(X + 1) divides no other owner; the merged
+    # cluster's common factor divides all four
+    sq = P(-2, 0, 1)
+    families = [[prod(sq, P(i, 1)) for i in range(1, 5)]]
+    families += [_wide_family(seed, 40 + 5 * seed) for seed in range(3)]
+    for hs in families:
+        for iv in isolate_nonneg_roots(hs):
+            for i in iv.owners if iv.exact is None else ():
+                assert _k.exact_div(list(hs[i].coeffs), iv.s) is not None, (iv, i)
+    assert [(iv.owners, iv.s) for iv in isolate_nonneg_roots(families[0])] == [
+        ((0, 1, 2, 3), [-2, 0, 1])]
+
+
 def test_dividing_rep_with_a_distinct_root_is_separated():
     # 141421/100000 is a root of the second entry only, and its interval
     # still overlaps sqrt(2)'s after the eight rounds: X^2 - 2 divides

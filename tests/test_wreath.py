@@ -630,7 +630,9 @@ def test_synthesize_degenerate_zero_cover():
     zeros = wr.GeneratorSet(plus=(L([]),) * 2, minus=(L([]),) * 2)
     cover = wr.CoverSubset(((1, 1), (2, 2)))
     word = wr.synthesize_identity_word(zeros, cover, WitnessTuple(fs=(P(1), P(2))))
-    assert str(word) == "A1 B1 A2 B2"
+    # the general loop construction: the witness sets each pair's power
+    assert str(word) == "A1 B1 (A2 B2)^2"
+    assert wr.word_product(zeros, word) == wr.WreathElement.identity()
 
 
 def test_synthesize_rejects_bad_witness():

@@ -214,9 +214,12 @@ def cmd_solve(args):
     pf = parse_input(_read_file(args.file))
     if pf.kind != "equation":
         raise SchemaError("solve expects an 'equation' problem file")
+    hs = list(pf.hs)
     t0 = perf_counter()
-    decision = nxsolve.decide(list(pf.hs), want_witness=args.witness,
-                              degree_cap=args.degree_cap)
+    decision = nxsolve.decide(hs)
+    witness = None
+    if decision.status == nxsolve.SOLVABLE and args.witness:
+        witness = nxsolve.find_witness(hs, args.degree_cap)
     elapsed = round(perf_counter() - t0, 6)
 
     report = {"status": decision.status}
@@ -238,9 +241,9 @@ def cmd_solve(args):
         lines.append("signs: %s" % " ".join("%+d" % s if s else "0" for s in sv.signs))
         lines.append("certificate verified: %s" % _text_value(verified))
     elif args.witness:
-        if decision.witness_status == nxsolve.WITNESS_FOUND:
-            fs = decision.certificate.fs
-            verified = nxsolve.verify_witness(list(pf.hs), list(fs))
+        if witness is not None:
+            fs = witness.fs
+            verified = nxsolve.verify_witness(hs, list(fs))
             report["witness"] = [poly_to_json(f) for f in fs]
             report["witness_verified"] = verified
             lines.append("witness: %s" % "; ".join(str(f) for f in fs))
@@ -248,7 +251,8 @@ def cmd_solve(args):
         else:
             report["witness"] = None
             lines.append("witness: not found within degree cap %d" % args.degree_cap)
-        report["witness_status"] = decision.witness_status
+        report["witness_status"] = (nxsolve.WITNESS_NOT_FOUND if witness is None
+                                    else nxsolve.WITNESS_FOUND)
     report["timing"] = {"seconds": elapsed}
 
     _write_report(args, report, lines)

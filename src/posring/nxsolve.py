@@ -4,9 +4,10 @@ Decision runs in three normalization-guarded steps: divide out the common
 polynomial gcd, repeatedly strip X from the entries vanishing at 0 while
 watching for a uniform sign at 0, then ask whether any t >= 0 gives every
 reduced h_i the same weak sign.  A uniform sign certifies unsolvability;
-otherwise the instance is solvable and a witness tuple can be synthesized
-by exact rational linear programming over the convolution system, with
-nonzeroness encoded as coefficient sums >= 1 (sound by homogeneity).
+otherwise the instance is solvable.  Producing a solution is a separate
+job: find_witness synthesizes a witness tuple by exact rational linear
+programming over the convolution system, with nonzeroness encoded as
+coefficient sums >= 1 (sound by homogeneity).
 
 Witnesses are searched against the original, unnormalized h_i, so a
 returned tuple verifies by direct substitution.
@@ -14,7 +15,7 @@ returned tuple verifies by direct substitution.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _igcd, lcm as _ilcm
+from math import lcm
 
 from . import kernels as _k
 from .errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
@@ -81,10 +82,23 @@ class FeasibilitySystem:
 
 @dataclass(frozen=True)
 class Decision:
+    """The verdict, and when it is Unsolvable the SignCertificate behind it.
+
+    A Solvable decision carries no certificate: find_witness searches for
+    a witness tuple separately.
+    """
+
     status: str
-    certificate: object = None
-    unsolvable_reason: str = None
-    witness_status: str = None
+    certificate: SignCertificate = None
+
+    @property
+    def unsolvable_reason(self):
+        """UniformSignAtZero, UniformSignWitness, or None when Solvable."""
+        if self.certificate is None:
+            return None
+        if isinstance(self.certificate, EarlyUnsolvable):
+            return UNIFORM_SIGN_AT_ZERO
+        return UNIFORM_SIGN_WITNESS
 
 
 def _sgn(v):
@@ -127,43 +141,28 @@ def normalize(hs):
             raise PostconditionFailed("X-division loop exceeded degree budget")
 
 
-def decide(hs, want_witness=False, degree_cap=DEGREE_CAP):
-    """Solvable or Unsolvable, with a certificate either way.
+def decide(hs):
+    """Solvable or Unsolvable, with a SignCertificate when Unsolvable.
 
-    Unsolvable decisions carry a SignCertificate.  Solvable ones carry a
-    verified WitnessTuple when want_witness is set and the LP search
-    finds one with every deg f_i <= degree_cap; witness_status reports
-    Found or NotFoundWithinCap (the decision itself is already final).
+    Zero entries absorb any nonzero f, so the verdict rests on the rest:
+    Solvable when none is left, else Unsolvable exactly when normalize
+    ends early or the reduced h_i share a weak sign at some t > 0.
     """
     if not hs:
         raise AllZero("empty instance")
-    status, cert, reason = _status(list(hs))
-    wstatus = None
-    if status == SOLVABLE and want_witness:
-        wt = find_witness(hs, degree_cap)
-        if wt is not None:
-            cert = wt
-            wstatus = WITNESS_FOUND
-        else:
-            wstatus = WITNESS_NOT_FOUND
-    return Decision(status, cert, reason, wstatus)
-
-
-def _status(hs):
-    # zero rows absorb any nonzero f, so the verdict rests on the rest.
-    # A single entry needs no branch of its own: the gcd leaves a
+    # a single entry needs no branch of its own: the gcd leaves a
     # nonzero constant, whose strict sign at 0 ends normalize early
     nonzero = [h for h in hs if not h.is_zero]
     if not nonzero:
-        return SOLVABLE, None, None
+        return Decision(SOLVABLE)
     norm = normalize(nonzero)
     if isinstance(norm, EarlyUnsolvable):
-        return UNSOLVABLE, norm, UNIFORM_SIGN_AT_ZERO
+        return Decision(UNSOLVABLE, norm)
     sv = uniform_sign_exists(list(norm.hs))
     if sv is not None:
         cert = SignCertificate(sv, norm.hs, norm.gcd_removed, norm.x_divisions)
-        return UNSOLVABLE, cert, UNIFORM_SIGN_WITNESS
-    return SOLVABLE, None, None
+        return Decision(UNSOLVABLE, cert)
+    return Decision(SOLVABLE)
 
 
 def verify_certificate(cert):
@@ -326,14 +325,9 @@ def find_witness(hs, degree_cap=DEGREE_CAP):
         x = rational_feasibility(build_feasibility(hs, d))
         if x is None:
             continue
-        den = 1
-        for v in x:
-            den = _ilcm(den, v.denominator)
-        ints = [int(v * den) for v in x]
-        content = 0
-        for v in ints:
-            content = _igcd(content, v)
-        ints = [v // content for v in ints]
+        den = lcm(*(v.denominator for v in x))
+        # every entry is >= 0, so this divides out exactly the content
+        ints = _k.primitive_signed([int(v * den) for v in x])
         fs = tuple(
             IntPoly(ints[i * (d + 1):(i + 1) * (d + 1)]) for i in range(len(hs))
         )

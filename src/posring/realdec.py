@@ -321,7 +321,7 @@ class _IvalCluster:
 
     def __init__(self, a, b, k, members, slo, rep):
         self.a, self.b, self.k = a, b, k  # the interval (a/2^k, b/2^k]
-        self.members = members  # index -> that input's part
+        self.members = members  # the set of input indices it holds
         # the polynomial refinement bisects: it divides every member,
         # and its only root in the interval is the cluster's root,
         # simple in it.  One interval's cluster starts with its owner's
@@ -397,11 +397,9 @@ def _resolve_overlap(a, b):
     den = 1 << k
     gL = _sgn(_k.eval_scaled(g, L, den))
     if gL != _sgn(_k.eval_scaled(g, H, den)):
-        members = dict(a.members)
-        members.update(b.members)
         # g is the merged cluster's rep: it divides every member and has
         # the shared root, simple, as its only root in (L, H]
-        return _IvalCluster(L, H, k, members, gL, g)
+        return _IvalCluster(L, H, k, a.members | b.members, gL, g)
     _separate(a, b)
     return None
 
@@ -430,7 +428,7 @@ def _build_clusters(data):
             if owned is not None:
                 exact_owned[owned].append(i)
                 continue
-            c = _IvalCluster(a, b, k, {i: d.s}, slo, d.s)
+            c = _IvalCluster(a, b, k, {i}, slo, d.s)
             for r in inside:
                 _shrink_to_exclude(c, r)
             recs.append(c)
@@ -530,12 +528,6 @@ def isolate_nonneg_roots(hs):
     data = [_PolyData(list(h.coeffs)) for h in hs]
     exact_owned, recs = _build_clusters(data)
     return _synthesize(data, exact_owned, recs)
-
-
-def sign_at_root(q, root):
-    """Sign of q at an IsolatingInterval's root: signs_at_root for one q."""
-    signs = signs_at_root((q,), root)
-    return None if signs is None else signs[0]
 
 
 def signs_at_root(qs, root):

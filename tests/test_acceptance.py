@@ -14,7 +14,6 @@ from time import perf_counter
 from posring.nxsolve import (
     SOLVABLE,
     UNSOLVABLE,
-    WITNESS_FOUND,
     WitnessTuple,
     decide,
     find_witness,
@@ -130,13 +129,12 @@ def test_criterion_4_witness_completeness():
     solvable = 0
     for _ in range(500):
         hs = _random_instance(rng)
-        d = decide(hs, want_witness=True, degree_cap=40)
-        if d.status != SOLVABLE:
+        if decide(hs).status != SOLVABLE:
             continue
         solvable += 1
-        assert d.witness_status == WITNESS_FOUND, (
-            "witness cap 40 exhausted on %r" % (hs,))
-        assert verify_witness(hs, list(d.certificate.fs))
+        wt = find_witness(hs, 40)
+        assert wt is not None, "witness cap 40 exhausted on %r" % (hs,)
+        assert verify_witness(hs, list(wt.fs))
     assert solvable > 0
 
 

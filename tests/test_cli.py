@@ -143,6 +143,28 @@ def test_solve_text_output(problem, capsys):
     assert "certificate verified: true" in lines
 
 
+def test_solve_witness_text_output(problem, capsys):
+    code, out, _ = run(["solve", problem(TRIPLE), "--witness"], capsys)
+    assert code == 0
+    assert out == "status: Solvable\nwitness: 1; 1; 1\nwitness verified: true\n"
+    # (X + 1, -X - 2) needs degree 1, so cap 0 misses, and the verdict
+    # stands on its own
+    shift = '{"equation": {"h": [[1, 1], [-2, -1]]}}'
+    code, out, _ = run(["solve", problem(shift), "--witness", "--degree-cap", "0"],
+                       capsys)
+    assert code == 0
+    assert out == "status: Solvable\nwitness: not found within degree cap 0\n"
+    # an Unsolvable verdict runs no witness search and reports none
+    code, out, _ = run(["solve", problem(REMARK), "--witness"], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "status: Unsolvable"
+    assert not any(line.startswith("witness") for line in out.splitlines())
+    code, out, _ = run(["solve", problem(REMARK), "--witness", "--json"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert "witness" not in report and "witness_status" not in report
+
+
 def test_solve_algebraic_sample(problem, capsys):
     src = '{"equation": {"h": [[-2, 0, 1], [2, 0, -1], [-1, 1]]}}'
     code, out, _ = run(["solve", problem(src), "--json"], capsys)

@@ -116,16 +116,16 @@ def test_decide_remark_pair():
 
 
 def test_decide_triple_with_witness():
-    d = nx.decide(TRIPLE, want_witness=True)
+    d = nx.decide(TRIPLE)
     assert d.status == nx.SOLVABLE
-    assert d.witness_status == nx.WITNESS_FOUND
-    assert d.certificate.fs == (P(1), P(1), P(1))
+    assert d.certificate is None and d.unsolvable_reason is None
+    assert nx.find_witness(TRIPLE).fs == (P(1), P(1), P(1))
 
 
 def test_decide_shift_pair_witness():
-    d = nx.decide(SHIFT_PAIR, want_witness=True)
-    assert d.certificate.fs == (P(2, 1), P(1, 1))
-    assert nx.verify_witness(SHIFT_PAIR, list(d.certificate.fs))
+    wt = nx.find_witness(SHIFT_PAIR)
+    assert wt.fs == (P(2, 1), P(1, 1))
+    assert nx.verify_witness(SHIFT_PAIR, list(wt.fs))
 
 
 def test_decide_x_and_x_minus_1():
@@ -157,11 +157,9 @@ def test_decide_single_polynomial():
 def test_decide_zero_slots():
     assert nx.decide([IntPoly.zero()]).status == nx.SOLVABLE
     assert nx.decide([IntPoly.zero(), P(0, 1)]).status == nx.UNSOLVABLE
-    d = nx.decide([IntPoly.zero(), P(0, 1), P(0, -1)], want_witness=True)
-    assert d.status == nx.SOLVABLE
-    assert nx.verify_witness(
-        [IntPoly.zero(), P(0, 1), P(0, -1)], list(d.certificate.fs)
-    )
+    hs = [IntPoly.zero(), P(0, 1), P(0, -1)]
+    assert nx.decide(hs).status == nx.SOLVABLE
+    assert nx.verify_witness(hs, list(nx.find_witness(hs).fs))
 
 
 def test_decide_empty_rejected():
@@ -170,13 +168,10 @@ def test_decide_empty_rejected():
 
 
 def test_decide_witness_cap_reported():
-    d = nx.decide(TRIPLE, want_witness=True, degree_cap=0)
-    assert d.witness_status == nx.WITNESS_FOUND
+    assert nx.find_witness(TRIPLE, 0) is not None
     # a solvable instance whose smallest witness needs degree 1
-    d = nx.decide(SHIFT_PAIR, want_witness=True, degree_cap=0)
-    assert d.status == nx.SOLVABLE
-    assert d.witness_status == nx.WITNESS_NOT_FOUND
-    assert d.certificate is None
+    assert nx.decide(SHIFT_PAIR).status == nx.SOLVABLE
+    assert nx.find_witness(SHIFT_PAIR, 0) is None
 
 
 def test_decide_algebraic_certificate():
@@ -256,9 +251,8 @@ def test_forged_certificate_of_a_solvable_instance_is_rejected(hs, sample, signs
     cert = _forged(hs, sample, signs)
     assert cert.sign_vector.is_uniform
     assert not nx.verify_certificate(cert)
-    d = nx.decide(hs, want_witness=True)
-    assert d.status == nx.SOLVABLE
-    assert nx.verify_witness(hs, list(d.certificate.fs))
+    assert nx.decide(hs).status == nx.SOLVABLE
+    assert nx.verify_witness(hs, list(nx.find_witness(hs).fs))
 
 
 def test_repeated_factor_decide_takes_a_few_modular_images():
@@ -295,11 +289,11 @@ _NO_SIGN_CHANGE = """
 from fractions import Fraction
 from posring.polyring import IntPoly
 from posring.nxsolve import SignCertificate, verify_certificate
-from posring.realdec import AlgebraicRoot, IsolatingInterval, SignVector, sign_at_root
+from posring.realdec import AlgebraicRoot, IsolatingInterval, SignVector, signs_at_root
 root = IsolatingInterval((0,), Fraction(2), Fraction(3), True, None, [-2, 0, 1])
 q = IntPoly([-3, 1])
 cert = SignCertificate(SignVector(AlgebraicRoot(root), (-1,)), (q,), IntPoly.one(), 0)
-print(sign_at_root(q, root), verify_certificate(cert))
+print(signs_at_root((q,), root), verify_certificate(cert))
 """
 
 
@@ -561,6 +555,7 @@ def test_found_witnesses_always_verify():
     rng = random.Random(77)
     for _ in range(40):
         hs = _random_instance(rng, nmax=3)
-        d = nx.decide(hs, want_witness=True, degree_cap=8)
-        if d.status == nx.SOLVABLE and d.witness_status == nx.WITNESS_FOUND:
-            assert nx.verify_witness(hs, list(d.certificate.fs))
+        if nx.decide(hs).status == nx.SOLVABLE:
+            wt = nx.find_witness(hs, 8)
+            if wt is not None:
+                assert nx.verify_witness(hs, list(wt.fs))

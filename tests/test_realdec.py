@@ -23,7 +23,7 @@ from posring.realdec import (
     _resolve_overlap,
     _shrink_to_exclude,
     isolate_nonneg_roots,
-    sign_at_root,
+    signs_at_root,
     uniform_sign_exists,
 )
 
@@ -55,6 +55,10 @@ def prod(*ps):
     for p in ps:
         out = out * p
     return out
+
+
+def _sign_at_root(q, root):
+    return signs_at_root((q,), root)[0]
 
 
 # ---------------------------------------------------------------- chains
@@ -264,35 +268,35 @@ def test_isolate_zero_polynomial_rejected():
 
 def test_sign_at_root_constant():
     root = isolate_nonneg_roots([P(-2, 0, 1)])[0]
-    assert sign_at_root(P(1), root) == 1
+    assert _sign_at_root(P(1), root) == 1
 
 
 def test_sign_at_root_shared_zero():
     root = isolate_nonneg_roots([P(-1, 2, -1)])[0]
-    assert sign_at_root(P(-1, 1), root) == 0
+    assert _sign_at_root(P(-1, 1), root) == 0
 
 
 def test_sign_at_root_sqrt2():
     root = isolate_nonneg_roots([P(-2, 0, 1)])[0]
-    assert sign_at_root(P(-2, 1), root) == -1
-    assert sign_at_root(P(-1, 1), root) == 1
-    assert sign_at_root(P(-2, 0, 1), root) == 0
+    assert _sign_at_root(P(-2, 1), root) == -1
+    assert _sign_at_root(P(-1, 1), root) == 1
+    assert _sign_at_root(P(-2, 0, 1), root) == 0
 
 
 def test_sign_at_root_zero_iff_common_factor():
     # 0 exactly when gcd(squarefree(owner), q) vanishes at the root
     root = isolate_nonneg_roots([P(-2, 0, 1)])[0]
     multiple = prod(P(-2, 0, 1), P(5, 1))
-    assert sign_at_root(multiple, root) == 0
-    assert sign_at_root(P(-3, 0, 1), root) == -1  # 2 - 3 < 0
-    assert sign_at_root(P(-1, 0, 1), root) == 1  # 2 - 1 > 0
+    assert _sign_at_root(multiple, root) == 0
+    assert _sign_at_root(P(-3, 0, 1), root) == -1  # 2 - 3 < 0
+    assert _sign_at_root(P(-1, 0, 1), root) == 1  # 2 - 1 > 0
 
 
 def test_sign_at_root_rational_owner():
     root = isolate_nonneg_roots([P(-1, 3)])[0]  # 1/3
     assert root.exact == Fraction(1, 3)
-    assert sign_at_root(P(-1, 2), root) == -1
-    assert sign_at_root(P(-1, 3), root) == 0
+    assert _sign_at_root(P(-1, 2), root) == -1
+    assert _sign_at_root(P(-1, 3), root) == 0
 
 
 # ------------------------------------------------------------ uniform sign
@@ -509,7 +513,7 @@ def _between(hs, a, b):
 
 def _reference_scan(hs):
     """First uniform vector over every cell of [0, oo): t = 0, each root
-    (signs from sign_at_root), a point between consecutive roots, and a
+    (signs from signs_at_root), a point between consecutive roots, and a
     point past every root.  Returns (sample, signs) or None."""
     roots = isolate_nonneg_roots(hs)
     points = [Fraction(0)]
@@ -523,7 +527,7 @@ def _reference_scan(hs):
             sample, signs = pt, tuple(_exact_sign(h, pt) for h in hs)
         else:
             sample = pt.exact if pt.exact is not None else (pt.lo, pt.hi, pt.owners)
-            signs = tuple(sign_at_root(h, pt) for h in hs)
+            signs = tuple(_sign_at_root(h, pt) for h in hs)
         if -1 not in signs or 1 not in signs:
             return sample, signs
     return None
@@ -560,7 +564,7 @@ def test_non_owner_sign_at_root_is_sign_at_hi(hs, share):
             continue
         for i, h in enumerate(hs):
             if i not in iv.owners:
-                assert sign_at_root(h, iv) == _exact_sign(h, iv.hi) != 0
+                assert _sign_at_root(h, iv) == _exact_sign(h, iv.hi) != 0
 
 
 # sweep factors: X^2 - 2 shared across entries, rational roots of
@@ -682,7 +686,7 @@ def _build_clusters_reference(data):
             inside = [r for r in sorted(known) if Fraction(a, 1 << k) < r <= Fraction(b, 1 << k)]
             if any(_ev(d.s, r) == 0 for r in inside):
                 continue
-            c = _IvalCluster(a, b, k, {i: d.s}, slo, d.s)
+            c = _IvalCluster(a, b, k, {i}, slo, d.s)
             for r in inside:
                 _shrink_to_exclude(c, r)
             recs.append(c)
@@ -716,7 +720,7 @@ def _isolate_with(build, hs):
     pairs = []
 
     def traced(a, b):
-        pairs.append(tuple((c.a, c.b, c.k, tuple(c.members)) for c in (a, b)))
+        pairs.append(tuple((c.a, c.b, c.k, tuple(sorted(c.members))) for c in (a, b)))
         return resolve(a, b)
 
     with mock.patch.object(realdec, "_build_clusters", build), \
@@ -830,7 +834,7 @@ def _build_calls(hs):
     separate = realdec._separate
 
     def traced_separate(a, b):
-        separated.append((tuple(a.members), tuple(b.members)))
+        separated.append((tuple(sorted(a.members)), tuple(sorted(b.members))))
         return separate(a, b)
 
     with mock.patch.object(realdec, "_separate", traced_separate):
@@ -1387,7 +1391,7 @@ from posring.realdec import (_IvalCluster, _refine_step, _shrink_to_exclude,
                              isolate_nonneg_roots)
 kernels.exact_div = lambda a, b: None
 # X - 1 on (0, 2], which breaks the dyadic-root-free invariant
-box = lambda: _IvalCluster(0, 2, 0, {0: [-1, 1]}, -1, [-1, 1])
+box = lambda: _IvalCluster(0, 2, 0, {0}, -1, [-1, 1])
 for call in (lambda: squarefree_part(IntPoly([0, 0, 1])),
              lambda: isolate_nonneg_roots([IntPoly([1, -2, 1])]),
              lambda: _refine_step(box()),

@@ -320,6 +320,12 @@ def find_witness(hs, degree_cap=DEGREE_CAP):
     The first feasible system yields a rational point; denominators are
     cleared, the common integer content divided out, and the result
     verified by substitution before being returned.
+
+    None means no witness within the cap, which includes every
+    Unsolvable input: there every LP up to degree_cap is solved before
+    None comes back, tenths of a second even on two or three small
+    polynomials, where ``decide`` answers in under a millisecond.  Call
+    ``decide`` first and search only after a Solvable verdict.
     """
     for d in range(degree_cap + 1):
         x = rational_feasibility(build_feasibility(hs, d))

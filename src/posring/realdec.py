@@ -35,6 +35,12 @@ by sign changes of s.  Every gcd is ``kernels.gcd``, Brown's modular
 gcd: one unit image mod a prime proves a pair coprime, and a common
 factor costs a CRT lift over a few primes and a trial division.
 
+Overlapping intervals of different inputs are merged when they hold a
+shared root, else refined until disjoint; a merged interval is refined
+on a common factor of its owners.  When one side's polynomial divides
+the other's it is that factor, and the shared-root test runs at once;
+only other pairs are bisected a few rounds before a gcd is paid for.
+
 Every endpoint isolation touches is dyadic, so an interval is kept as
 integers (a, b, k) for (a/2^k, b/2^k].  A bisection step evaluates s at
 a + b over 2^(k + 1) and goes to (2a, a + b, k + 1) or (a + b, 2b, k + 1);
@@ -152,13 +158,14 @@ def _sgn(v):
 # that tree never ends; on a squarefree q it ends where the roots
 # separate.  Measured over every part the decide calls of perfbench's
 # dense_decide, wide_decide and wreath_grid pools isolate (215, 2124 and
-# 1498 parts): the deepest split in a squarefree part is at depth 8; of
-# the 268 non-squarefree wide_decide parts, 258 still split past depth
-# 200, 9 meet a double midpoint root and 1 ends at once; all 10
-# non-squarefree wreath_grid parts meet a double root or end at once.
-# 16 leaves room above 8, and a squarefree part that runs deeper pays
-# for the gcd and a second tree.
-_SQFREE_DEPTH = 16
+# 658 parts; 215, 1552 and 581 distinct): the deepest split in a
+# squarefree part is at depth 8 (2 in wreath_grid).  Of the distinct
+# non-squarefree parts, 119 in wide_decide and 3 in wreath_grid, one in
+# each ends under a budget of 10 or of 16 and every other gives up under
+# both, so the lower budget only ends the dead-end trees sooner.  10
+# leaves room above 8, and a squarefree part that runs deeper pays for
+# the gcd and a second tree.
+_SQFREE_DEPTH = 10
 
 
 def _sqfree_data(q):
@@ -377,20 +384,27 @@ def _separate(a, b):
 
 
 def _resolve_overlap(a, b):
-    # merge clusters sharing their root, else refine until disjoint
-    for _ in range(8):
-        _refine_step(a)
-        _refine_step(b)
-        if not _overlap(a, b):
+    # merge clusters sharing their root, else refine until disjoint.
+    # A shorter rep dividing the other is their gcd: no bisection, no gcd
+    d, e = (a.rep, b.rep) if len(a.rep) <= len(b.rep) else (b.rep, a.rep)
+    if _k.exact_div(e, d) is not None:
+        g = d
+    else:
+        for _ in range(8):
+            _refine_step(a)
+            _refine_step(b)
+            if not _overlap(a, b):
+                return None
+        g = _k.gcd(a.rep, b.rep)
+        if len(g) == 1:
+            _separate(a, b)
             return None
-    g = _k.gcd(a.rep, b.rep)
-    if len(g) == 1:
-        _separate(a, b)
-        return None
     # g divides both reps, each with one simple root in its interval
     # and none at its ends, so g has at most one root in the
     # intersection, a simple one, and non-root endpoints; a sign change
-    # means the root is shared
+    # means the root is shared.  (L, H] lies inside both intervals and a
+    # sub-interval never has more sign variations, so a dividing rep with
+    # one Descartes variation on its interval keeps it on (L, H]
     k = max(a.k, b.k)
     L = max(a.a << (k - a.k), b.a << (k - b.k))
     H = min(a.b << (k - a.k), b.b << (k - b.k))

@@ -307,17 +307,16 @@ def _sgn_at(cs, t):
 
 
 class _Box:
-    """An isolating interval (lo, hi] on Fraction endpoints, the
-    polynomials its owners were isolated on (the first one bisects) and
-    that one's sign at lo."""
+    """An isolating interval (lo, hi] on Fraction endpoints, the inputs
+    it holds, its rep (the polynomial it bisects, dividing each of them)
+    and the rep's sign at lo."""
 
-    def __init__(self, lo, hi, members, slo):
-        self.lo, self.hi, self.members, self.slo = lo, hi, members, slo
+    def __init__(self, lo, hi, members, rep, slo):
+        self.lo, self.hi, self.members, self.rep, self.slo = lo, hi, members, rep, slo
 
     def step(self):
-        s = next(iter(self.members.values()))
         m = (self.lo + self.hi) / 2
-        sm = _sgn_at(s, m)
+        sm = _sgn_at(self.rep, m)
         if sm == 0:
             raise PostconditionFailed("bisection landed on the root at %s" % m)
         if sm != self.slo:
@@ -354,15 +353,18 @@ def _narrow_reference(s, exacts, ivals):
 
 
 def _resolve_reference(a, b):
-    for _ in range(8):
-        a.step()
-        b.step()
-        if not a.overlaps(b):
-            return None
-    g = prs_gcd(next(iter(a.members.values())), next(iter(b.members.values())))
+    # a rep dividing the other is their gcd: the sign test runs at once.
+    # Otherwise eight rounds of bisection come first
+    g = prs_gcd(a.rep, b.rep)
+    if len(g) < min(len(a.rep), len(b.rep)):
+        for _ in range(8):
+            a.step()
+            b.step()
+            if not a.overlaps(b):
+                return None
     L, H = max(a.lo, b.lo), min(a.hi, b.hi)
     if len(g) > 1 and _sgn_at(g, L) != _sgn_at(g, H):
-        return _Box(L, H, {**a.members, **b.members}, a.slo)
+        return _Box(L, H, a.members | b.members, g, _sgn_at(g, L))
     while a.overlaps(b):
         a.step()
         b.step()
@@ -407,7 +409,7 @@ def isolate_nonneg_roots_reference(hs):
             inside = [r for r in ordered if lo < r <= hi]
             if any(_sgn_at(s, r) == 0 for r in inside):
                 continue
-            box = _Box(lo, hi, {i: s}, slo)
+            box = _Box(lo, hi, {i}, s, slo)
             for r in inside:
                 while box.lo < r <= box.hi:
                     box.step()

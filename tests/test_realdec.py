@@ -880,6 +880,57 @@ def test_dividing_rep_with_a_distinct_root_is_separated():
     assert separated == [((0,), (1,))]
 
 
+def test_merges_after_the_first_divide_without_bisecting():
+    # the first pair's reps share X^2 - 2 and neither divides the other:
+    # eight rounds and a gcd, which is X^2 - 2.  Each later entry's
+    # interval is narrower (lc 2^v) and starts right of the merged lo, so
+    # the merged cluster meets them one by one, and its rep divides each
+    # of theirs: no refinement step at all
+    sq = P(-2, 0, 1)
+    hs = [sq * P(1, 1), sq * P(2, 1)] + [sq * P(1, 2**v) for v in (13, 16, 17, 18, 19)]
+    steps, merges = [0], []
+    refine, resolve = realdec._refine_step, realdec._resolve_overlap
+
+    def counted(c):
+        steps[0] += 1
+        return refine(c)
+
+    def traced(a, b):
+        steps[0] = 0
+        merged = resolve(a, b)
+        merges.append((merged is not None, steps[0]))
+        return merged
+
+    with mock.patch.object(realdec, "_refine_step", counted), \
+            mock.patch.object(realdec, "_resolve_overlap", traced):
+        ivs = isolate_nonneg_roots(hs)
+    assert [(iv.owners, iv.s) for iv in ivs] == [(tuple(range(7)), [-2, 0, 1])]
+    assert merges == [(True, 16)] + [(True, 0)] * 5
+
+
+def _assert_shared_intervals_certify(hs):
+    # a merged interval can be wider than its members' refined ones; its
+    # sample poly must still pass signs_at_root's Descartes check (one
+    # variation on (lo, hi]), which verify_certificate relies on, and
+    # vanish at the root in every owner
+    for iv in isolate_nonneg_roots(hs):
+        if iv.exact is None and len(iv.owners) > 1:
+            got = signs_at_root([hs[i] for i in iv.owners], iv)
+            assert got == (0,) * len(iv.owners), (iv, [list(h.coeffs) for h in hs])
+
+
+def test_shared_intervals_certify_on_wide_families():
+    for seed in range(3):
+        _assert_shared_intervals_certify(_wide_family(seed, 40 + 5 * seed))
+    _assert_shared_intervals_certify(_wide_family(1503, 50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family, st.booleans())
+def test_shared_intervals_certify(hs, share):
+    _assert_shared_intervals_certify(_shared(hs, share))
+
+
 # ------------------------------------------- integer against Fraction ends
 
 
@@ -902,6 +953,12 @@ def _assert_matches_fraction_reference(hs):
 @given(st.lists(_special_poly, min_size=1, max_size=4), st.booleans())
 def test_integer_endpoints_match_fraction_reference(hs, share):
     _assert_matches_fraction_reference(_shared(hs, share))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_special_poly, min_size=1, max_size=4), st.booleans())
+def test_shared_intervals_certify_with_squared_factors(hs, share):
+    _assert_shared_intervals_certify(_shared(hs, share))
 
 
 def test_integer_endpoints_match_fraction_reference_on_fixed_families():

@@ -51,18 +51,19 @@ for ``IsolatingInterval.lo`` and ``hi`` at the public boundary.
 Isolation leaves every interval dyadic-root-free: the tree narrows each
 leaf as it emits it, before any refinement, until it is at most 2^-v
 wide, v the number of times 2 divides lc(s), and s is nonzero at both
-ends; the leaf's first Bernstein coefficient gives the sign of s just
-right of lo, and the splits tell which ends are roots.  A dyadic root
-a/2^j of s in lowest terms needs 2^j to divide lc(s), so it is a
-multiple of 2^-v and never strictly inside an aligned dyadic interval
-that narrow: the root inside is not dyadic, and no later bisection
-midpoint, which is dyadic, can land on a root of s.  Every dyadic root
-comes out exact on the way.
+ends.  A split-point root stays in the tree, since a zero coefficient
+changes no sign variation count; so a leaf's zero end coefficient marks
+an end that is a root, and its first nonzero one gives the sign of s
+just right of lo.  A dyadic root a/2^j of s in lowest terms needs 2^j to
+divide lc(s), so it is a multiple of 2^-v and never strictly inside an
+aligned dyadic interval that narrow: the root inside is not dyadic, and
+no later bisection midpoint, which is dyadic, can land on a root of s.
+Every dyadic root comes out exact on the way.
 
 ``signs_at_root`` checks by Descartes' rule that an interval holds one
-simple root, once, then signs each polynomial there, refining by a
-derivative bound; it serves as the independent re-check of a
-certificate, not the scan.
+simple root, once, then signs each polynomial there, bisecting until
+Descartes' rule shows that the polynomial has no root in the interval;
+it serves as the independent re-check of a certificate, not the scan.
 """
 
 import bisect
@@ -192,14 +193,6 @@ def _bernstein_weights(n):
     return tuple(m // c for c in cs)
 
 
-@lru_cache(maxsize=128)
-def _unx_weights(n):
-    # L / (k + 1) with L = lcm(1..n): scales b_(k+1) * n / (k + 1), the
-    # degree n - 1 coefficients of q / x when b_0 = 0, to integers
-    m = lcm(*range(1, n + 1))
-    return tuple(m // (k + 1) for k in range(n))
-
-
 def _vca_isolate(s, budgeted=False):
     """Positive roots of s with s(0) != 0, deg >= 1, each simple in s.
 
@@ -225,17 +218,16 @@ def _vca_isolate(s, budgeted=False):
     reverse order; the C(n, i) are positive, so the bound is the
     variation count of the b_i themselves.  The root node takes one
     Taylor shift to get them, and every split one de Casteljau pass.
-    A root at the midpoint shows as right_0 == 0; it is divided out of
-    the right child, whose degree n - 1 coefficients are
-    b_(k+1) n / (k + 1).  A zero right_1 as well makes the root double,
+    A root at the midpoint shows as right_0 == 0 and stays in the right
+    child: with q = x q1, the b_i are those of q1 shifted up one place
+    and scaled by the positive (i + 1) / n, so the zero changes no
+    variation count.  A zero right_1 as well makes the root double,
     which raises PostconditionFailed in an unbudgeted tree.
 
     A one-variation leaf is narrowed as it is emitted, from what the
-    tree knows: b_0 has the sign of the node's polynomial at lo, which
-    is the sign of s just right of lo, since a root at lo has been
-    divided out; hi is a root exactly when b_n == 0; and lo is a root
-    exactly when the node descends by left children only from the right
-    child of a split on a root.
+    tree knows: lo is a root exactly when b_0 == 0 and hi exactly when
+    b_n == 0, and the first nonzero b_i has the sign of s just right of
+    lo.
     """
     if len(s) == 2:
         r = Fraction(-s[0], s[1])
@@ -253,10 +245,10 @@ def _vca_isolate(s, budgeted=False):
     v = (s[-1] & -s[-1]).bit_length() - 1
     exacts = []
     ivals = []
-    # (c, k, b_i, whether lo is a root of s)
-    stack = [(0, 0, _k.strip2([t[n - i] * w[i] for i in range(n + 1)]), False)]
+    # (c, k, b_i)
+    stack = [(0, 0, _k.strip2([t[n - i] * w[i] for i in range(n + 1)]))]
     while stack:
-        c, k, bs, lo_root = stack.pop()
+        c, k, bs = stack.pop()
         var = _k.sign_variations(bs)
         if var == 0:
             continue
@@ -264,7 +256,8 @@ def _vca_isolate(s, budgeted=False):
             # the node is (c 2^K / 2^k, (c + 1) 2^K / 2^k]: halve it until
             # it is at most 2^-v wide and s is nonzero at both ends; a
             # midpoint that lands on the root joins exacts instead
-            slo, hi_root = _sgn(bs[0]), bs[-1] == 0
+            lo_root, hi_root = bs[0] == 0, bs[-1] == 0
+            slo = _sgn(next(x for x in bs if x))
             e = k - K
             a, b, k = (c, c + 1, e) if e >= 0 else (c << -e, (c + 1) << -e, 0)
             while (b - a) << v > 1 << k or lo_root or hi_root:
@@ -283,17 +276,14 @@ def _vca_isolate(s, budgeted=False):
         if budgeted and k >= _SQFREE_DEPTH:
             return None
         left, right = _k.casteljau_split(bs)
-        right = _k.strip2(right)
-        mid_root = right[0] == 0
-        if mid_root:
+        if right[0] == 0:
             if right[1] == 0:
                 if budgeted:
                     return None
                 raise PostconditionFailed("squarefree part has a double root")
             exacts.append(Fraction((2 * c + 1) << K, 2 << k))
-            right = _k.strip2([x * f for x, f in zip(right[1:], _unx_weights(len(bs) - 1))])
-        stack.append((2 * c, k + 1, _k.strip2(left), lo_root))
-        stack.append((2 * c + 1, k + 1, right, mid_root))
+        stack.append((2 * c, k + 1, _k.strip2(left)))
+        stack.append((2 * c + 1, k + 1, _k.strip2(right)))
     return exacts, ivals
 
 
@@ -544,6 +534,20 @@ def isolate_nonneg_roots(hs):
     return _synthesize(data, exact_owned, recs)
 
 
+def _descartes(p, lo, hi):
+    # Descartes' bound for the roots of p in (lo, hi): with lo = u/D and
+    # w = (hi - lo) D, they are the roots of R(y) = D^n p((u + w y)/D) in
+    # (0, 1), and the sign variations of (1 + x)^n R(1/(1 + x)) count
+    # them with multiplicity, up to an even excess
+    D = lcm(lo.denominator, hi.denominator)
+    u, w, n = int(lo * D), int((hi - lo) * D), len(p) - 1
+    r = [c * D ** (n - i) for i, c in enumerate(p)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            r[j] += u * r[j + 1]
+    return _k.sign_variations(_k.shift1([c * w**j for j, c in enumerate(r)][::-1]))
+
+
 def signs_at_root(qs, root):
     """Tuple of the signs of each q in qs at an IsolatingInterval's root.
 
@@ -551,56 +555,40 @@ def signs_at_root(qs, root):
     interval, unless root.s (the sample poly) is nonzero at lo and hi
     with opposite signs and Descartes' rule proves it has one root in
     (lo, hi], a simple one; this is checked once for all of qs.  A q's
-    sign is 0 exactly when gcd(root.s, q) has a root in the interval;
-    otherwise the interval is refined until the sign of q is certified
-    constant on it and read at the midpoint.
+    sign is 0 exactly when gcd(root.s, q) has a root in the interval.
+    Otherwise the interval is bisected on root.s until Descartes' rule
+    shows that q has no root inside, and q's sign is read at the
+    midpoint, or at a midpoint that lands on the root.
     """
     if root.exact is not None:
         return tuple(_sgn(_ev(list(q.coeffs), root.exact)) for q in qs)
     s = root.s
     lo, hi = root.lo, root.hi
     slo = _sgn(_ev(s, lo))
-    if slo == 0 or _sgn(_ev(s, hi)) != -slo:
+    # opposite signs at lo and hi make the bound odd: 1 is one simple root
+    if slo == 0 or _sgn(_ev(s, hi)) != -slo or _descartes(s, lo, hi) != 1:
         return None
-    # with lo = u/D and w = (hi - lo) D, the roots of s in (lo, hi) are
-    # those of R(y) = D^n s((u + w y)/D) in (0, 1), counted with
-    # multiplicity, up to an even excess, by the sign variations of
-    # (1 + x)^n R(1/(1 + x)); the count is odd, so 1 means one simple root
-    D = lcm(lo.denominator, hi.denominator)
-    u, w, n = int(lo * D), int((hi - lo) * D), len(s) - 1
-    r = [c * D ** (n - i) for i, c in enumerate(s)]
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            r[j] += u * r[j + 1]
-    if _k.sign_variations(_k.shift1([c * w**j for j, c in enumerate(r)][::-1])) != 1:
-        return None
-    return tuple(_sign_near(list(q.coeffs), s, slo, lo, hi) for q in qs)
-
-
-def _sign_near(qcs, s, slo, lo, hi):
-    # sign of qcs at the one root of s in (lo, hi], where s has sign slo
-    # at lo
-    if not qcs:
-        return 0
-    g = _k.gcd(s, qcs)
-    # g divides s, so it is nonzero at lo and hi too: a sign change
-    # pins the shared root
-    if len(g) >= 2 and _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):
-        return 0
-
-    # the root is not a root of q: certify a constant sign of q over a
-    # small enough interval via a derivative bound, narrowing on s
-    dq = _k.deriv(qcs)
-    dbound = sum(abs(c) * hi ** i for i, c in enumerate(dq))
-    while True:
-        m = (lo + hi) / 2
-        qm = Fraction(_ev(qcs, m), m.denominator ** (len(qcs) - 1))
-        if abs(qm) > dbound * (hi - lo):
-            return _sgn(qm)
-        vm = _ev(s, m)
-        if vm == 0:
-            return _sgn(qm)  # landed exactly on the root
-        lo, hi = (lo, m) if _sgn(vm) != slo else (m, hi)
+    signs = []
+    for q in qs:
+        cs = list(q.coeffs)
+        g = _k.gcd(s, cs)
+        # g divides s, so it is nonzero at lo and hi too: a sign change
+        # pins the shared root
+        if len(g) >= 2 and _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):
+            signs.append(0)
+            continue
+        # the root is strictly inside (a, b) and no root of q: once q has
+        # no root in (a, b) either, it has one sign there
+        a, b = lo, hi
+        m = Fraction(a + b, 2)
+        while _descartes(cs, a, b):
+            sm = _sgn(_ev(s, m))
+            if sm == 0:
+                break
+            a, b = (a, m) if sm != slo else (m, b)
+            m = Fraction(a + b, 2)
+        signs.append(_sgn(_ev(cs, m)))
+    return tuple(signs)
 
 
 def uniform_sign_exists(hs):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as _k
+from posring import realdec
 from posring.errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
 from posring.polyring import IntPoly
 from posring.realdec import AlgebraicRoot, IsolatingInterval, RationalPoint, SignVector
@@ -186,22 +187,24 @@ def test_decide_algebraic_certificate():
 
 
 def test_algebraic_certificate_checks_its_interval_once():
-    # one Descartes transform of the sample poly per certificate, not
-    # one per entry: each entry is then signed on the checked interval
+    # one Descartes test of the sample poly per certificate, not one per
+    # entry: each entry is then signed on the checked interval, by its
+    # own Descartes tests when it is nonzero there
     sq = P(-2, 0, 1)
     hs = [sq, -sq, P(-1, 1), sq * P(3, 1), P(-1, 0, 1)]
     d = nx.decide(hs)
     assert isinstance(d.certificate.sign_vector.sample, AlgebraicRoot)
+    root = d.certificate.sign_vector.sample.interval
     calls = []
-    shift1 = _k.shift1
+    descartes = realdec._descartes
 
-    def counted(p):
-        calls.append(len(p))
-        return shift1(p)
+    def counted(p, lo, hi):
+        calls.append(p == root.s)
+        return descartes(p, lo, hi)
 
-    with mock.patch.object(_k, "shift1", counted):
+    with mock.patch.object(realdec, "_descartes", counted):
         assert nx.verify_certificate(d.certificate)
-    assert len(calls) == 1, calls
+    assert calls.count(True) == 1 and len(calls) > 1, calls
 
 
 def test_decide_single_entry_takes_the_early_exit():

@@ -292,6 +292,32 @@ def test_sign_at_root_zero_iff_common_factor():
     assert _sign_at_root(P(-1, 0, 1), root) == 1  # 2 - 1 > 0
 
 
+def _box(lo, hi, s):
+    return realdec.IsolatingInterval((0,), Fraction(lo), Fraction(hi), True, None, s)
+
+
+def test_sign_at_root_below_zero():
+    # the root -1 of X + 1, where X^2 - 2 is -1: the interval reaches
+    # below 0
+    assert signs_at_root((P(-2, 0, 1),), _box(-10, Fraction(1, 2), [1, 1])) == (-1,)
+
+
+def test_sign_at_root_bisection_lands_on_the_root():
+    # 4X - 1 has its root 1/4 in (0, 1], so the interval is bisected, and
+    # the first midpoint is the root 1/2 of 2X - 1, where 4X - 1 is 1
+    assert realdec._descartes([-1, 4], Fraction(0), Fraction(1)) == 1
+    assert _sign_at_root(P(-1, 4), _box(0, 1, [-1, 2])) == 1
+
+
+def test_sign_at_root_next_to_a_complex_pair():
+    # (1000X - 1414)^2 + 1 has no real root but two sign variations on
+    # (1, 2]: its roots 1.414 +- 0.001i sit next to sqrt 2, and the
+    # bisection runs until Descartes' rule rules them out
+    q = prod(P(-1414, 1000), P(-1414, 1000)) + P(1)
+    assert realdec._descartes(list(q.coeffs), Fraction(1), Fraction(2)) == 2
+    assert _sign_at_root(q, _box(1, 2, [-2, 0, 1])) == 1
+
+
 def test_sign_at_root_rational_owner():
     root = isolate_nonneg_roots([P(-1, 3)])[0]  # 1/3
     assert root.exact == Fraction(1, 3)
@@ -1005,16 +1031,16 @@ def _assert_vca_matches_reference(s):
     return got
 
 
-def _counting_evals(fn, *args):
-    """fn(*args), and the number of eval_scaled calls it made."""
+def _counting_calls(fn, *args, kernel="eval_scaled"):
+    """fn(*args), and the number of calls it made to the kernel."""
     calls = [0]
-    eval_scaled = _k.eval_scaled
+    real = getattr(_k, kernel)
 
     def counted(*a):
         calls[0] += 1
-        return eval_scaled(*a)
+        return real(*a)
 
-    with mock.patch.object(_k, "eval_scaled", counted):
+    with mock.patch.object(_k, kernel, counted):
         out = fn(*args)
     return out, calls[0]
 
@@ -1055,19 +1081,22 @@ def test_bernstein_matches_monomial_reference_on_dense_parts():
 
 
 def test_bernstein_matches_monomial_reference_on_dyadic_roots():
-    # a root on a midpoint shows as right_0 == 0 and is divided out
+    # a root on a midpoint shows as right_0 == 0 and stays in the right
+    # child, as a zero b_0
     hits = 0
     for seed in range(40):
         exacts, _ = _assert_vca_matches_reference(_dyadic_product(seed))
         hits += bool(exacts)
     assert hits >= 20, hits
     # 4 is a midpoint, and a complex pair sits near 6.25 next to the root
-    # 55/8: keeping the zero instead of dividing it out leaves a factor
-    # that hides two sign variations, and the leaf is (6, 7], not
-    # (13/2, 7]; narrowing then meets 55/8 at the third midpoint, not the
-    # second
+    # 55/8: the zero kept in the right child of 4 leaves the factor x on
+    # it, which hides the pair's two sign variations, so the leaf is
+    # (6, 7] after 11 splits, and narrowing meets 55/8 at the third
+    # midpoint
     s = _k.mul(_k.mul([-4, 1], [-55, 8]), [627, -200, 16])
-    assert _counting_evals(realdec._vca_isolate, s) == (([4, Fraction(55, 8)], []), 2)
+    assert _counting_calls(realdec._vca_isolate, s) == (([4, Fraction(55, 8)], []), 3)
+    _, splits = _counting_calls(realdec._vca_isolate, s, kernel="casteljau_split")
+    assert splits <= 11, splits
     _assert_vca_matches_reference(s)
 
 
@@ -1204,7 +1233,7 @@ def test_narrowing_reads_the_sign_at_lo_from_the_tree():
     # X^2 - 3X + 1 has a root in each of the leaves (0, 2] and (2, 4],
     # and lc = 1 narrows them to width 1: one halving each, and no
     # evaluation for either sign at lo, which is b_0's
-    d, calls = _counting_evals(realdec._PolyData, [1, -3, 1])
+    d, calls = _counting_calls(realdec._PolyData, [1, -3, 1])
     assert d.ivals == [(4, 6, 1, -1), (0, 2, 1, 1)]
     assert calls == 2
 

@@ -114,14 +114,8 @@ def primitive_signed(a):
 
 def primitive_pos(a):
     # primitive part with positive leading coefficient
-    if not a:
-        return []
-    c = content(a)
-    if a[-1] < 0:
-        c = -c
-    if c == 1:
-        return a[:]
-    return [x // c for x in a]
+    p = primitive_signed(a)
+    return [-x for x in p] if p and p[-1] < 0 else p
 
 
 def pseudo_rem(a, b):

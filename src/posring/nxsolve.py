@@ -1,8 +1,8 @@
 """Solvability of f1*h1 + ... + fn*hn = 0 over N[X] without zero.
 
 Decision runs in three normalization-guarded steps: divide out the common
-polynomial gcd, repeatedly strip X from the entries vanishing at 0 while
-watching for a uniform sign at 0, then ask whether any t >= 0 gives every
+polynomial gcd, strip X from the entries vanishing at 0 until the signs
+at 0 are mixed or all strict, then ask whether any t >= 0 gives every
 reduced h_i the same weak sign.  A uniform sign certifies unsolvability;
 otherwise the instance is solvable.  Producing a solution is a separate
 job: find_witness synthesizes a witness tuple by exact rational linear
@@ -108,10 +108,11 @@ def _sgn(v):
 def normalize(hs):
     """Algorithm steps before the real-root scan: gcd out, strip X.
 
-    Returns a NormalizedInstance with mixed strict signs at 0, or
-    EarlyUnsolvable when all signs at 0 land strictly on one side.
-    Zero entries are the caller's problem (ZeroPolynomial); all-zero
-    or empty input raises AllZero.
+    Each entry loses X^t, or its whole X-order where that is less, for
+    the least t leaving mixed strict signs at 0: a NormalizedInstance
+    with x_divisions t.  With no such t, EarlyUnsolvable: all signs at
+    0 strictly on one side.  Zero entries are the caller's problem
+    (ZeroPolynomial); all-zero or empty input raises AllZero.
     """
     if not hs:
         raise AllZero("nothing to normalize")
@@ -120,25 +121,20 @@ def normalize(hs):
             raise ZeroPolynomial("zero entry reaches normalize")
     g = gcd_many(hs)
     hs = tuple(exact_div(h, g) for h in hs)
-    budget = sum(h.degree for h in hs) + 1
-    xdiv = 0
-    while True:
-        signs = tuple(_sgn(h.constant) for h in hs)
-        if all(s > 0 for s in signs) or all(s < 0 for s in signs):
-            sv = SignVector(RationalPoint(Fraction(0)), signs)
-            return EarlyUnsolvable(sv, hs, g, xdiv)
-        if any(s > 0 for s in signs) and any(s < 0 for s in signs):
-            return NormalizedInstance(hs, g, xdiv)
-        # same weak sign with zeros present: strip X where h(0) = 0, k
-        # times at once, since the signs stay put until an order runs out
-        k = min(order_at_zero(h) for h in hs if h.constant == 0)
-        hs = tuple(
-            IntPoly._raw(list(h.coeffs)[k:]) if h.constant == 0 else h for h in hs
-        )
-        xdiv += k
-        budget -= k
-        if budget < 0:
-            raise PostconditionFailed("X-division loop exceeded degree budget")
+    # stripping X^t shows at 0 the lowest-coefficient sign of each entry
+    # of order <= t, so t is the least order carrying the sign opposite a
+    # lowest-order entry's, or the largest order when all share one sign
+    orders = [order_at_zero(h) for h in hs]
+    lows = [_sgn(h.coeffs[k]) for h, k in zip(hs, orders)]
+    first = lows[orders.index(min(orders))]
+    flips = [k for k, s in zip(orders, lows) if s != first]
+    t = min(flips, default=max(orders))
+    hs = tuple(IntPoly._raw(h.coeffs[min(k, t):]) if k and t else h
+               for h, k in zip(hs, orders))
+    if flips:
+        return NormalizedInstance(hs, g, t)
+    sv = SignVector(RationalPoint(Fraction(0)), (first,) * len(hs))
+    return EarlyUnsolvable(sv, hs, g, t)
 
 
 def decide(hs):

@@ -313,21 +313,10 @@ def _coef(p, k):
     return cs[k] if k < len(cs) else 0
 
 
-def _scaling_ok(f_uv, f_yz, m):
-    """Positivity conditions that make the block subtractions legal.
-
-    After scaling by (1 + X)**m: every coefficient of f_uv through its
-    degree is positive, every coefficient of f_yz from its order up is
-    positive, and deg f_uv reaches at least the order of f_yz.
-    """
-    su = f_uv * _onepx_power(m)
-    sy = f_yz * _onepx_power(m)
-    if any(c <= 0 for c in su.coeffs):
-        return False
-    w = order_at_zero(sy)
-    if any(c <= 0 for c in sy.coeffs[w:]):
-        return False
-    return su.degree >= w
+def _zero_run(f):
+    # longest run of zero coefficients between two nonzero ones
+    nz = [k for k, c in enumerate(f.coeffs) if c]
+    return max((b - a - 1 for a, b in zip(nz, nz[1:])), default=0)
 
 
 @dataclass(frozen=True)
@@ -350,7 +339,9 @@ def _plan(pairs, f_map):
     Pipeline: strip the common power of X; pick (u,v) as the smallest
     pair whose f has a nonzero constant term and (y,z) as the smallest
     pair of maximal degree; scale everything by (1 + X)**m with the
-    least m passing _scaling_ok; build the zigzag base word
+    least m that makes every coefficient of f_uv, and every one of f_yz
+    from its order up, positive and lifts deg f_uv to ord f_yz; build
+    the zigzag base word
     A_u B_v^Duv B_z^(Dyz-Duv) A_y^(Dyz-Duv) A_u^(Duv-1), whose
     product's upper-right entry is exactly
     sum_{i<Duv} X^i h_uv + sum_{Duv<=i<Dyz} X^i h_yz; subtract those two
@@ -377,13 +368,10 @@ def _plan(pairs, f_map):
     top = max(f.degree for f in fd.values())
     yz = next(p for p in pairs if fd[p].degree == top)
 
-    order_yz = order_at_zero(fd[yz])
-    bound = max(fd[uv].degree, fd[yz].degree - order_yz, order_yz)
-    m = 0
-    while not _scaling_ok(fd[uv], fd[yz], m):
-        m += 1
-        if m > bound:
-            raise PostconditionFailed("scaling scan escaped its sufficiency bound")
+    # a nonnegative f times (1 + X)**m has a nonzero X^k exactly when f
+    # has one among X^(k-m) .. X^k, so m bridges every inner zero run
+    m = max(_zero_run(fd[uv]), _zero_run(fd[yz]),
+            order_at_zero(fd[yz]) - fd[uv].degree)
     onepx = _onepx_power(m)
     scaled = {p: f * onepx for p, f in fd.items()}
 

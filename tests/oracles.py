@@ -15,6 +15,10 @@ Fraction endpoints, which its integer ones must match exactly, and
 ``uniform_sign_exists_reference`` evaluates every input at every
 candidate, where posring's scan sweeps the sign vector.
 ``gcd_mod_fermat`` is the modular gcd with Fermat's inverse.
+``normalize_reference`` strips X from the entries vanishing at 0 one
+order at a time, re-reading the signs at 0 after each strip, and
+``plan_scale_reference`` tries m = 0, 1, ... until (1 + X)^m makes the
+synthesis pivots positive; posring computes both numbers in closed form.
 ``rational_feasibility_reference`` is the phase-1
 simplex over Fractions that posring's integer tableau must match pivot
 for pivot.  ``brute_force_oracle`` enumerates bounded witness tuples and
@@ -28,11 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as _iproduct
+from math import comb
 
 from posring import kernels as _k
 from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
-from posring.nxsolve import WitnessTuple, verify_witness
-from posring.polyring import IntPoly, eval_at_rational
+from posring.nxsolve import (
+    EarlyUnsolvable,
+    NormalizedInstance,
+    WitnessTuple,
+    verify_witness,
+)
+from posring.polyring import IntPoly, eval_at_rational, exact_div, gcd_many, order_at_zero
 from posring.realdec import (
     _SQFREE_DEPTH,
     AlgebraicRoot,
@@ -245,6 +255,52 @@ def uniform_sign_exists_reference(hs):
         if -1 not in signs or 1 not in signs:
             return SignVector(sample, signs)
     return None
+
+
+def normalize_reference(hs):
+    """posring's normalize as a loop: divide out the gcd, then while the
+    signs at 0 are neither mixed nor all strict, strip from every entry
+    vanishing at 0 the least X-order among them."""
+    g = gcd_many(hs)
+    hs = tuple(exact_div(h, g) for h in hs)
+    budget = sum(h.degree for h in hs) + 1
+    xdiv = 0
+    while True:
+        signs = tuple((h.constant > 0) - (h.constant < 0) for h in hs)
+        if all(s > 0 for s in signs) or all(s < 0 for s in signs):
+            sv = SignVector(RationalPoint(Fraction(0)), signs)
+            return EarlyUnsolvable(sv, hs, g, xdiv)
+        if 1 in signs and -1 in signs:
+            return NormalizedInstance(hs, g, xdiv)
+        k = min(order_at_zero(h) for h in hs if h.constant == 0)
+        hs = tuple(IntPoly(h.coeffs[k:]) if h.constant == 0 else h for h in hs)
+        xdiv += k
+        budget -= k
+        if budget < 0:
+            raise PostconditionFailed("X-division loop exceeded degree budget")
+
+
+def _scaling_ok(f_uv, f_yz, m):
+    # after (1 + X)^m: f_uv positive through its degree, f_yz positive
+    # from its order up, and deg f_uv at least ord f_yz
+    onepx = IntPoly([comb(m, i) for i in range(m + 1)])
+    su, sy = f_uv * onepx, f_yz * onepx
+    w = order_at_zero(sy)
+    return (all(c > 0 for c in su.coeffs) and all(c > 0 for c in sy.coeffs[w:])
+            and su.degree >= w)
+
+
+def plan_scale_reference(f_uv, f_yz):
+    """The least m with _scaling_ok, found by trying m = 0, 1, ...; f_uv
+    must have a nonzero constant term, as the synthesis pivot (u,v) has."""
+    order_yz = order_at_zero(f_yz)
+    bound = max(f_uv.degree, f_yz.degree - order_yz, order_yz)
+    m = 0
+    while not _scaling_ok(f_uv, f_yz, m):
+        m += 1
+        if m > bound:
+            raise PostconditionFailed("scaling scan escaped its sufficiency bound")
+    return m
 
 
 def _var01(q):

@@ -22,6 +22,7 @@ from oracles import (
     _oracle_dfs,
     _oracle_meet,
     brute_force_oracle,
+    normalize_reference,
     rational_feasibility_reference,
 )
 
@@ -83,6 +84,31 @@ def test_normalize_strips_differing_x_orders():
     assert isinstance(r, nx.EarlyUnsolvable)
     assert r.hs == (P(1, 1), P(1), P(1))
     assert r.x_divisions == 4
+    # 1, X, -X^3: the signs turn mixed only once X^3 is off
+    r = nx.normalize([P(1), P(0, 1), P(0, 0, 0, -1)])
+    assert isinstance(r, nx.NormalizedInstance)
+    assert r.hs == (P(1), P(1), P(-1))
+    assert r.x_divisions == 3
+    r = nx.normalize([P(1), P(0, 1), P(0, 0, 0, 1)])
+    assert isinstance(r, nx.EarlyUnsolvable)
+    assert r.hs == (P(1), P(1), P(1))
+    assert r.x_divisions == 3
+
+
+# one entry: X^order * (lowest + X * tail)
+_x_entry = st.tuples(st.integers(0, 4), st.integers(-3, 3).filter(bool),
+                     st.lists(st.integers(-3, 3), max_size=3))
+
+
+@settings(max_examples=300)
+@given(st.lists(_x_entry, min_size=1, max_size=5), st.booleans(),
+       st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any))
+def test_normalize_matches_loop_reference(entries, one_sign, shared):
+    # the closed-form X-strip against the strip-and-reread loop, on
+    # differing X-orders, a shared factor and one-sign lowest terms
+    hs = [IntPoly([0] * k + [abs(c) if one_sign else c] + tail) * IntPoly(shared)
+          for k, c, tail in entries]
+    assert nx.normalize(hs) == normalize_reference(hs)
 
 
 _HIGH_X_ORDER = """

@@ -19,6 +19,7 @@ from oracles import (
     SearchSpaceTooLarge,
     enumerate_covers,
     exhaustive_identity_search,
+    plan_scale_reference,
     rational_feasibility_reference,
 )
 
@@ -591,6 +592,10 @@ def test_plan_scale_lifts_gaps():
     plan = wr._plan(((1, 1),), {(1, 1): P(1, 0, 1)})
     assert plan.scale == 1
     assert dict(plan.scaled)[(1, 1)] == P(1, 1, 1, 1)
+    # 1 + X^5: (1 + X)^4 bridges the four zeros
+    assert wr._plan(((1, 1),), {(1, 1): P(1, 0, 0, 0, 0, 1)}).scale == 4
+    # f_uv = 1, f_yz = X^3: deg f_uv + m must reach ord f_yz = 3
+    assert wr._plan(((1, 1), (1, 2)), {(1, 1): P(1), (1, 2): P(0, 0, 0, 1)}).scale == 3
 
 
 def test_plan_rejects_bad_f():
@@ -709,6 +714,22 @@ def test_zero_sum_yields_identity_word():
         witness = WitnessTuple(fs=(g, gp, gp, g))
         word = wr.synthesize_identity_word(gens, cover, witness)
         assert wr.word_product(gens, word) == wr.WreathElement.identity(), trial
+
+
+_gappy = st.tuples(st.integers(0, 3), st.lists(st.sampled_from((0, 0, 0, 1, 2)),
+                                               min_size=1, max_size=7).filter(any))
+
+
+@settings(max_examples=300)
+@given(st.lists(_gappy, min_size=1, max_size=3))
+def test_plan_scale_matches_scan_reference(fs):
+    # the closed-form (1 + X)^m scale against trying m = 0, 1, ... on
+    # witnesses with gaps and X-orders, one pair (i, 1) per f
+    pairs = tuple((i + 1, 1) for i in range(len(fs)))
+    f_map = {p: IntPoly([0] * k + cs) for p, (k, cs) in zip(pairs, fs)}
+    plan = wr._plan(pairs, f_map)
+    f_uv, f_yz = (IntPoly(f_map[p].coeffs[plan.strip:]) for p in (plan.uv, plan.yz))
+    assert plan.scale == plan_scale_reference(f_uv, f_yz)
 
 
 @settings(max_examples=40)

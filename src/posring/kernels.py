@@ -143,7 +143,9 @@ def pseudo_rem(a, b):
 def _primes():
     # 32749, the largest prime below 2^15, keeps gcd_mod on CPython's
     # single-digit integer fast path; then 2^61 - 1 and the primes below
-    # it, by Miller-Rabin on bases 2 ... 37, exact below 3.3 * 10^24
+    # it, by Miller-Rabin on the bases 2, 325, 9375, 28178, 450775,
+    # 9780504 and 1795265022, exact for every n < 2^64 (Sinclair's set);
+    # every candidate is below 2^61 and above every base
     yield 32749
     n = 2**61 - 1
     yield n
@@ -151,9 +153,22 @@ def _primes():
         n -= 2
         r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
         d = (n - 1) >> r
-        if all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r))
-               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+        if all(_strong_probable_prime(n, d, r, a)
+               for a in (2, 325, 9375, 28178, 450775, 9780504, 1795265022)):
             yield n
+
+
+def _strong_probable_prime(n, d, r, a):
+    # a^d = 1, or a^(d 2^i) = -1 for some i < r, modulo n = d 2^r + 1;
+    # each power after the first squares the one before
+    x = pow(a, d, n)
+    if x == 1:
+        return True
+    for _ in range(r):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
 
 
 def gcd(a, b):

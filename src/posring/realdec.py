@@ -1,17 +1,18 @@
 """Real-root machinery over the nonnegative axis.
 
-Descartes-style bisection isolates the nonnegative roots of every
-input into sorted, pairwise-disjoint half-open intervals (lo, hi], one
-per distinct root, listing every input it is a root of; a uniform-sign
-scan decides whether some t >= 0 makes every h_i(t) weakly nonnegative
-or weakly nonpositive.
+Descartes-style bisection isolates the nonnegative roots of a list of
+polynomials into sorted, pairwise-disjoint half-open intervals (lo, hi],
+one per distinct root, listing every polynomial it is a root of; a
+uniform-sign scan decides whether some t >= 0 makes every h_i(t) weakly
+nonnegative or weakly nonpositive, isolating only the inputs it needs.
 
-The scan is a sweep that evaluates each polynomial at t = 0 and then
-only where it owns a root, because isolation already proves two facts:
+The scan runs in rounds over a growing subset S of the inputs.  A round
+is a sweep that evaluates each polynomial of S at t = 0 and then only
+where it owns a root, because isolating S already proves two facts:
 
-- a root's interval (lo, hi] holds no root of a non-owner, so at an
-  algebraic root every non-owner has its sign at hi;
-- only t = 0 and the roots can be the first uniform point: between
+- a root's interval (lo, hi] holds no root of another member of S, so
+  at an algebraic root every non-owner has its sign at hi;
+- only t = 0 and the roots can be the first uniform point of S: between
   consecutive roots, and past the last one, the signs are those at the
   root to the left with that root's owners made nonzero, and with no
   roots the signs at 0 hold on all of [0, oo).
@@ -20,6 +21,15 @@ So the sign vector changes only at a root, and only in that root's
 owners: set to 0 at the root, then to their sign just right of it.  The
 sweep keeps the vector with running counts of +1 and -1 entries, and
 tests each root for uniformity in time linear in its owners.
+
+A point uniform over all inputs is uniform over S, so S's first uniform
+point u comes no later than theirs.  It is theirs when every input
+outside S keeps the vector uniform at u: signed exactly at a rational u,
+else at hi once Descartes' rule shows that it has no root in (lo, hi).
+Otherwise the inputs that break it, or cannot be signed so, join S for
+the next round, which at least doubles it.  An input whose coefficients
+show no sign variation has no positive root, so it keeps one sign on
+(0, oo) and is never isolated.
 
 Internally each polynomial q, with X^k stripped, is isolated on a
 representative s in which every positive root of q is simple: first
@@ -61,9 +71,11 @@ no later bisection midpoint, which is dyadic, can land on a root of s.
 Every dyadic root comes out exact on the way.
 
 ``signs_at_root`` checks by Descartes' rule that an interval holds one
-simple root, once, then signs each polynomial there, bisecting until
-Descartes' rule shows that the polynomial has no root in the interval;
-it serves as the independent re-check of a certificate, not the scan.
+simple root, once, then signs each polynomial there: by a midpoint
+when Descartes' rule shows that it has no root in the interval, else 0
+when it shares the root, else by bisecting until Descartes' rule shows
+no root; it serves as the independent re-check of a certificate, not
+the scan.
 """
 
 import bisect
@@ -297,7 +309,9 @@ class _PolyData:
             k0 += 1
         self.k0 = k0
         self.q = cs[k0:]
-        if len(self.q) >= 2:
+        # by Descartes' rule of signs, q has a positive root only if its
+        # coefficients change sign
+        if _k.sign_variations(self.q):
             # s, the representative: primitive(q) when the budgeted tree
             # on it ends; else the tree gave up, and s is q's squarefree
             # part, isolated again (primitive(q) when gcd(q, q') is 1),
@@ -523,17 +537,18 @@ def _synthesize(data, exact_owned, recs):
     return out
 
 
-def isolate_nonneg_roots(hs):
+def isolate_nonneg_roots(hs, *, _data=None):
     """Sorted, pairwise-disjoint isolating intervals for every root of
     every h_i in [0, oo).
 
     A root shared by several polynomials gets one interval listing all
-    owners.  Raises ZeroPolynomial when an input is zero.
+    owners.  Raises ZeroPolynomial when an input is zero.  ``_data`` is
+    internal: the inputs' isolation trees, when the caller built them.
     """
     for h in hs:
         if h.is_zero:
             raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    data = [_PolyData(list(h.coeffs)) for h in hs]
+    data = _data or [_PolyData(list(h.coeffs)) for h in hs]
     exact_owned, recs = _build_clusters(data)
     return _synthesize(data, exact_owned, recs)
 
@@ -558,11 +573,13 @@ def signs_at_root(qs, root):
     An exact root is evaluated at.  Otherwise None, refusing the
     interval, unless root.s (the sample poly) is nonzero at lo and hi
     with opposite signs and Descartes' rule proves it has one root in
-    (lo, hi], a simple one; this is checked once for all of qs.  A q's
-    sign is 0 exactly when gcd(root.s, q) has a root in the interval.
-    Otherwise the interval is bisected on root.s until Descartes' rule
-    shows that q has no root inside, and q's sign is read at the
-    midpoint, or at a midpoint that lands on the root.
+    (lo, hi], a simple one; this is checked once for all of qs.  When q
+    has one sign at lo and hi and Descartes' rule shows that it has no
+    root in (lo, hi), its sign is read at the midpoint.  Otherwise it is
+    0 exactly when gcd(root.s, q) has a root in the interval; else the
+    interval is bisected on root.s until Descartes' rule shows that q
+    has no root inside, and q's sign is read at the midpoint, or at a
+    midpoint that lands on the root.
     """
     if root.exact is not None:
         return tuple(_sgn(_ev(list(q.coeffs), root.exact)) for q in qs)
@@ -575,60 +592,47 @@ def signs_at_root(qs, root):
     signs = []
     for q in qs:
         cs = list(q.coeffs)
-        g = _k.gcd(s, cs)
-        # g divides s, so it is nonzero at lo and hi too: a sign change
-        # pins the shared root
-        if len(g) >= 2 and _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):
-            signs.append(0)
-            continue
-        # the root is strictly inside (a, b) and no root of q: once q has
-        # no root in (a, b) either, it has one sign there
+        # the root is strictly inside (a, b): once q has no root in (a, b)
+        # either, it has one sign there
         a, b = lo, hi
         m = Fraction(a + b, 2)
-        while _descartes(cs, a, b):
-            sm = _sgn(_ev(s, m))
-            if sm == 0:
-                break
-            a, b = (a, m) if sm != slo else (m, b)
-            m = Fraction(a + b, 2)
+        # a sign change at the ends shows a root without the test
+        if _sgn(_ev(cs, lo)) * _sgn(_ev(cs, hi)) < 0 or _descartes(cs, a, b):
+            g = _k.gcd(s, cs)
+            # g divides s, so it is nonzero at lo and hi too: a sign
+            # change pins the shared root
+            if len(g) >= 2 and _sgn(_ev(g, lo)) != _sgn(_ev(g, hi)):
+                signs.append(0)
+                continue
+            while True:
+                sm = _sgn(_ev(s, m))
+                if sm == 0:
+                    break
+                a, b = (a, m) if sm != slo else (m, b)
+                m = Fraction(a + b, 2)
+                if not _descartes(cs, a, b):
+                    break
         signs.append(_sgn(_ev(cs, m)))
     return tuple(signs)
 
 
-def uniform_sign_exists(hs):
-    """First sample t >= 0 where every h_i is weakly nonnegative or
-    weakly nonpositive, or None.
-
-    Candidates, scanned left to right: t = 0, then every isolated root;
-    no other point can come first (see the module doc).  Every h_i is
-    evaluated at t = 0, and the roots are isolated only when that vector
-    is not uniform.  At each root its owners get sign 0, and running
-    counts of +1 and -1 entries tell whether the vector is uniform.
-    After the root each owner takes its sign just right of it: at hi for
-    an algebraic root, since the owner has no other root in (lo, hi],
-    and the sign of the first nonzero derivative for an exact root.
-    Every other entry keeps its sign, having no root in between, so each
-    vector is the one exact evaluation would give at the root when it is
-    rational, else at its interval's hi.
-    Raises ZeroPolynomial on a zero entry.
-    """
-    for h in hs:
-        if h.is_zero:
-            raise ZeroPolynomial("uniform sign scan needs nonzero polynomials")
-    hs_cs = [list(h.coeffs) for h in hs]
-    zero = Fraction(0)
-    signs = [_sgn(_ev(cs, zero)) for cs in hs_cs]
+def _sweep(hs_cs, signs, roots):
+    # the first of the sorted roots where the sign vector, mixed at t = 0,
+    # turns uniform, or None; signs is updated in place, so it holds the
+    # vector at that root.  At each root its owners get sign 0, and
+    # running counts of +1 and -1 entries tell whether the vector is
+    # uniform; after it each owner takes its sign just right of it: at hi
+    # for an algebraic root, since the owner has no other root in
+    # (lo, hi], and the sign of the first nonzero derivative at an exact
+    # root
     pos, neg = signs.count(1), signs.count(-1)
-    if not pos or not neg:
-        return SignVector(RationalPoint(zero), tuple(signs))
-    for root in isolate_nonneg_roots(hs):
+    for root in roots:
         for i in root.owners:
             pos -= signs[i] > 0
             neg -= signs[i] < 0
             signs[i] = 0
         if not pos or not neg:
-            sample = AlgebraicRoot(root) if root.exact is None else RationalPoint(root.exact)
-            return SignVector(sample, tuple(signs))
+            return root
         for i in root.owners:
             if root.exact is None:
                 sg = _sgn(_ev(hs_cs[i], root.hi))
@@ -641,3 +645,68 @@ def uniform_sign_exists(hs):
             pos += sg > 0
             neg += sg < 0
     return None
+
+
+def uniform_sign_exists(hs):
+    """First sample t >= 0 where every h_i is weakly nonnegative or
+    weakly nonpositive, or None.
+
+    Every h_i is evaluated at t = 0; past it, rounds isolate and sweep a
+    growing subset S of the inputs (see the module doc).  S starts with
+    every input with no coefficient sign variation (two of opposite
+    signs end the scan with None) and a pair strict at 0, fewest
+    variations first.  At S's first uniform point u, where S's nonzero
+    signs are sigma, every other input is signed at u when u is
+    rational, else at hi, and joins S when that sign is -sigma, or 0 at
+    hi, or Descartes' rule finds it a root in (lo, hi), a test run only
+    when no input has joined on its sign.  S at least doubles, filled in
+    index order.  When none joins, the vector at u is the one exact
+    evaluation gives there when u is rational, else at its interval's
+    hi, and the interval's owners are those in S.
+    Raises ZeroPolynomial on a zero entry.
+    """
+    for h in hs:
+        if h.is_zero:
+            raise ZeroPolynomial("uniform sign scan needs nonzero polynomials")
+    hs_cs = [list(h.coeffs) for h in hs]
+    zero = Fraction(0)
+    signs = [_sgn(_ev(cs, zero)) for cs in hs_cs]
+    if 1 not in signs or -1 not in signs:
+        return SignVector(RationalPoint(zero), tuple(signs))
+    n = len(hs)
+    var = [_k.sign_variations(cs) for cs in hs_cs]
+    inside = {i for i in range(n) if not var[i]}
+    if len({_sgn(hs_cs[i][-1]) for i in inside}) == 2:
+        return None
+    for sg in (1, -1):
+        inside.add(min((i for i in range(n) if signs[i] == sg), key=var.__getitem__))
+    data = {}  # each input's isolation trees, built once per call
+    while True:
+        idx = sorted(inside)
+        for i in idx:
+            if i not in data:
+                data[i] = _PolyData(hs_cs[i])
+        sub = [signs[i] for i in idx]
+        roots = isolate_nonneg_roots([hs[i] for i in idx], _data=[data[i] for i in idx])
+        root = _sweep([hs_cs[i] for i in idx], sub, roots)
+        if root is None:
+            return None
+        full = signs[:]
+        for i, sg in zip(idx, sub):
+            full[i] = sg
+        sigma = -1 if -1 in sub else 1
+        rational = root.exact is not None
+        out = [i for i in range(n) if i not in inside]
+        for i in out:
+            full[i] = _sgn(_ev(hs_cs[i], root.exact if rational else root.hi))
+        joins = [i for i in out if full[i] == -sigma or not (rational or full[i])]
+        if not (rational or joins):
+            joins = [i for i in out if _descartes(hs_cs[i], root.lo, root.hi)]
+        if not joins:
+            if rational:
+                return SignVector(RationalPoint(root.exact), tuple(full))
+            owners = [idx[j] for j in root.owners]
+            iv = IsolatingInterval(owners, root.lo, root.hi, root.multiplicity_free, None, root.s)
+            return SignVector(AlgebraicRoot(iv), tuple(full))
+        rest = [i for i in out if i not in joins]
+        inside.update(joins, rest[:max(0, len(idx) - len(joins))])

@@ -13,8 +13,11 @@ roots and, in order, its intervals and signs at lo;
 ``isolate_nonneg_roots_reference`` repeats posring's bisections on
 Fraction endpoints, which its integer ones must match exactly, and
 ``uniform_sign_exists_reference`` evaluates every input at every
-candidate, where posring's scan sweeps the sign vector.
-``gcd_mod_fermat`` is the modular gcd with Fermat's inverse.
+candidate root of every input, where posring's scan sweeps the sign
+vector of a growing subset of the inputs.
+``gcd_mod_fermat`` is the modular gcd with Fermat's inverse, and
+``primes_reference`` the prime walk with Miller-Rabin on the twelve
+primes 2 ... 37, each power computed anew.
 ``normalize_reference`` strips X from the entries vanishing at 0 one
 order at a time, re-reading the signs at 0 after each strip, and
 ``plan_scale_reference`` tries m = 0, 1, ... until (1 + X)^m makes the
@@ -239,6 +242,21 @@ def gcd_mod_fermat(a, b, m):
         A, B = B, A
     inv = pow(A[-1], m - 2, m)
     return [c * inv % m for c in A]
+
+
+def primes_reference():
+    """32749, 2^61 - 1 and the primes below it, by Miller-Rabin on the
+    bases 2 ... 37, exact below 3.3 * 10^24."""
+    yield 32749
+    n = 2**61 - 1
+    yield n
+    while True:
+        n -= 2
+        r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+        d = (n - 1) >> r
+        if all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            yield n
 
 
 def uniform_sign_exists_reference(hs):

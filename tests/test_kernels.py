@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from posring import kernels as K
 from posring.polyring import IntPoly
 
-from oracles import gcd_mod_fermat, prs_gcd, sturm_chain
+from oracles import gcd_mod_fermat, primes_reference, prs_gcd, sturm_chain
 
 MERSENNE = (1 << 61) - 1
 SMALL_PRIME = 32749  # largest prime below 2^15
@@ -231,6 +231,12 @@ def test_gcd_walk_primes():
     assert not any(_miller_rabin(n) for n in range(32751, 1 << 15, 2))
     assert not any(_miller_rabin(n) for n in range(first[-1] + 2, first[1], 2)
                    if n not in first)
+
+
+def test_gcd_walk_primes_match_the_twelve_base_walk():
+    # squaring each power in turn, on the seven bases exact below 2^64,
+    # keeps every prime of the walk that recomputed its powers on twelve
+    assert list(islice(K._primes(), 300)) == list(islice(primes_reference(), 300))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as _k
-from posring import realdec
+from posring import nxsolve, realdec
 from posring.errors import PostconditionFailed, ZeroInput, ZeroPolynomial
+from posring.nxsolve import SignCertificate, verify_certificate
 from posring.polyring import IntPoly, order_at_zero
 from posring.realdec import (
     AlgebraicRoot,
@@ -606,20 +608,47 @@ def _at_zero_nonneg(hs):
     return [-h if _exact_sign(h, Fraction(0)) < 0 else h for h in hs]
 
 
-def _sign_vector_summary(sv):
-    if sv is None:
-        return None
-    if isinstance(sv.sample, RationalPoint):
-        return sv.sample.value, sv.signs
-    iv = sv.sample.interval
-    return (iv.lo, iv.hi, iv.owners, iv.s), sv.signs
+def _scan_counting_rounds(hs):
+    """uniform_sign_exists(hs) and the number of subset scans it made,
+    one isolate_nonneg_roots call each."""
+    isolate, rounds = realdec.isolate_nonneg_roots, [0]
+
+    def counted(*args, **kwargs):
+        rounds[0] += 1
+        return isolate(*args, **kwargs)
+
+    with mock.patch.object(realdec, "isolate_nonneg_roots", counted):
+        sv = uniform_sign_exists(hs)
+    return sv, rounds[0]
 
 
 def _assert_sweep_matches_reference(hs):
-    got = _sign_vector_summary(uniform_sign_exists(hs))
-    assert got == _sign_vector_summary(uniform_sign_exists_reference(hs)), \
-        [list(h.coeffs) for h in hs]
-    return got
+    """The subset scan against the all-inputs reference: the same
+    verdict, sign vector and rational sample; an algebraic sample with
+    the same owners and the same root, on an interval that may differ
+    and must certify.  Returns (sample, signs) or None."""
+    where = [list(h.coeffs) for h in hs]
+    sv, rounds = _scan_counting_rounds(hs)
+    assert rounds <= math.ceil(math.log2(len(hs))) + 1, (rounds, where)
+    ref = uniform_sign_exists_reference(hs)
+    if ref is None:
+        assert sv is None, where
+        return None
+    assert sv is not None and sv.signs == ref.signs, where
+    if isinstance(ref.sample, RationalPoint):
+        assert sv.sample == ref.sample, where
+        return sv.sample.value, sv.signs
+    iv, rv = sv.sample.interval, ref.sample.interval
+    assert iv.exact is None and iv.owners == rv.owners, where
+    # the same root: the gcd of the two sample polys changes sign on the
+    # intersection of the two intervals, each root strictly inside its own
+    lo, hi = max(iv.lo, rv.lo), min(iv.hi, rv.hi)
+    g = _k.gcd(iv.s, rv.s)
+    assert lo < hi and _sgn(_ev(g, lo)) * _sgn(_ev(g, hi)) < 0, where
+    assert signs_at_root(hs, iv) == sv.signs, where
+    if any(sv.signs):
+        assert verify_certificate(SignCertificate(sv, tuple(hs), IntPoly.one(), 0)), where
+    return (iv.lo, iv.hi, iv.owners), sv.signs
 
 
 @settings(max_examples=150, deadline=None)
@@ -657,34 +686,101 @@ def _multiplicity(cs, r):
         cs, m = q, m + 1
 
 
-def test_sweep_evaluates_each_input_once_plus_once_per_owned_root():
-    # every input at t = 0, then each owner once after its root, plus one
-    # more derivative per extra multiplicity of an exact root; the
-    # constants 1 and -1 keep every vector mixed, so all roots are swept
+def _count_evaluations(fn, *args):
+    calls = [0]
+
+    def counted(*a):
+        calls[0] += 1
+        return _eval_scaled(*a)
+
+    with mock.patch.object(_k, "eval_scaled", counted):
+        got = fn(*args)
+    return got, calls[0]
+
+
+def _root_rich_family():
+    # exact roots of multiplicity 2 and 3, at 0, 1/3 and 1, next to the
+    # shared irrational roots of the wide family
     sq = P(-2, 0, 1)
-    hs = _wide_family(1503, 50) + [
+    return _wide_family(1503, 50) + [
         prod(P(-1, 1), P(-1, 1), sq),  # 1 double, shared sqrt(2)
         prod(P(-1, 3), P(-1, 3), P(-1, 3)),  # 1/3 triple
         prod(P(0, 1), P(0, 1), P(-1, 1)),  # 0 double, 1 simple
-        P(1),
-        P(-1),
     ]
+
+
+def test_sweep_evaluates_each_input_once_plus_once_per_owned_root():
+    # every input once at t = 0.  With the constants 1 and -1, which have
+    # no sign variation and opposite signs, no t > 0 is uniform, so the
+    # scan ends there and isolates nothing
+    hs = _root_rich_family() + [P(1), P(-1)]
+    with mock.patch.object(realdec, "_PolyData") as trees:
+        got, calls = _count_evaluations(uniform_sign_exists, hs)
+    assert got is None and not trees.called
+    assert calls == len(hs)
+    # then the sweep: each owner once after its root, plus one more
+    # derivative per extra multiplicity of an exact root.  X^2 - X + 1
+    # and its negative have no positive root and keep every vector mixed,
+    # with sign variations, so no one-sign pair ends the scan and the
+    # sweep over all inputs reaches every root
+    hs = _root_rich_family() + [P(1, -1, 1), P(-1, 1, -1)]
     roots = isolate_nonneg_roots(hs)
     slots = sum(len(root.owners) for root in roots)
     extra = sum(_multiplicity(list(hs[i].coeffs), root.exact) - 1
                 for root in roots if root.exact is not None for i in root.owners)
     assert extra >= 4  # the derivative path runs at 0, 1/3 and 1
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return _eval_scaled(*args)
-
-    with mock.patch.object(realdec, "isolate_nonneg_roots", lambda _: roots), \
-            mock.patch.object(_k, "eval_scaled", counted):
-        assert uniform_sign_exists(hs) is None
-    assert calls[0] == len(hs) + slots + extra
     assert slots > 50
+    signs = [_exact_sign(h, Fraction(0)) for h in hs]
+    got, calls = _count_evaluations(realdec._sweep, [list(h.coeffs) for h in hs], signs, roots)
+    assert got is None
+    assert calls == slots + extra
+    assert uniform_sign_exists(hs) is None
+
+
+def test_one_sign_pair_decides_solvable_without_isolation():
+    # 1 + 2X + 3X^2 > 0 > -1 - X on (0, oo), and the signs at 0 are mixed
+    hs = [P(1, 2, 3), P(-1, -1), P(3, -4, 1), P(-2, 0, 1)]
+    with mock.patch.object(realdec, "_vca_isolate") as vca:
+        assert nxsolve.decide(hs).status == nxsolve.SOLVABLE
+    assert not vca.called
+
+
+def test_subset_scan_isolates_only_the_inputs_it_needs():
+    # sqrt(2) is the first uniform point: X^2 - 2 vanishes, X - 1 and
+    # X + 5 are positive, and so is every (X - k)(X - k - 1), k = 3..8,
+    # below 3.  X + 5 and X^2 - 2 start the scan, and Descartes' rule
+    # signs every other input on (1, 2] without isolating it
+    hs = [P(-2, 0, 1), P(-1, 1), P(5, 1)] + [prod(P(-k, 1), P(-k - 1, 1)) for k in range(3, 9)]
+    built = []
+    trees = realdec._PolyData
+
+    def counted(cs):
+        built.append(cs)
+        return trees(cs)
+
+    with mock.patch.object(realdec, "_PolyData", counted):
+        d = nxsolve.decide(hs)
+    assert d.status == nxsolve.UNSOLVABLE
+    sv = d.certificate.sign_vector
+    assert isinstance(sv.sample, AlgebraicRoot)
+    iv = sv.sample.interval
+    assert (iv.lo, iv.hi, iv.owners) == (1, 2, (0,))
+    assert sv.signs == (0,) + (1,) * 8
+    assert nxsolve.verify_certificate(d.certificate)
+    assert len(built) <= 4
+
+
+def test_outside_input_with_a_root_at_hi_joins_the_scan():
+    # the first scan, of X^2 - 2 and X + 5, puts sqrt(2) in (1, 2], where
+    # (X - 2)(X - 3) vanishes at hi: it is not signed 0 there but joins,
+    # and the second scan shrinks the interval off its root at 2
+    hs = [P(-2, 0, 1), P(5, 1), prod(P(-2, 1), P(-3, 1))]
+    sv, rounds = _scan_counting_rounds(hs)
+    assert rounds == 2
+    assert sv.signs == (0, 1, 1)
+    iv = sv.sample.interval
+    assert iv.owners == (0,) and iv.hi < 2
+    assert signs_at_root(hs, iv) == (0, 1, 1)
 
 
 # ------------------------------------------------------- overlap sweep

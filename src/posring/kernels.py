@@ -3,11 +3,16 @@
 A polynomial is a plain list of ints: coefficients in ascending degree
 order with no trailing zeros.  The zero polynomial is the empty list.
 Callers own canonicalization of their inputs; every function here
-returns canonical lists.
+returns canonical lists.  Besides arithmetic, ``order`` reads the
+X-order of a polynomial for polyring and realdec alike, and ``strip2``
+and ``content`` find the common power of two and the integer content
+with one builtin pass each.
 """
 
+from functools import reduce
 from math import gcd as _igcd
 from operator import add as _add
+from operator import or_ as _or
 
 from posring.errors import PostconditionFailed
 
@@ -64,6 +69,12 @@ def mul_xk(a, k):
     return [0] * k + a
 
 
+def order(a):
+    # largest k with X^k dividing a nonzero a: the index of its first
+    # nonzero coefficient (ValueError on the zero polynomial)
+    return a.index(next(filter(None, a), None))
+
+
 def deriv(a):
     return [i * a[i] for i in range(1, len(a))]
 
@@ -96,12 +107,7 @@ def exact_div(a, b):
 
 
 def content(a):
-    c = 0
-    for x in a:
-        c = _igcd(c, x)
-        if c == 1:
-            break
-    return c
+    return _igcd(*a)
 
 
 def primitive_signed(a):
@@ -303,15 +309,11 @@ def casteljau_split(b):
 
 
 def strip2(p):
-    # divide out the largest common power of two
-    v = -1
-    for c in p:
-        if c:
-            t = (c & -c).bit_length() - 1
-            if v < 0 or t < v:
-                v = t
-            if v == 0:
-                return p
+    # divide out the largest common power of two: the lowest set bit of
+    # the OR of all coefficients, which two's complement keeps for
+    # negative ones
+    o = reduce(_or, p, 0)
+    v = (o & -o).bit_length() - 1
     if v <= 0:
         return p
     return [c >> v for c in p]

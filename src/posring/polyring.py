@@ -232,12 +232,14 @@ def _format_terms(coeffs, lowest):
 
 
 def exact_div(p, q):
-    """Quotient r with r * q == p, both IntPoly.
+    """Quotient r with r * q == p, both IntPoly; p itself when q is 1.
 
     Raises NotDivisible when q is zero or does not divide p.
     """
     if q.is_zero:
         raise NotDivisible("division by the zero polynomial")
+    if q.coeffs == (1,):
+        return p
     r = _k.exact_div(list(p.coeffs), list(q.coeffs))
     if r is None:
         raise NotDivisible("%r does not divide %r" % (q, p))
@@ -276,12 +278,7 @@ def order_at_zero(p):
     """Largest k with X**k dividing p.  Raises ZeroInput on zero."""
     if p.is_zero:
         raise ZeroInput("order at zero of the zero polynomial")
-    k = 0
-    for c in p.coeffs:
-        if c:
-            break
-        k += 1
-    return k
+    return _k.order(p.coeffs)
 
 
 def laurent_normalize(hs):

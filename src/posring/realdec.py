@@ -70,6 +70,11 @@ aligned dyadic interval that narrow: the root inside is not dyadic, and
 no later bisection midpoint, which is dyadic, can land on a root of s.
 Every dyadic root comes out exact on the way.
 
+Every Descartes test maps its interval onto (0, 1) through one helper,
+``_to_unit``: the ends as integers over a common denominator, the
+coefficients scaled by their powers, and ``kernels.shift1``, once when
+the interval starts at 0, as at a tree's root, else twice.
+
 ``signs_at_root`` checks by Descartes' rule that an interval holds one
 simple root, once, then signs each polynomial there: by a midpoint
 when Descartes' rule shows that it has no root in the interval, else 0
@@ -205,6 +210,27 @@ def _bernstein_weights(n):
     return tuple(m // c for c in cs)
 
 
+def _homog(p, a, b):
+    # c_i a^i b^(n - i): b^n p(a x / b) with n = deg p
+    n = len(p) - 1
+    return [c * a**i * b ** (n - i) for i, c in enumerate(p)]
+
+
+def _to_unit(p, u, v, D):
+    # (lo, hi) = (u/D, v/D) mapped onto (0, 1): the roots of p in (lo, hi)
+    # are those of R(y) = D^n p((u + (v - u) y)/D) in (0, 1), and the sign
+    # variations of (1 + x)^n R(1/(1 + x)) count them with multiplicity,
+    # up to an even excess (Descartes' rule).  Returns those coefficients
+    # times u^n, whose sign changes no variation count; u = 0 drops it.
+    # R is reached by shift1 alone: D^n p(u (x + 1)/D) scaled by
+    # (v - u)^j u^(n - j) at x^j is u^n R(x), and u = 0 needs no shift
+    if u:
+        p = _homog(_k.shift1(_homog(p, u, D)), v - u, u)
+    else:
+        p = _homog(p, v, D)
+    return _k.shift1(p[::-1])
+
+
 def _vca_isolate(s, budgeted=False):
     """Positive roots of s with s(0) != 0, deg >= 1, each simple in s.
 
@@ -228,8 +254,9 @@ def _vca_isolate(s, budgeted=False):
     bound for the roots of q in (0, 1) is the sign variation count of
     (1 + x)^n q(1/(1 + x)), whose coefficients are the C(n, i) b_i in
     reverse order; the C(n, i) are positive, so the bound is the
-    variation count of the b_i themselves.  The root node takes one
-    Taylor shift to get them, and every split one de Casteljau pass.
+    variation count of the b_i themselves.  The root node gets them from
+    ``_to_unit`` on (0, 2^K), one Taylor shift, and every split takes one
+    de Casteljau pass.
     A root at the midpoint shows as right_0 == 0 and stays in the right
     child: with q = x q1, the b_i are those of q1 shifted up one place
     and scaled by the positive (i + 1) / n, so the zero changes no
@@ -248,10 +275,8 @@ def _vca_isolate(s, budgeted=False):
     # |coefficient|, which Cauchy's bound puts above every |root| of s:
     # 2^K - 1 >= ceil(m / |lc(s)|)
     K = (-(-max(abs(c) for c in s[:-1]) // abs(s[-1]))).bit_length()
-    # map (0, 2^K) onto (0, 1)
-    p0 = _k.strip2([c << (K * i) for i, c in enumerate(s)])
-    n = len(p0) - 1
-    t = _k.shift1(p0[::-1])
+    t = _to_unit(s, 0, 1 << K, 1)
+    n = len(s) - 1
     w = _bernstein_weights(n)
     # 2^v divides lc(s): leaves are narrowed to width 2^-v
     v = (s[-1] & -s[-1]).bit_length() - 1
@@ -304,11 +329,8 @@ class _PolyData:
 
     def __init__(self, cs):
         self.cs = cs
-        k0 = 0
-        while cs[k0] == 0:
-            k0 += 1
-        self.k0 = k0
-        self.q = cs[k0:]
+        self.k0 = _k.order(cs)
+        self.q = cs[self.k0:]
         # by Descartes' rule of signs, q has a positive root only if its
         # coefficients change sign
         if _k.sign_variations(self.q):
@@ -554,17 +576,12 @@ def isolate_nonneg_roots(hs, *, _data=None):
 
 
 def _descartes(p, lo, hi):
-    # Descartes' bound for the roots of p in (lo, hi): with lo = u/D and
-    # w = (hi - lo) D, they are the roots of R(y) = D^n p((u + w y)/D) in
-    # (0, 1), and the sign variations of (1 + x)^n R(1/(1 + x)) count
-    # them with multiplicity, up to an even excess
+    # Descartes' bound for the roots of p in (lo, hi), Fractions with
+    # lo < hi: the sign variation count of their map onto (0, 1)
     D = lcm(lo.denominator, hi.denominator)
-    u, w, n = int(lo * D), int((hi - lo) * D), len(p) - 1
-    r = [c * D ** (n - i) for i, c in enumerate(p)]
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            r[j] += u * r[j + 1]
-    return _k.sign_variations(_k.shift1([c * w**j for j, c in enumerate(r)][::-1]))
+    u = lo.numerator * (D // lo.denominator)
+    v = hi.numerator * (D // hi.denominator)
+    return _k.sign_variations(_to_unit(p, u, v, D))
 
 
 def signs_at_root(qs, root):

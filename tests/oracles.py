@@ -18,6 +18,10 @@ vector of a growing subset of the inputs.
 ``gcd_mod_fermat`` is the modular gcd with Fermat's inverse, and
 ``primes_reference`` the prime walk with Miller-Rabin on the twelve
 primes 2 ... 37, each power computed anew.
+``descartes_reference`` shifts a polynomial onto an interval by a double
+loop of multiply-adds, where posring scales it and calls ``shift1``;
+``strip2_reference``, ``content_reference`` and ``order_reference`` walk
+the coefficients one by one, where posring's kernels use one builtin.
 ``normalize_reference`` strips X from the entries vanishing at 0 one
 order at a time, re-reading the signs at 0 after each strip, and
 ``plan_scale_reference`` tries m = 0, 1, ... until (1 + X)^m makes the
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as _iproduct
-from math import comb
+from math import comb, gcd, lcm
 
 from posring import kernels as _k
 from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
@@ -319,6 +323,58 @@ def plan_scale_reference(f_uv, f_yz):
         if m > bound:
             raise PostconditionFailed("scaling scan escaped its sufficiency bound")
     return m
+
+
+def descartes_reference(p, lo, hi):
+    """Descartes' bound for the roots of p in (lo, hi), Fractions lo < hi.
+
+    With lo = u/D and w = (hi - lo) D they are the roots of
+    R(y) = D^n p((u + w y)/D) in (0, 1), and the sign variations of
+    (1 + x)^n R(1/(1 + x)) count them with multiplicity, up to an even
+    excess.  The shift by u is a double loop of multiply-adds.
+    """
+    D = lcm(lo.denominator, hi.denominator)
+    u, w, n = int(lo * D), int((hi - lo) * D), len(p) - 1
+    r = [c * D ** (n - i) for i, c in enumerate(p)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            r[j] += u * r[j + 1]
+    return _k.sign_variations(_k.shift1([c * w**j for j, c in enumerate(r)][::-1]))
+
+
+def strip2_reference(p):
+    """p over its largest common power of two, coefficient by coefficient."""
+    v = -1
+    for c in p:
+        if c:
+            t = (c & -c).bit_length() - 1
+            if v < 0 or t < v:
+                v = t
+            if v == 0:
+                return p
+    if v <= 0:
+        return p
+    return [c >> v for c in p]
+
+
+def content_reference(a):
+    """gcd of the coefficients, 0 for none, stopping at 1."""
+    c = 0
+    for x in a:
+        c = gcd(c, x)
+        if c == 1:
+            break
+    return c
+
+
+def order_reference(a):
+    """Count of leading zero coefficients of a nonzero a."""
+    k = 0
+    for c in a:
+        if c:
+            break
+        k += 1
+    return k
 
 
 def _var01(q):

@@ -3,13 +3,22 @@ from itertools import islice
 from math import comb
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as K
 from posring.polyring import IntPoly
 
-from oracles import gcd_mod_fermat, primes_reference, prs_gcd, sturm_chain
+from oracles import (
+    content_reference,
+    gcd_mod_fermat,
+    order_reference,
+    primes_reference,
+    prs_gcd,
+    strip2_reference,
+    sturm_chain,
+)
 
 MERSENNE = (1 << 61) - 1
 SMALL_PRIME = 32749  # largest prime below 2^15
@@ -118,6 +127,31 @@ def test_content_and_primitive_parts(a):
     shift = (a[-1] // s2[-1]).bit_length() - 1
     assert K.scale(s2, 1 << shift) == a
     assert any(x & 1 for x in s2)
+
+
+# empty, all-zero, and mixed-sign lists sharing a power of two
+_bit_lists = st.one_of(
+    st.lists(st.just(0), max_size=4),
+    st.builds(lambda cs, k: [c << k for c in cs], raw, st.integers(0, 70)),
+)
+
+
+@given(_bit_lists)
+def test_strip2_and_content_match_the_coefficient_loops(a):
+    assert K.strip2(a) == strip2_reference(a)
+    assert K.content(a) == content_reference(a)
+
+
+@given(st.integers(0, 6), nonzero)
+def test_order_matches_the_leading_zero_loop(k, a):
+    a = [0] * k + a
+    assert K.order(a) == K.order(tuple(a)) == order_reference(a) >= k
+
+
+def test_order_refuses_the_zero_polynomial():
+    for a in ([], [0], (0, 0)):
+        with pytest.raises(ValueError):
+            K.order(a)
 
 
 @given(nonzero, nonzero)

@@ -95,6 +95,22 @@ def test_normalize_strips_differing_x_orders():
     assert r.x_divisions == 3
 
 
+def test_normalize_divides_nothing_by_a_gcd_of_one():
+    # coprime entries: exact_div hands each back as it is, with no long
+    # division by 1; a real gcd still divides every entry
+    hs = [P(-2, 0, 1), P(0, 3, -1), P(5, 1)]
+    with mock.patch.object(_k, "exact_div", wraps=_k.exact_div) as div:
+        r = nx.normalize(hs)
+    assert div.call_count == 0
+    assert r.gcd_removed == IntPoly.one() and r.hs == tuple(hs)
+    assert all(a is b for a, b in zip(r.hs, hs))
+    g = P(-1, 1)
+    with mock.patch.object(_k, "exact_div", wraps=_k.exact_div) as div:
+        r = nx.normalize([h * g for h in hs])
+    assert div.call_count >= len(hs)
+    assert r.gcd_removed == g and r.hs == tuple(hs)
+
+
 # one entry: X^order * (lowest + X * tail)
 _x_entry = st.tuples(st.integers(0, 4), st.integers(-3, 3).filter(bool),
                      st.lists(st.integers(-3, 3), max_size=3))

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as _k
@@ -35,6 +35,7 @@ from oracles import (
     _narrow_reference,
     cauchy_root_bound,
     count_roots,
+    descartes_reference,
     isolate_nonneg_roots_reference,
     prs_gcd,
     squarefree_part,
@@ -309,6 +310,23 @@ def test_sign_at_root_bisection_lands_on_the_root():
     # the first midpoint is the root 1/2 of 2X - 1, where 4X - 1 is 1
     assert realdec._descartes([-1, 4], Fraction(0), Fraction(1)) == 1
     assert _sign_at_root(P(-1, 4), _box(0, 1, [-1, 2])) == 1
+
+
+_ends = st.fractions(-20, 20, max_denominator=24)
+_widths = st.fractions(Fraction(1, 24), 20, max_denominator=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=10).filter(lambda cs: cs[-1]),
+       st.one_of(st.just(Fraction(0)), _ends), _widths)
+@example([5], Fraction(-3, 7), Fraction(2))              # degree 0, lo < 0
+@example([-1, 3], Fraction(0), Fraction(1, 3))           # degree 1, root at hi
+@example([-2, 0, 1], Fraction(4, 3), Fraction(1, 5))     # sqrt 2 in (4/3, 23/15)
+@example([7, -9, -4, 2], Fraction(-5, 2), Fraction(11, 6))
+def test_descartes_matches_the_multiply_add_shift(p, lo, width):
+    # lo < 0, lo = 0 and non-dyadic ends, against the double-loop shift
+    hi = lo + width
+    assert realdec._descartes(p, lo, hi) == descartes_reference(p, lo, hi)
 
 
 def test_sign_at_root_next_to_a_complex_pair():

@@ -7,7 +7,11 @@ reduced h_i the same weak sign.  A uniform sign certifies unsolvability;
 otherwise the instance is solvable.  Producing a solution is a separate
 job: find_witness synthesizes a witness tuple by exact rational linear
 programming over the convolution system, with nonzeroness encoded as
-coefficient sums >= 1 (sound by homogeneity).
+coefficient sums >= 1 (sound by homogeneity).  Its degree escalation
+starts at a bound read off the ends of the h_i, and its simplex pivots
+on the convolution's equality rows alone: the coefficient-sum rows
+cover disjoint blocks of unknowns and stay implicit, one basic key
+variable per block (generalized upper bounding).
 
 Witnesses are searched against the original, unnormalized h_i, so a
 returned tuple verifies by direct substitution.
@@ -72,6 +76,9 @@ class FeasibilitySystem:
 
     Unknown a_ij (f_i's coefficient of X^j) sits at column i*(degree+1)+j.
     Every eq row has right-hand side 0; every ge row has right-hand side 1.
+    The ge rows are the coefficient sums, sum_j a_ij >= 1 for each i, as
+    build_feasibility writes them; rational_feasibility takes their
+    blocks from n and degree and never reads ge.
     """
 
     n: int
@@ -234,96 +241,257 @@ def _pivot_row(row, prow, f, piv, den):
 def rational_feasibility(sys):
     """Exact feasible point of the system, or None.
 
-    Phase-1 simplex: surplus variables on the >= rows, artificials
-    everywhere, minimizing the artificial sum.  The tableau holds
-    integers.  After a pivot, D, the pivot entry just used (1 before
-    the first), is the determinant of the current basis (Edmonds,
-    Bareiss 1968), and D > 0 throughout, because the ratio test only
-    pivots on a > 0 and the new D is D * a.  Row r is stored as
-    scale[r] times its true row, scale[r] being the D under which it
-    was last changed (1 at the start); the w-row is always D times its
-    true row.  A pivot leaves every row whose entry in the entering
-    column is 0 alone, as its true row does not change.  It brings the
-    leaving row up to D first (row * D / scale[leave]), then maps each
-    other row with entry f != 0 to (piv * row - f * pivot row) /
-    scale[r] and sets scale[r] = piv, the new D; the w-row is mapped
-    the same way, dividing by D.  Each result is a determinant times a
-    true row, a minor of the integer input, so the division is exact by
-    Sylvester's identity; a remainder raises PostconditionFailed.  A
-    positive row scale changes neither the sign test nor the ratio
-    comparison, so the pivots are those of the tableau scaled by D
-    throughout.  Bland's rule (smallest eligible index in, smallest
-    basic index out on ratio ties, ratios compared by cross
-    multiplication) rules out cycling.  Returns the structural variable
-    values only, each basic one as Fraction(rhs, scale[r]).
+    Phase-1 simplex: surplus s_i on the coefficient-sum rows, an
+    artificial on every row, minimizing the artificial sum, with Bland's
+    rule (least eligible id in; least ratio out, ties to the least basic
+    id).  Ids: a_ij at i*(degree+1)+j, then s_i, then the equality rows'
+    artificials, then the sum rows'.  Only sys.n, sys.degree and sys.eq
+    are read: the sum rows are the ones build_feasibility writes.
+
+    Working basis.  Sum row i reads sum_j a_ij - s_i + art_i = 1: block i
+    of the variables, each with a gain g of +1 or -1 there, and the
+    blocks are disjoint.  Every basis holds a variable of each block,
+    and one of them, the block's key, stays implicit (generalized upper
+    bounding; Dantzig & Van Slyke 1967): its value is g_key * (1 - sum
+    of g_v x_v over the block's other basic variables, its members).
+    The stored rows are the equality rows, one per working basic
+    variable: that variable's row of the full tableau, kept only at the
+    nonbasic columns (dictionary form) plus the rhs.  A key's row is
+    g_key times (g_c on its block's columns and 1 at the rhs, less the
+    g_v-weighted sum of its members' rows).  At the start the keys are
+    the sum rows' artificials and the working basics the equality rows'.
+
+    Integers.  D, the last pivot entry (1 before the first), is the
+    determinant of the full basis (Edmonds, Bareiss 1968), and D > 0,
+    as the ratio test only pivots on a > 0.  Row r is scale[r] times
+    its true row, scale[r] being the D under which it last changed; the
+    w-row is D times its true row.  A key's entry and value at scale D
+    are integers, as D times every tableau entry is, and ratios are
+    compared by cross multiplication.
+
+    A pivot takes one of three forms, each the full tableau's pivot:
+    - A working basic leaves: its row is brought up to D, and each row
+      with entry f != 0 in the entering column maps to (piv * row - f *
+      pivot row) / scale[r], the w-row likewise over D, exactly by
+      Sylvester's identity (a remainder raises PostconditionFailed).
+      The leaving variable's column takes the entering one's slot,
+      holding D in the pivot row and 0 in the others before the map.
+    - A key with members leaves: a member becomes the key, and its row
+      is replaced by the old key's row, built from the member rows at
+      D; then the old key leaves as a working basic.
+    - A key without members leaves: its row is g_c on its block, so
+      the entering variable (of the same block) becomes the key by
+      subtracting the entering column times that row from every row
+      and the w-row, a column operation with pivot 1 that leaves D
+      alone.
+    An artificial that leaves never enters again, and its column is
+    dropped.  So the pivots, and the vertex, are those of Bland's rule
+    on the full tableau.  Returns the structural variable values only:
+    Fraction(rhs, scale[r]) for working basics, each key's from its
+    block's equation.
     """
-    nv = sys.n * (sys.degree + 1)
-    ns = len(sys.ge)
-    rows = [list(r) + [0] * ns + [0] for r in sys.eq]
-    for s, r in enumerate(sys.ge):
-        row = list(r) + [0] * ns + [1]
-        row[nv + s] = -1
-        rows.append(row)
-    m = len(rows)
-    ncols = nv + ns
-    # w-row for minimizing the artificial sum: w + sum_j W[j] x_j = Wrhs
-    W = [sum(r[j] for r in rows) for j in range(ncols + 1)]
-    basis = [ncols + i for i in range(m)]  # virtual artificial ids
+    n, w = sys.n, sys.degree + 1
+    nv = n * w
+    ncols = nv + n
+    m = len(sys.eq)
+    # ids: a_ij, then s_i, then the equality rows' artificials, then the
+    # sum rows'; gain is each variable's coefficient in its sum row
+    block = [v // w for v in range(nv)] + list(range(n)) + [-1] * m + list(range(n))
+    gain = [1] * nv + [-1] * n + [1] * (m + n)
+    # a row is [rhs, entry at each nonbasic column]; labels names them
+    labels = [None] + list(range(ncols))
+    pos = list(range(1, ncols + 1)) + [None] * (m + n)
+    rows = [[0] + list(r) + [0] * n for r in sys.eq]
+    # w-row for minimizing the artificial sum: w + sum_j W[j] x_j = Wrhs,
+    # the column sums of the equality and coefficient-sum rows
+    W = [n] + ([sum(c) + 1 for c in zip(*sys.eq)] if m else [1] * nv) + [-1] * n
+    basis = list(range(ncols, ncols + m))
+    key = list(range(ncols + m, ncols + m + n))
     scale = [1] * m
     den = 1
     while True:
-        enter = next((j for j in range(ncols) if W[j] > 0), None)
+        enter = min((labels[p] for p in range(1, len(W)) if W[p] > 0), default=None)
         if enter is None:
             break
-        leave = None
+        ep = pos[enter]
+        # best leaving candidate: (value, entry, id, row or ~block)
+        best = None
+        touched = {block[enter]}
         for r in range(m):
-            a = rows[r][enter]
-            if a > 0:
-                if leave is None:
-                    leave = r
-                    continue
-                # rhs_r / a < rhs_l / a_l, both denominators positive
-                lhs = rows[r][ncols] * rows[leave][enter]
-                rhs = rows[leave][ncols] * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave = r
-        if leave is None:
+            a = rows[r][ep]
+            if a:
+                touched.add(block[basis[r]])
+                if a > 0:
+                    cand = (rows[r][0], a, basis[r], r)
+                    if best is None or _before(cand, best):
+                        best = cand
+        touched.discard(-1)
+        for i in touched:
+            a = den * gain[enter] if block[enter] == i else 0
+            v = den
+            for r in range(m):
+                bv = basis[r]
+                if block[bv] == i:
+                    row, s = rows[r], scale[r]
+                    a -= gain[bv] * (den * row[ep] // s)
+                    v -= gain[bv] * (den * row[0] // s)
+            gk = gain[key[i]]
+            if gk * a > 0:
+                cand = (gk * v, gk * a, key[i], ~i)
+                if best is None or _before(cand, best):
+                    best = cand
+        if best is None:
             raise PostconditionFailed("phase-1 objective is unbounded")
+        leave = best[3]
+        if leave < 0:
+            i = ~leave
+            k = key[i]
+            gk = gain[k]
+            cols = [(pos[c], gain[c]) for c in range(i * w, i * w + w) if pos[c]]
+            if pos[nv + i]:
+                cols.append((pos[nv + i], -1))
+            members = [r for r in range(m) if block[basis[r]] == i]
+            if not members:
+                # k's row is gk * g_c on the block and gk at the rhs, with
+                # pivot gk * g_enter = 1, so g_enter = gk; k's own entry
+                # there is 1, and its column takes slot ep as -f
+                for row in rows + [W]:
+                    f = row[ep]
+                    if f:
+                        for c, g in cols:
+                            row[c] -= f * gk * g
+                        row[0] -= f * gk
+                        row[ep] = -f
+                key[i] = enter
+                _retire(rows, W, labels, pos, ep, k, ncols)
+                continue
+            # the first member becomes the key, and its row k's row
+            new = [0] * len(W)
+            for r in members:
+                if scale[r] != den:
+                    rows[r] = _pivot_row(rows[r], rows[r], 0, den, scale[r])
+                    scale[r] = den
+                c = -gk * gain[basis[r]]
+                new = [x + c * y for x, y in zip(new, rows[r])]
+            for c, g in cols:
+                new[c] += gk * g * den
+            new[0] += gk * den
+            leave = members[0]
+            key[i], basis[leave] = basis[leave], k
+            rows[leave] = new
         prow = rows[leave]
         if scale[leave] != den:
             prow = rows[leave] = _pivot_row(prow, prow, 0, den, scale[leave])
-        piv = prow[enter]
+        piv = prow[ep]
+        # column ep passes to the leaving variable: D in its own row, 0
+        # in the others before the pivot
+        prow[ep] = den
         for r in range(m):
-            f = rows[r][enter]
+            row = rows[r]
+            f = row[ep]
             if f and r != leave:
-                rows[r] = _pivot_row(rows[r], prow, f, piv, scale[r])
+                row[ep] = 0
+                rows[r] = _pivot_row(row, prow, f, piv, scale[r])
                 scale[r] = piv
-        W = _pivot_row(W, prow, W[enter], piv, den)
+        f = W[ep]
+        W[ep] = 0
+        W = _pivot_row(W, prow, f, piv, den)
         den = scale[leave] = piv
+        out = basis[leave]
         basis[leave] = enter
-    if W[ncols] != 0:
+        _retire(rows, W, labels, pos, ep, out, ncols)
+    if W[0] != 0:
         return None
     x = [Fraction(0)] * nv
+    rest = [Fraction(1)] * n
     for r, bv in enumerate(basis):
+        val = Fraction(rows[r][0], scale[r])
         if bv < nv:
-            x[bv] = Fraction(rows[r][ncols], scale[r])
+            x[bv] = val
+        if block[bv] >= 0:
+            rest[block[bv]] -= gain[bv] * val
+    for i, k in enumerate(key):
+        if k < nv:
+            x[k] = rest[i]
     return x
 
 
+def _retire(rows, W, labels, pos, p, v, ncols):
+    # column p passes from the entering variable to v, which left the
+    # basis; an artificial never enters again, so its column is dropped
+    # instead, the last one moving into its place
+    pos[labels[p]] = None
+    if v < ncols:
+        labels[p] = v
+        pos[v] = p
+        return
+    last = labels.pop()
+    for row in rows + [W]:
+        x = row.pop()
+        if p < len(row):
+            row[p] = x
+    if p < len(labels):
+        labels[p] = last
+        pos[last] = p
+
+
+def _before(a, b):
+    # ratio a[0] / a[1] below b[0] / b[1] (entries > 0), ties by least id
+    lhs, rhs = a[0] * b[1], b[0] * a[1]
+    return lhs < rhs or (lhs == rhs and a[2] < b[2])
+
+
+def _degree_floor(hs):
+    """A d below which hs has no witness, or None when it has none at all.
+
+    Only the nonzero h_i count.  At the top, sum f_i h_i has a term of
+    degree T = max(deg f_i + deg h_i), whose coefficient sums lc(f_i)
+    lc(h_i) over the i reaching T, each lc(f_i) > 0.  When every h_i of
+    the top degree e has leading sign s, some h_j of leading sign -s
+    must reach T >= e, so deg f_j >= e - deg h_j; with no such h_j the
+    top term never cancels.  The lowest terms obey the same rule, with
+    orders for degrees: reading each order as its negative turns it
+    into the same test.
+    """
+    ends = []
+    for h in hs:
+        if not h.is_zero:
+            cs = h.coeffs
+            k = _k.order(cs)
+            ends.append(((len(cs) - 1, _sgn(cs[-1])), (-k, _sgn(cs[k]))))
+    floor = 0
+    for side in zip(*ends):
+        e = max(p for p, _ in side)
+        signs = {s for p, s in side if p == e}
+        if len(signs) == 1:
+            gaps = [e - p for p, s in side if s not in signs]
+            if not gaps:
+                return None
+            floor = max(floor, min(gaps))
+    return floor
+
+
 def find_witness(hs, degree_cap=DEGREE_CAP):
-    """Smallest-degree witness via LP escalation d = 0, 1, ..., degree_cap.
+    """Smallest-degree witness via LP escalation d = floor, ..., degree_cap.
 
-    The first feasible system yields a rational point; denominators are
-    cleared, the common integer content divided out, and the result
-    verified by substitution before being returned.
+    The escalation starts at _degree_floor's bound, below which every
+    LP is infeasible, so it finds the degree, system and witness that
+    escalation from d = 0 would.  The first feasible system yields a
+    rational point; denominators are cleared, the common integer
+    content divided out, and the result verified by substitution before
+    being returned.
 
-    None means no witness within the cap, which includes every
-    Unsolvable input: there every LP up to degree_cap is solved before
-    None comes back, tenths of a second even on two or three small
-    polynomials, where ``decide`` answers in under a millisecond.  Call
+    None means no witness within the cap.  It comes at once, with no LP
+    solved, when the nonzero h_i all share a leading sign or all share
+    a lowest-coefficient sign, or when the floor passes the cap.  Other
+    Unsolvable inputs solve every LP from the floor up to degree_cap
+    first, where ``decide`` answers in under a millisecond: call
     ``decide`` first and search only after a Solvable verdict.
     """
-    for d in range(degree_cap + 1):
+    floor = _degree_floor(hs)
+    if floor is None:
+        return None
+    for d in range(floor, degree_cap + 1):
         x = rational_feasibility(build_feasibility(hs, d))
         if x is None:
             continue

@@ -36,6 +36,7 @@ returned.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .errors import BadIndex, InvalidWitness, LengthMismatch, PostconditionFailed
 from .nxsolve import (
@@ -237,20 +238,26 @@ def _projections(pairs):
     return {i for i, _ in pairs}, {j for _, j in pairs}
 
 
-# The two steps of the analysis, each a one-entry memo keyed by the
-# frozen GeneratorSet.  M's elimination rounds, once recorded, belong
-# in _support's entry beside M.
+# The h_ij and the two steps of the analysis, each a one-entry memo
+# keyed by the frozen GeneratorSet.  M's elimination rounds, once
+# recorded, belong in _support's entry beside M.
+@lru_cache(maxsize=1)
+def _hij(gens):
+    """build_hij(gens), read-only."""
+    return MappingProxyType(build_hij(gens))
+
+
 @lru_cache(maxsize=1)
 def _support(gens):
     """M for gens, as _maximal_support returns it."""
-    hij = build_hij(gens)
+    hij = _hij(gens)
     return _maximal_support(hij, hij)
 
 
 @lru_cache(maxsize=1)
 def _witness(gens, degree_cap):
     """find_witness on the normalized h_ij of M, or None past degree_cap."""
-    hij = build_hij(gens)
+    hij = _hij(gens)
     hs, _ = laurent_normalize([hij[p] for p in _support(gens)])
     return find_witness(hs, degree_cap)
 
@@ -451,7 +458,7 @@ def synthesize_identity_word(gens, cover, witness):
     pairs = cover.pairs
     if not pairs:
         raise InvalidWitness("empty cover")
-    hij = build_hij(gens)
+    hij = _hij(gens)
     try:
         hs_laurent = [hij[p] for p in pairs]
     except KeyError as exc:

@@ -27,11 +27,14 @@ order at a time, re-reading the signs at 0 after each strip, and
 ``plan_scale_reference`` tries m = 0, 1, ... until (1 + X)^m makes the
 synthesis pivots positive; posring computes both numbers in closed form.
 ``rational_feasibility_reference`` is the phase-1
-simplex over Fractions that posring's integer tableau must match pivot
-for pivot.  ``brute_force_oracle`` enumerates bounded witness tuples and
-``exhaustive_identity_search`` searches words breadth first, both without
-the sign theory, and ``enumerate_covers`` lists every generator cover, so
-tests can decide the Group and Identity questions cover by cover.
+simplex over Fractions on the full tableau, every coefficient-sum row
+stored, that posring's integer working-basis simplex must match pivot
+for pivot, and ``find_witness_linear`` escalates the degree from 0,
+where posring starts at a lower bound.  ``brute_force_oracle``
+enumerates bounded witness tuples and ``exhaustive_identity_search``
+searches words breadth first, both without the sign theory, and
+``enumerate_covers`` lists every generator cover, so tests can decide
+the Group and Identity questions cover by cover.
 Nothing in ``src/`` uses these.
 """
 
@@ -43,6 +46,7 @@ from math import comb, gcd, lcm
 
 from posring import kernels as _k
 from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
+from posring import nxsolve as _nx
 from posring.nxsolve import (
     EarlyUnsolvable,
     NormalizedInstance,
@@ -699,6 +703,24 @@ def rational_feasibility_reference(sys):
         if bv < nv:
             x[bv] = rows[r][ncols]
     return x
+
+
+def find_witness_linear(hs, degree_cap):
+    """find_witness by plain linear escalation d = 0, 1, ..., degree_cap.
+
+    Every degree from 0 on goes through posring's own LP, where
+    find_witness starts at a lower bound; the witness is the first
+    feasible point with denominators cleared and the content divided
+    out, as there.
+    """
+    for d in range(degree_cap + 1):
+        x = _nx.rational_feasibility(_nx.build_feasibility(hs, d))
+        if x is not None:
+            den = lcm(*(v.denominator for v in x))
+            ints = _k.primitive_signed([int(v * den) for v in x])
+            return WitnessTuple(tuple(
+                IntPoly(ints[i * (d + 1):(i + 1) * (d + 1)]) for i in range(len(hs))))
+    return None
 
 
 def _digit_vectors(D, c):

@@ -22,6 +22,7 @@ from oracles import (
     _oracle_dfs,
     _oracle_meet,
     brute_force_oracle,
+    find_witness_linear,
     normalize_reference,
     rational_feasibility_reference,
 )
@@ -415,8 +416,9 @@ def test_integer_tableau_matches_fraction_reference(hs, d):
         assert all(type(v) is Fraction for v in got)
 
 
-# SHIFT_PAIR at degree 3 takes 10 pivots over m = 7 rows, and at one of
-# them the leaving row was last changed under an older determinant
+# SHIFT_PAIR at degree 3 takes 10 pivots on m = 5 working rows (its 2
+# coefficient-sum rows stay implicit), and at one of them the leaving
+# working row was last changed under an older determinant
 SHIFT3 = nx.build_feasibility(SHIFT_PAIR, 3)
 SHIFT3_PIVOTS = 10
 
@@ -443,11 +445,73 @@ def test_stale_leaving_row_is_refreshed(monkeypatch):
 
 
 def test_pivots_skip_rows_they_leave_unchanged(monkeypatch):
-    # every other row plus the w-row would be m calls per pivot
+    # mapping every other working row plus the w-row would be m calls per
+    # pivot; the full tableau made 51 calls here, one per changed row of 7
     calls = _counting_pivot_rows(monkeypatch)
     nx.rational_feasibility(SHIFT3)
-    m = len(SHIFT3.eq) + len(SHIFT3.ge)
-    assert len(calls) < (m - 1) * SHIFT3_PIVOTS
+    m = len(SHIFT3.eq)
+    assert len(calls) < m * SHIFT3_PIVOTS
+
+
+# Each system takes one kind of working-basis pivot (traced when they
+# were chosen); its vertex must be the full tableau's, pinned here too.
+KEY_PIVOTS = {
+    # the first key swap hits a block with three working members, whose
+    # rows all go into the old key's row
+    "three members": (
+        [P(2, 7, -9), P(-2, -8, -4, -6), P(6, -2, 3), P(9), P(-9, -3)], 3,
+        ["1688/5495", "19689/60445", "0", "22188/60445", "115343/120890", "0",
+         "5547/120890", "0", "103702/60445", "296/785", "0", "72111/60445",
+         "0", "1", "0", "0", "1", "0", "0", "0"]),
+    # a key with no working member: the entering variable replaces it,
+    # the second time an a_ij key whose column comes back into the rows
+    "entering replaces key": (
+        [P(1, -1), P(-3, -2), P(1)], 1, ["1", "0", "1", "0", "2", "3"]),
+    # a key replaced by a member of the same gain (two a_ij)
+    "member, same gain": ([P(-3), P(1)], 0, ["1", "3"]),
+    # a key replaced by a member of the opposite gain (a surplus s_i)
+    "member, opposite gain": (
+        [P(3, -3, -2), P(1), P(-3, 1)], 1, ["1", "0", "0", "8", "1", "2"]),
+    # a key and a working row tie in the ratio test, and the lesser id
+    # leaves
+    "key ties a row": (
+        [P(1, 1), P(-1, -3), P(-2)], 1, ["0", "3", "0", "1", "0", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_PIVOTS))
+def test_key_pivots_match_the_full_tableau(case):
+    hs, d, vertex = KEY_PIVOTS[case]
+    sys_ = nx.build_feasibility(hs, d)
+    got = nx.rational_feasibility(sys_)
+    assert got == rational_feasibility_reference(sys_)
+    assert got == [Fraction(v) for v in vertex]
+
+
+def test_unbounded_phase1_raises(monkeypatch):
+    # phase 1 is bounded below by 0, so only broken arithmetic leaves an
+    # entering column with no positive ratio: here every mapped row comes
+    # out negated, and the check reports it instead of a point
+    real = nx._pivot_row
+    monkeypatch.setattr(nx, "_pivot_row",
+                        lambda *args: [-v for v in real(*args)])
+    with pytest.raises(PostconditionFailed, match="unbounded"):
+        nx.rational_feasibility(nx.build_feasibility(TRIPLE, 0))
+
+
+def test_working_basis_matches_reference_sweep():
+    # more blocks than the hypothesis test (up to 8 polynomials), so more
+    # keys to swap; the Fraction reference sets the size of the rest
+    rng = random.Random(2024)
+    feasible = 0
+    for _ in range(500):
+        hs = [P(*[rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
+              for _ in range(rng.randint(2, 8))]
+        sys_ = nx.build_feasibility(hs, rng.randint(0, 2))
+        got = nx.rational_feasibility(sys_)
+        assert got == rational_feasibility_reference(sys_)
+        feasible += got is not None
+    assert 150 < feasible < 350
 
 
 def test_pivot_row_division_is_exact():
@@ -489,6 +553,40 @@ def test_find_witness_deterministic():
     a = nx.find_witness(SHIFT_PAIR)
     b = nx.find_witness(SHIFT_PAIR)
     assert a.fs == b.fs
+
+
+def test_degree_floor_examples():
+    # 1 and -(X-1)^2: the top has only -X^2, so d >= 2 - 0
+    assert nx._degree_floor(REMARK_PAIR) == 2
+    # X-1, 1, -X: both ends mixed (X and -X on top, -1 and 1 at order 0)
+    assert nx._degree_floor(TRIPLE) == 0
+    # X^3 + 1 and -X: the bottom has +1 alone at order 0, so d >= 1 - 0;
+    # the top has X^3 alone, so d >= 3 - 1
+    assert nx._degree_floor([P(1, 0, 0, 1), P(0, -1)]) == 2
+    # every leading coefficient positive, or every lowest one
+    assert nx._degree_floor([P(-1, 1), P(2, 3)]) is None
+    assert nx._degree_floor([P(1, -1), P(2, 3)]) is None
+    # zero entries do not count; all zero leaves no bound
+    assert nx._degree_floor([IntPoly.zero()] + REMARK_PAIR) == 2
+    assert nx._degree_floor([IntPoly.zero()]) == 0
+
+
+def test_one_sided_ends_return_none_without_an_lp(monkeypatch):
+    lp = mock.Mock(side_effect=nx.rational_feasibility)
+    monkeypatch.setattr(nx, "rational_feasibility", lp)
+    assert nx.find_witness([P(-1, 1), P(2, 3)]) is None
+    assert nx.find_witness([P(1), IntPoly.zero()]) is None
+    assert lp.call_count == 0
+    # the floor 2 skips degrees 0 and 1
+    assert nx.find_witness(REMARK_PAIR, 3) is None
+    assert lp.call_count == 2
+
+
+def test_degree_floor_matches_linear_escalation():
+    rng = random.Random(31)
+    for _ in range(150):
+        hs = _random_instance(rng, nmax=4, degmax=3, cmax=4)
+        assert nx.find_witness(hs, 5) == find_witness_linear(hs, 5)
 
 
 def test_verify_witness_examples():

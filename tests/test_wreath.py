@@ -47,6 +47,7 @@ laurents = st.builds(
 
 
 def _forget_analysis():
+    wr._hij.cache_clear()
     wr._support.cache_clear()
     wr._witness.cache_clear()
 
@@ -508,6 +509,20 @@ def test_analysis_memo_holds_one_generator_set(monkeypatch):
     # ROW_ONLY displaced SMALL_GROUP, so its analysis runs again in full
     wr.identity_witness_word(SMALL_GROUP)
     assert dict(counts) == alone
+
+
+def test_hij_built_once_per_generator_set(monkeypatch):
+    # M's rounds, the witness on M and the word's check share one h_ij map
+    calls = []
+    real = wr.build_hij
+    monkeypatch.setattr(wr, "build_hij", lambda gens: calls.append(gens) or real(gens))
+    ok, _ = wr.is_group(SMALL_GROUP)
+    found, word = wr.identity_witness_word(SMALL_GROUP)
+    assert ok and found and word is not None
+    assert wr.identity_in_semigroup(SMALL_GROUP)
+    assert calls == [SMALL_GROUP]
+    with pytest.raises(TypeError):
+        wr._hij(SMALL_GROUP)[1, 1] = None
 
 
 def test_exhaustive_search_finds_shortest():

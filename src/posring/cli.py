@@ -265,10 +265,13 @@ def cmd_wreath(args):
         raise SchemaError("wreath expects a 'wreath' problem file")
     gens = pf.generators
     t0 = perf_counter()
-
     if args.question == "group":
         ok, info = wreath.is_group(gens, args.degree_cap)
-        elapsed = round(perf_counter() - t0, 6)
+    else:
+        ok, word = wreath.identity_witness_word(gens, args.degree_cap)
+    elapsed = round(perf_counter() - t0, 6)
+
+    if args.question == "group":
         report = {"is_group": ok}
         lines = ["is group: %s" % _text_value(ok)]
         if ok:
@@ -282,45 +285,33 @@ def cmd_wreath(args):
                 report["witness"] = None
                 lines.append("witness: not found within degree cap %d"
                              % args.degree_cap)
-        report["timing"] = {"seconds": elapsed}
-        _write_report(args, report, lines)
-        return 0 if ok else 1
-
-    found, word = wreath.identity_witness_word(gens, args.degree_cap)
-    elapsed = round(perf_counter() - t0, 6)
-
-    if args.question == "identity":
-        report = {"identity_in_semigroup": found}
-        lines = ["identity in semigroup: %s" % _text_value(found)]
-        if found and word is not None:
-            verified = wreath.word_product(gens, word) == wreath.WreathElement.identity()
-            report["word"] = str(word)
-            report["verified"] = verified
-            lines.append("word: %s" % word)
-            lines.append("product = identity: %s" % _text_value(verified))
-        elif found:
-            report["word"] = None
-            lines.append("word: not synthesized (degree cap %d)" % args.degree_cap)
-        report["timing"] = {"seconds": elapsed}
-        _write_report(args, report, lines)
-        return 0 if found else 1
-
-    # question == "word"
-    if not found:
-        report = {"identity_in_semigroup": False, "word": None,
-                  "timing": {"seconds": elapsed}}
-        _write_report(args, report, ["identity in semigroup: false"])
-        return 1
-    if word is None:
-        print("degree cap %d exhausted before a witness; no word synthesized"
-              % args.degree_cap, file=sys.stderr)
-        return 2
-    verified = wreath.word_product(gens, word) == wreath.WreathElement.identity()
-    report = {"word": str(word), "verified": verified,
-              "timing": {"seconds": elapsed}}
-    _write_report(args, report, [str(word),
-                                 "product = identity: %s" % _text_value(verified)])
-    return 0
+    else:
+        verified = (word is not None and
+                    wreath.word_product(gens, word) == wreath.WreathElement.identity())
+        if args.question == "identity":
+            report = {"identity_in_semigroup": ok}
+            lines = ["identity in semigroup: %s" % _text_value(ok)]
+            if word is not None:
+                report["word"] = str(word)
+                report["verified"] = verified
+                lines.append("word: %s" % word)
+                lines.append("product = identity: %s" % _text_value(verified))
+            elif ok:
+                report["word"] = None
+                lines.append("word: not synthesized (degree cap %d)" % args.degree_cap)
+        elif not ok:
+            report = {"identity_in_semigroup": False, "word": None}
+            lines = ["identity in semigroup: false"]
+        elif word is None:
+            print("degree cap %d exhausted before a witness; no word synthesized"
+                  % args.degree_cap, file=sys.stderr)
+            return 2
+        else:
+            report = {"word": str(word), "verified": verified}
+            lines = [str(word), "product = identity: %s" % _text_value(verified)]
+    report["timing"] = {"seconds": elapsed}
+    _write_report(args, report, lines)
+    return 0 if ok else 1
 
 
 def _write_report(args, report, lines):

@@ -72,19 +72,17 @@ class WitnessTuple:
 
 @dataclass(frozen=True)
 class FeasibilitySystem:
-    """Convolution equalities and nonzeroness rows over unknowns a_ij >= 0.
+    """Convolution equalities over unknowns a_ij >= 0, with n sum rows implied.
 
     Unknown a_ij (f_i's coefficient of X^j) sits at column i*(degree+1)+j.
-    Every eq row has right-hand side 0; every ge row has right-hand side 1.
-    The ge rows are the coefficient sums, sum_j a_ij >= 1 for each i, as
-    build_feasibility writes them; rational_feasibility takes their
-    blocks from n and degree and never reads ge.
+    Every eq row has right-hand side 0.  The nonzeroness rows, sum_j
+    a_ij >= 1 for each i, are not stored: their blocks follow from n and
+    degree.
     """
 
     n: int
     degree: int
     eq: tuple
-    ge: tuple
 
 
 @dataclass(frozen=True)
@@ -197,9 +195,9 @@ def verify_certificate(cert):
 def build_feasibility(hs, d):
     """Transcribe sum f_i h_i = 0 with deg f_i <= d into rows over a_ij.
 
-    One equality row per output degree k = 0 .. d + max deg h_i, one
-    coefficient-sum >= 1 row per i.  Feasible over Q exactly when the
-    equation has a solution with all deg f_i <= d.
+    One equality row per output degree k = 0 .. d + max deg h_i; the
+    coefficient-sum >= 1 row per i is implied.  Feasible over Q exactly
+    when the equation has a solution with all deg f_i <= d.
     """
     n = len(hs)
     bs = [list(h.coeffs) for h in hs]
@@ -214,13 +212,7 @@ def build_feasibility(hs, d):
                     if 0 <= k - j < len(b):
                         row[i * (d + 1) + j] = b[k - j]
             eq.append(tuple(row))
-    ge = []
-    for i in range(n):
-        row = [0] * width
-        for j in range(d + 1):
-            row[i * (d + 1) + j] = 1
-        ge.append(tuple(row))
-    return FeasibilitySystem(n, d, tuple(eq), tuple(ge))
+    return FeasibilitySystem(n, d, tuple(eq))
 
 
 def _pivot_row(row, prow, f, piv, den):
@@ -245,8 +237,8 @@ def rational_feasibility(sys):
     artificial on every row, minimizing the artificial sum, with Bland's
     rule (least eligible id in; least ratio out, ties to the least basic
     id).  Ids: a_ij at i*(degree+1)+j, then s_i, then the equality rows'
-    artificials, then the sum rows'.  Only sys.n, sys.degree and sys.eq
-    are read: the sum rows are the ones build_feasibility writes.
+    artificials, then the sum rows'.  The sum rows come from sys.n and
+    sys.degree.
 
     Working basis.  Sum row i reads sum_j a_ij - s_i + art_i = 1: block i
     of the variables, each with a gain g of +1 or -1 there, and the

@@ -161,7 +161,7 @@ class LaurentPoly:
         lo = min(self._lowest, other._lowest)
         a = _k.mul_xk(list(self._body.coeffs), self._lowest - lo)
         b = _k.mul_xk(list(other._body.coeffs), other._lowest - lo)
-        return LaurentPoly(_k.add(a, b), lo)
+        return LaurentPoly(IntPoly._raw(_k.add(a, b)), lo)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):

@@ -79,8 +79,9 @@ the interval starts at 0, as at a tree's root, else twice.
 simple root, once, then signs each polynomial there: by a midpoint
 when Descartes' rule shows that it has no root in the interval, else 0
 when it shares the root, else by bisecting until Descartes' rule shows
-no root; it serves as the independent re-check of a certificate, not
-the scan.
+no root.  nxsolve.verify_certificate calls it to re-check an algebraic
+sample, so that re-check runs inside the module that produced the
+sample, not apart from it.
 """
 
 import bisect

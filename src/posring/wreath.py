@@ -8,10 +8,14 @@ has upper-right entry h_ij = X**-1*H_i + G_j.  Call a subset S of I x J
 a solvable support when nonzero f_ij over N[X] give sum f_ij*h_ij = 0
 over S once X denominators are cleared.  Solvable supports are closed
 under union (add the witnesses: nonnegative coefficients never cancel),
-so they have a largest member M, found with at most one decide call per
-nonzero h_ij plus one.  The generated semigroup is a group exactly when
-M has full projections onto I and J, and the identity lies in it
-exactly when M is nonempty.
+so they have a largest member M.  M is a rectangle, rows(M) x cols(M):
+a witness on S with row sums R_i, column sums C_j and T = sum R_i =
+sum C_j gives f'_ij = R_i*C_j on rows(S) x cols(S), nonzero as N[X]
+has no zero divisors, with sum f'_ij*h_ij = X**-1 T sum R_i H_i +
+T sum C_j G_j = T * sum f_ij*h_ij = 0.  So the generated semigroup is
+a group exactly when M = I x J, and the identity lies in it exactly
+when M is nonempty.  Finding M takes at most |I| + |J| - 1 decide calls
+(see _maximal_support).
 
 One generator set gets one analysis: M, and the witness on M when a
 group verdict or a word needs one.  Each is memoized for the last
@@ -152,7 +156,7 @@ class Word:
 
 @dataclass(frozen=True)
 class CoverSubset:
-    """Subset of I x J; a group witness needs both projections full."""
+    """Sorted subset of I x J; is_group reports M = I x J as one."""
 
     pairs: tuple
 
@@ -213,9 +217,18 @@ def _maximal_support(hij, pairs):
     support (a lone nonzero h_ij, whose sample may be 0, never cancels
     at all).  A UniformSignAtZero sample is 0, but its signs are all
     strict, and strict signs at 0 stay strict for small t > 0, so the
-    same rule drops every nonzero pair.  Zero h_ij are always kept.  The
-    loop ends on a Solvable set or an empty one, after at most (nonzero
-    pairs + 1) decide calls.
+    same rule drops every nonzero pair.  Zero h_ij are always kept.
+
+    On a rectangle pairs = P x Q the loop ends on a Solvable set or an
+    empty one after at most |P| + |Q| - 1 decide calls, as each round
+    keeps a rectangle with a row or a column fewer.  At the sample
+    t > 0 (or, for a sample of 0, at a small t > 0) each h'_ij(t) has,
+    up to one common sign, the sign of a_i + b_j, where a_i and b_j are
+    the m-th Taylor coefficients at t of H_i/X and G_j, m being the
+    order at t of the gcd normalize divides out (0 off its roots; then
+    a_i = H_i(t)/t and b_j = G_j(t)).  One weak sign on P x Q then puts
+    the zero signs on argmin a x argmin b or nowhere, and a round drops
+    at least one pair.  A nonempty rectangle has rows + cols >= 2.
     """
     live = tuple(sorted(pairs))
     while live:
@@ -232,10 +245,6 @@ def _maximal_support(hij, pairs):
             raise PostconditionFailed("an Unsolvable round dropped no pair")
         live = tuple(p for p in live if p not in drop)
     return live
-
-
-def _projections(pairs):
-    return {i for i, _ in pairs}, {j for _, j in pairs}
 
 
 # The h_ij and the two steps of the analysis, each a one-entry memo
@@ -265,17 +274,17 @@ def _witness(gens, degree_cap):
 def is_group(gens, degree_cap=DEGREE_CAP):
     """Decide whether the generated semigroup is a group.
 
-    True iff the maximal solvable support M has full projections; then
-    M is returned as the cover, together with a witness on M when the
-    search finds one within degree_cap.  Without a generator on each
-    side no nonempty word has height 0, so False, and no witness is
-    searched for.  M and the witness are memoized for the last
+    True iff the maximal solvable support M is all of I x J; then M is
+    returned as the cover, together with a witness on M when the search
+    finds one within degree_cap.  As M is a rectangle (module doc), this
+    is the test of full projections onto I and J.  Without a generator
+    on each side no nonempty word has height 0, so False, and no witness
+    is searched for.  M and the witness are memoized for the last
     generator set asked about, so identity_in_semigroup and
     identity_witness_word on the same gens reuse this analysis.
     """
     support = _support(gens)
-    rows, cols = _projections(support)
-    if not support or len(rows) < len(gens.plus) or len(cols) < len(gens.minus):
+    if not support or len(support) < len(gens.plus) * len(gens.minus):
         return False, None
     return True, (CoverSubset(support), _witness(gens, degree_cap))
 

@@ -655,20 +655,23 @@ def _rat_var(chain, t):
 def rational_feasibility_reference(sys):
     """Exact feasible point of the system, or None.
 
-    Phase-1 simplex over Fractions: surplus variables on the >= rows,
+    Phase-1 simplex over Fractions: the coefficient-sum rows sum_j a_ij
+    >= 1, rebuilt from sys.n and sys.degree, with surplus variables,
     artificials everywhere, Bland's rule (smallest eligible index in,
     smallest basic index out on ratio ties), so no cycling.  Returns the
     structural variable values only.
     """
-    nv = sys.n * (sys.degree + 1)
-    rows = [[Fraction(c) for c in r] + [Fraction(0)] * len(sys.ge) + [Fraction(0)]
-            for r in sys.eq]
-    for s, r in enumerate(sys.ge):
-        row = [Fraction(c) for c in r] + [Fraction(0)] * len(sys.ge) + [Fraction(1)]
+    n, w = sys.n, sys.degree + 1
+    nv = n * w
+    ncols = nv + n
+    rows = [[Fraction(c) for c in r] + [Fraction(0)] * (n + 1) for r in sys.eq]
+    for s in range(n):
+        row = [Fraction(0)] * (ncols + 1)
+        row[s * w:(s + 1) * w] = [Fraction(1)] * w
         row[nv + s] = Fraction(-1)
+        row[ncols] = Fraction(1)
         rows.append(row)
     m = len(rows)
-    ncols = nv + len(sys.ge)
     # w-row for minimizing the artificial sum: w + sum_j W[j] x_j = Wrhs
     W = [sum(r[j] for r in rows) for j in range(ncols + 1)]
     basis = [ncols + i for i in range(m)]  # virtual artificial ids

@@ -357,8 +357,7 @@ def test_interval_without_a_sign_change_is_refused():
 
 def test_feasibility_rows_pair():
     s = nx.build_feasibility([P(1), P(-1)], 0)
-    assert s.eq == ((1, -1),)
-    assert s.ge == ((1, 0), (0, 1))
+    assert s == nx.FeasibilitySystem(2, 0, ((1, -1),))
 
 
 def test_feasibility_rows_triple():
@@ -373,7 +372,7 @@ def test_feasibility_remark_pair_infeasible():
 
 
 def test_feasibility_handbuilt_infeasible():
-    bad = nx.FeasibilitySystem(1, 0, ((1,),), ((1,),))  # a = 0 and a >= 1
+    bad = nx.FeasibilitySystem(1, 0, ((1,),))  # a = 0 and the implied a >= 1
     assert nx.rational_feasibility(bad) is None
 
 

@@ -327,8 +327,21 @@ def _counting_decide(monkeypatch):
     return calls
 
 
-def _nonzero_pairs(gens):
-    return sum(not h.is_zero for h in wr.build_hij(gens).values())
+def _round_bound(gens):
+    # each Unsolvable round leaves a rectangle with a row or column fewer
+    return len(gens.plus) + len(gens.minus) - 1
+
+
+def _check_rectangle_facts(gens, calls):
+    """M = rows(M) x cols(M); is_group is one decide on I x J; round bound."""
+    hij = wr.build_hij(gens)
+    del calls[:]
+    support = wr._maximal_support(hij, hij)
+    assert len(calls) <= _round_bound(gens)
+    rows, cols = {i for i, _ in support}, {j for _, j in support}
+    assert set(support) == {(i, j) for i in rows for j in cols}
+    hs, _ = laurent_normalize(list(hij.values()))
+    assert wr.is_group(gens)[0] == (decide(hs).status == SOLVABLE)
 
 
 def test_maximal_support_matches_cover_oracle(monkeypatch):
@@ -362,10 +375,34 @@ def test_maximal_support_matches_cover_oracle(monkeypatch):
             words += 1
         else:
             assert word is None and inputs == [], trial
-        del calls[:]
-        wr._maximal_support(hij, hij)
-        assert len(calls) <= _nonzero_pairs(gens) + 1, trial
+        _check_rectangle_facts(gens, calls)
     assert words > 40
+
+
+def _planted_rows(rng, rows, cols):
+    # H_i = 0 on some rows and a positive constant on the rest, G_j =
+    # c_j (1 - X): the zero rows cancel alone when the c_j take both
+    # signs, and at t = 1 every other row is positive, so M is the zero
+    # rows times J, or empty
+    zero = rng.sample(range(rows), rng.randint(1, rows - 1))
+    plus = [L([0] if i in zero else [rng.randint(1, 3)]) for i in range(rows)]
+    cs = [rng.choice((-2, -1, 1, 2)) for _ in range(cols)]
+    return wr.GeneratorSet(tuple(plus), tuple(L([c, -c]) for c in cs))
+
+
+def test_rectangle_facts_on_larger_grids(monkeypatch):
+    # 3x3 to 5x6: past the cover oracle's reach, the same three facts
+    rng = random.Random(2209)
+    calls = _counting_decide(monkeypatch)
+    kinds = Counter()
+    for rows in range(3, 6):
+        for cols in range(3, 7):
+            for make in (_random_gens,) * 4 + (_planted_rows,):
+                gens = make(rng, rows, cols)
+                _check_rectangle_facts(gens, calls)
+                m = len(wr._support(gens))
+                kinds["empty" if not m else "full" if m == rows * cols else "proper"] += 1
+    assert kinds["proper"] >= 5 and kinds["empty"] and kinds["full"], kinds
 
 
 def test_witnesses_match_fraction_lp_on_cover_oracle_grids(monkeypatch):
@@ -413,7 +450,7 @@ def test_five_by_five_verdicts(monkeypatch):
     hij = wr.build_hij(row)
     support = wr._maximal_support(hij, hij)
     assert support == tuple((1, j) for j in range(1, 6))
-    assert len(calls) <= _nonzero_pairs(row) + 1
+    assert len(calls) <= _round_bound(row)
     assert wr.is_group(row) == (False, None)
     assert wr.identity_in_semigroup(row) is True
     found, word = wr.identity_witness_word(row)

@@ -12,10 +12,11 @@ Wreath generators keep file order within each sign: the k-th "b": 1
 entry is A_k, the k-th "b": -1 entry is B_k, and output words name them
 that way ("A1 B2 ..."); a loop repeated c times prints as "(A1 B2)^c".
 
-Exit codes: 0 = Solvable / yes, 1 = Unsolvable / no, 2 = bad input, or
-the degree cap (for `wreath word`) or memory exhaustion stopped the run
-before its answer.  Reports go to stdout (JSON with --json, line-oriented
-text otherwise), diagnostics to stderr.
+Exit codes: 0 = Solvable / yes, 1 = Unsolvable / no, 2 = bad input, an
+input too large or too deeply nested to read, or the degree cap (for
+`wreath word`) or memory exhaustion stopped the run before its answer.
+Reports go to stdout (JSON with --json, line-oriented text otherwise),
+diagnostics to stderr.
 """
 
 import argparse
@@ -382,6 +383,9 @@ def main(argv=None):
         return 2
     except MemoryError:
         print("out of memory before the run finished; no answer", file=sys.stderr)
+        return 2
+    except (OverflowError, RecursionError) as exc:
+        print("input too large or too deeply nested to read: %s" % exc, file=sys.stderr)
         return 2
 
 

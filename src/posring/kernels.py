@@ -198,7 +198,7 @@ def gcd(a, b):
     lc = _igcd(A[-1], B[-1])
     size, acc, mod, spent = min(m, n) + 1, None, 1, 0  # size: len(acc)
     for p in _primes():
-        img = None if lc % p == 0 else gcd_mod(A, B, p)
+        img = gcd_mod(A, B, p)
         if img is None:
             continue
         if len(img) == 1:

@@ -2,9 +2,10 @@
 
 Descartes-style bisection isolates the nonnegative roots of a list of
 polynomials into sorted, pairwise-disjoint half-open intervals (lo, hi],
-one per distinct root, listing every polynomial it is a root of; a
-uniform-sign scan decides whether some t >= 0 makes every h_i(t) weakly
-nonnegative or weakly nonpositive, isolating only the inputs it needs.
+or the point lo = hi for a root it finds exactly, one per distinct root,
+listing every polynomial it is a root of; a uniform-sign scan decides
+whether some t >= 0 makes every h_i(t) weakly nonnegative or weakly
+nonpositive, isolating only the inputs it needs.
 
 The scan runs in rounds over a growing subset S of the inputs.  A round
 is a sweep that evaluates each polynomial of S at t = 0 and then only
@@ -125,16 +126,17 @@ class SignVector:
 
 
 class IsolatingInterval:
-    """One distinct real root, boxed in the half-open interval (lo, hi].
+    """One distinct real root: the point lo = hi when it is known
+    exactly, else boxed in the half-open interval (lo, hi].
 
-    Every owner has this root and no other in (lo, hi].  lo and hi are
-    Fractions, converted from isolation's integer form (see the module
-    doc).  ``exact`` carries the root value when it is a known rational
-    (then hi equals the root and ``s`` is None).  Otherwise no other
-    input polynomial has a root in (lo, hi], and ``s`` is the sample
-    poly, the one refinement bisected: a primitive integer polynomial
-    dividing every owner, whose only root in (lo, hi] is this one,
-    simple, so its signs at lo and hi are opposite and nonzero.
+    lo and hi are Fractions, converted from isolation's integer form
+    (see the module doc).  ``exact`` carries the root value when it is a
+    known rational; then lo = hi = exact and ``s`` is None.  Otherwise
+    every owner has this root and no other in (lo, hi], no other input
+    polynomial has a root there, and ``s`` is the sample poly, the one
+    refinement bisected: a primitive integer polynomial dividing every
+    owner, whose only root in (lo, hi] is this one, simple, so its signs
+    at lo and hi are opposite and nonzero.
     ``multiplicity_free`` is true when the root is simple in every owner.
     """
 
@@ -517,23 +519,9 @@ def _synthesize(data, exact_owned, recs):
     prev_hi = None
     for kind, key, payload in items:
         if kind == "exact":
-            r = key
-            owners = payload
-            if r == 0:
-                # left endpoint below any root: no |root| of any owner
-                # lies under 1/(1 + max|a_i|/|a_0|) once X is stripped
-                lo = -Fraction(1, 2)
-                for i in owners:
-                    q = data[i].q
-                    if len(q) >= 2:
-                        c = 1 + Fraction(max(abs(v) for v in q[1:]), abs(q[0]))
-                        lo = max(lo, Fraction(-1, 2 * c))
-            else:
-                lo = max(r - 1, Fraction(0))
-                if prev_hi is not None:
-                    lo = max(lo, prev_hi)
+            r, owners = key, payload
             mult_free = all(_ev(_k.deriv(data[i].cs), r) != 0 for i in owners)
-            out.append(IsolatingInterval(sorted(owners), lo, r, mult_free, r, None))
+            out.append(IsolatingInterval(sorted(owners), r, r, mult_free, r, None))
             prev_hi = r
         else:
             c = payload
@@ -565,8 +553,9 @@ def isolate_nonneg_roots(hs, *, _data=None):
     every h_i in [0, oo).
 
     A root shared by several polynomials gets one interval listing all
-    owners.  Raises ZeroPolynomial when an input is zero.  ``_data`` is
-    internal: the inputs' isolation trees, when the caller built them.
+    owners; a root found exactly is the point lo = hi = exact.  Raises
+    ZeroPolynomial when an input is zero.  ``_data`` is internal: the
+    inputs' isolation trees, when the caller built them.
     """
     for h in hs:
         if h.is_zero:

@@ -365,18 +365,11 @@ def _plan(pairs, f_map):
     coefficient c X^k as the loop A_i B_j where the following suffix has
     height k, or B_j A_i at the valley when k = Dyz, as a power when
     c > 1 and as two plain letters when c = 1.  The result has height 0
-    and upper-right entry sum f'_ij h_ij for the scaled f'.
+    and upper-right entry sum f'_ij h_ij for the scaled f'.  The caller
+    checks that pairs is nonempty and each f_ij nonzero in N[X].
     """
     pairs = tuple(sorted(map(tuple, pairs)))
-    if not pairs:
-        raise InvalidWitness("synthesis needs at least one pair")
-    fd = {}
-    for p in pairs:
-        f = f_map[p]
-        if f.is_zero or any(c < 0 for c in f.coeffs):
-            raise InvalidWitness("f_%r must be nonzero with coefficients >= 0" % (p,))
-        fd[p] = f
-
+    fd = {p: f_map[p] for p in pairs}
     strip = min(order_at_zero(f) for f in fd.values())
     if strip:
         fd = {p: IntPoly(f.coeffs[strip:]) for p, f in fd.items()}

@@ -507,7 +507,7 @@ def _resolve_reference(a, b):
 
 def isolate_nonneg_roots_reference(hs):
     """posring's isolating intervals, as (owners, lo, hi, exact) tuples,
-    computed on Fraction endpoints.
+    computed on Fraction endpoints; an exact root r is (owners, r, r, r).
 
     Each input's roots are isolated on its primitive part when the
     budgeted tree on that ends, else on its squarefree part, as posring
@@ -535,10 +535,10 @@ def isolate_nonneg_roots_reference(hs):
             exacts, raw = found
             ivals = _narrow_reference(s, exacts, raw)
             known.update(exacts)
-        parts.append((cs[k0:], s, ivals))
+        parts.append((s, ivals))
     ordered = sorted(known)
     boxes = []
-    for i, (_, s, ivals) in enumerate(parts):
+    for i, (s, ivals) in enumerate(parts):
         for lo, hi, slo in ivals:
             inside = [r for r in ordered if lo < r <= hi]
             if any(_sgn_at(s, r) == 0 for r in inside):
@@ -558,25 +558,16 @@ def isolate_nonneg_roots_reference(hs):
         if merged is not None:
             boxes = [b for j, b in enumerate(boxes) if j not in pair] + [merged]
 
-    # exact roots first among equal lo; an exact root's lo lies left of
-    # every root of its owners and clear of the interval before it
+    # exact roots first among equal lo, each the point lo = hi = r
     items = sorted([(r, 0, None) for r in ordered] + [(b.lo, 1, b) for b in boxes],
                    key=lambda t: t[:2])
-    out, prev_hi = [], Fraction(0)
+    out = []
     for r, _, box in items:
         if box is not None:
             out.append((tuple(sorted(box.members)), box.lo, box.hi, None))
-            prev_hi = box.hi
             continue
         owners = tuple(i for i, h in enumerate(hs) if _sgn_at(list(h.coeffs), r) == 0)
-        lo = max(r - 1, prev_hi)
-        if r == 0:
-            lo = -Fraction(1, 2)
-            for q in (parts[i][0] for i in owners if len(parts[i][0]) >= 2):
-                bound = 1 + Fraction(max(abs(v) for v in q[1:]), abs(q[0]))
-                lo = max(lo, -1 / (2 * bound))
-        out.append((owners, lo, r, r))
-        prev_hi = r
+        out.append((owners, r, r, r))
     return out
 
 

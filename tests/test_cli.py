@@ -331,6 +331,62 @@ def test_wreath_rejects_equation_file(problem, capsys):
     assert code == 2 and "wreath" in err
 
 
+def test_input_too_large_exits_2(problem, capsys):
+    # a lowest exponent past the index range: an equation fails on reading
+    # it, a wreath generator in the kernels; neither may exit 1 ("no")
+    big = '{"coeffs": [1], "lowest": 100000000000000000000}'
+    code, out, err = run(
+        ["solve", problem('{"equation": {"h": [%s, [-1]]}}' % big)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input too large or too deeply nested to read")
+    gens = problem('{"wreath": {"generators": [{"H": %s, "b": 1},'
+                   ' {"H": [-1], "b": -1}]}}' % big)
+    for q in ("group", "identity", "word"):
+        code, out, err = run(["wreath", q, gens], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("input too large or too deeply nested to read")
+
+
+def test_input_too_deeply_nested_exits_2(problem, capsys):
+    depth = 100000
+    code, out, err = run(
+        ["solve", problem('{"equation": {"h": %s}}' % ("[" * depth + "]" * depth))],
+        capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input too large or too deeply nested to read")
+    assert len(err.splitlines()) == 1
+
+
+CAPPED = ('{"wreath": {"generators": [{"H": [0], "b": 1},'
+          ' {"H": [1, 1], "b": -1}, {"H": [-2, -1], "b": -1}]}}')
+
+
+def test_wreath_degree_cap_zero_stops_the_witness(problem, capsys):
+    # a group whose least witness has degree 1: at cap 0 each question
+    # still answers from M, and only `word`, which owes a word, exits 2
+    path = problem(CAPPED)
+    cap = ["--degree-cap", "0"]
+    code, out, _ = run(["wreath", "group", path] + cap, capsys)
+    assert code == 0
+    assert "witness: not found within degree cap 0" in out.splitlines()
+    code, out, _ = run(["wreath", "group", path, "--json"] + cap, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["is_group"] is True and report["witness"] is None
+    code, out, _ = run(["wreath", "identity", path] + cap, capsys)
+    assert code == 0
+    assert "word: not synthesized (degree cap 0)" in out.splitlines()
+    code, out, _ = run(["wreath", "identity", path, "--json"] + cap, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["identity_in_semigroup"] is True
+    assert report["word"] is None
+    code, out, err = run(["wreath", "word", path] + cap, capsys)
+    assert (code, out) == (2, "")
+    assert err == "degree cap 0 exhausted before a witness; no word synthesized\n"
+    # without the cap the word is found
+    code, out, _ = run(["wreath", "word", path], capsys)
+    assert code == 0 and out.splitlines()[1] == "product = identity: true"
+
+
 # ------------------------------------------------------- flags and env
 
 

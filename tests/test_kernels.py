@@ -216,8 +216,9 @@ def test_gcd_walk_skips_a_prime_that_drops_a_leading_coefficient():
     # 32749 X + 1 drops its degree mod 32749, so 2^61 - 1 decides
     assert K.gcd_mod([1, SMALL_PRIME], [2, 1], SMALL_PRIME) is None
     assert _walk([1, SMALL_PRIME], [2, 1]) == ([1], list(WALK), 0)
-    # a prime dividing both leading coefficients is never handed over
-    assert _walk([1, SMALL_PRIME], [2, SMALL_PRIME]) == ([1], [MERSENNE], 0)
+    # a prime dividing both leading coefficients is refused the same way
+    assert K.gcd_mod([1, SMALL_PRIME], [2, SMALL_PRIME], SMALL_PRIME) is None
+    assert _walk([1, SMALL_PRIME], [2, SMALL_PRIME]) == ([1], list(WALK), 0)
 
 
 def test_gcd_walk_lifts_a_genuine_common_factor_without_a_prs():

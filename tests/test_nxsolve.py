@@ -292,6 +292,12 @@ def _sqrt2_box(lo, hi):
     ([P(1, 1), P(-1)],
      AlgebraicRoot(IsolatingInterval((0,), Fraction(0), Fraction(1), True, -1, None)),
      (0, -1)),
+    # a sign fewer than the entries: 1 is positive at t = 1 and -1 goes
+    # unsigned; (1, 1) solves it
+    ([P(1), P(-1)], RationalPoint(Fraction(1)), (1,)),
+    # a sign more than the entries, the two true ones zero at sqrt(2);
+    # (1, 1) solves it
+    ([P(-2, 0, 1), P(2, 0, -1)], _sqrt2_box(1, 2), (0, 0, 1)),
 ])
 def test_forged_certificate_of_a_solvable_instance_is_rejected(hs, sample, signs):
     cert = _forged(hs, sample, signs)

@@ -240,14 +240,19 @@ def test_isolate_dyadic_and_small_rationals():
 
 
 def test_isolate_ordering_and_disjointness():
-    hs = [P(-6, 11, -6, 1), P(-2, 1)]  # (X-1)(X-2)(X-3) and X-2
+    # (X-1)(X-2)(X-3), X-2 and X^2-2
+    hs = [P(-6, 11, -6, 1), P(-2, 1), P(-2, 0, 1)]
     ivs = isolate_nonneg_roots(hs)
-    assert [iv.exact for iv in ivs] == [1, 2, 3]
-    assert ivs[1].owners == (0, 1)
+    assert [iv.exact for iv in ivs] == [1, None, 2, 3]
+    assert ivs[2].owners == (0, 1)
     for a, b in zip(ivs, ivs[1:]):
-        assert a.hi <= b.lo or (b.exact is not None and a.hi <= b.hi)
+        assert a.hi <= b.lo
     for iv in ivs:
-        assert iv.lo < iv.hi
+        # an exact root is a point; every other root keeps lo < hi
+        if iv.exact is not None:
+            assert iv.lo == iv.hi == iv.exact
+        else:
+            assert iv.lo < iv.hi
 
 
 def test_isolate_known_root_inside_foreign_interval():
@@ -444,17 +449,17 @@ def test_isolation_invariants(hs, share):
     owned = {i: 0 for i in range(len(hs))}
     prev_hi = None
     for iv in ivs:
-        assert iv.lo < iv.hi
         if prev_hi is not None:
             assert iv.lo >= prev_hi
         prev_hi = iv.hi
         for o in iv.owners:
             owned[o] += 1
         if iv.exact is not None:
-            assert iv.exact == iv.hi
+            assert iv.lo == iv.hi == iv.exact
             for i, h in enumerate(hs):
                 assert (_exact_sign(h, iv.exact) == 0) == (i in iv.owners)
         else:
+            assert iv.lo < iv.hi
             for i in range(len(hs)):
                 s = _stripped_sqfree(hs[i])
                 want = 1 if i in iv.owners else 0

@@ -650,11 +650,14 @@ def test_plan_scale_lifts_gaps():
     assert wr._plan(((1, 1), (1, 2)), {(1, 1): P(1), (1, 2): P(0, 0, 0, 1)}).scale == 3
 
 
-def test_plan_rejects_bad_f():
-    with pytest.raises(InvalidWitness):
-        wr._plan(((1, 1),), {(1, 1): IntPoly.zero()})
-    with pytest.raises(InvalidWitness):
-        wr._plan(((1, 1),), {(1, 1): P(1, -1)})
+def test_synthesize_rejects_bad_f():
+    # on an all-zero cover every f cancels the sum, so only the witness
+    # check that f is nonzero in N[X] refuses these; _plan trusts it
+    zeros = wr.GeneratorSet(plus=(L([]),) * 2, minus=(L([]),) * 2)
+    cover = wr.CoverSubset(((1, 1), (2, 2)))
+    for bad in (IntPoly.zero(), P(1, -1)):
+        with pytest.raises(InvalidWitness):
+            wr.synthesize_identity_word(zeros, cover, WitnessTuple(fs=(P(1), bad)))
 
 
 _BROKEN_PLAN = """

@@ -23,10 +23,10 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from time import perf_counter
 
-from . import nxsolve, wreath
+from . import nxsolve
+from ._record import Record, setfield
 from .errors import PosringError, SchemaError
 from .polyring import IntPoly, LaurentPoly
 from .realdec import RationalPoint
@@ -35,11 +35,13 @@ _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _BIG = 2 ** 53
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    kind: str
-    hs: tuple = None
-    generators: object = None
+class ProblemFile(Record):
+    __slots__ = ("kind", "hs", "generators")
+
+    def __init__(self, kind, hs=None, generators=None):
+        setfield(self, "kind", kind)
+        setfield(self, "hs", hs)
+        setfield(self, "generators", generators)
 
 
 def _int_from_json(value, where):
@@ -149,6 +151,7 @@ def _parse_json(body):
             raise SchemaError("%s.b must be 1 or -1, got %r" % (where, b))
         h = _laurent_from_json(entry["H"], where + ".H")
         (plus if b == 1 else minus).append(h)
+    from . import wreath  # loaded for wreath files only, never by a solve
     gens = wreath.GeneratorSet(tuple(plus), tuple(minus))
     return ProblemFile("wreath", generators=gens)
 
@@ -264,6 +267,7 @@ def cmd_wreath(args):
     pf = parse_input(_read_file(args.file))
     if pf.kind != "wreath":
         raise SchemaError("wreath expects a 'wreath' problem file")
+    from . import wreath
     gens = pf.generators
     t0 = perf_counter()
     if args.question == "group":

@@ -17,11 +17,11 @@ Witnesses are searched against the original, unnormalized h_i, so a
 returned tuple verifies by direct substitution.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import kernels as _k
+from ._record import Record, setfield
 from .errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
 from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many, order_at_zero
 from .realdec import RationalPoint, SignVector, signs_at_root, uniform_sign_exists
@@ -36,42 +36,48 @@ WITNESS_FOUND = "Found"
 WITNESS_NOT_FOUND = "NotFoundWithinCap"
 
 
-@dataclass(frozen=True)
-class NormalizedInstance:
+class NormalizedInstance(Record):
     """Reduced h_i with gcd 1 and strictly mixed signs at 0."""
 
-    hs: tuple
-    gcd_removed: IntPoly
-    x_divisions: int
+    __slots__ = ("hs", "gcd_removed", "x_divisions")
+
+    def __init__(self, hs, gcd_removed, x_divisions):
+        setfield(self, "hs", hs)
+        setfield(self, "gcd_removed", gcd_removed)
+        setfield(self, "x_divisions", x_divisions)
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(Record):
     """Uniform SignVector plus the normalization trace it refers to."""
 
-    sign_vector: SignVector
-    hs: tuple
-    gcd_removed: IntPoly
-    x_divisions: int
+    __slots__ = ("sign_vector", "hs", "gcd_removed", "x_divisions")
+
+    def __init__(self, sign_vector, hs, gcd_removed, x_divisions):
+        setfield(self, "sign_vector", sign_vector)
+        setfield(self, "hs", hs)
+        setfield(self, "gcd_removed", gcd_removed)
+        setfield(self, "x_divisions", x_divisions)
 
 
-@dataclass(frozen=True)
 class EarlyUnsolvable(SignCertificate):
     """Normalization ended with every h_i(0) strictly on one side.
 
     Its sample is t = 0, so it is itself the Unsolvable certificate.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class WitnessTuple:
+
+class WitnessTuple(Record):
     """Nonzero nonnegative f_i with sum f_i h_i = 0 against the original h_i."""
 
-    fs: tuple
+    __slots__ = ("fs",)
+
+    def __init__(self, fs):
+        setfield(self, "fs", fs)
 
 
-@dataclass(frozen=True)
-class FeasibilitySystem:
+class FeasibilitySystem(Record):
     """Convolution equalities over unknowns a_ij >= 0, with n sum rows implied.
 
     Unknown a_ij (f_i's coefficient of X^j) sits at column i*(degree+1)+j.
@@ -80,21 +86,26 @@ class FeasibilitySystem:
     degree.
     """
 
-    n: int
-    degree: int
-    eq: tuple
+    __slots__ = ("n", "degree", "eq")
+
+    def __init__(self, n, degree, eq):
+        setfield(self, "n", n)
+        setfield(self, "degree", degree)
+        setfield(self, "eq", eq)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     """The verdict, and when it is Unsolvable the SignCertificate behind it.
 
     A Solvable decision carries no certificate: find_witness searches for
     a witness tuple separately.
     """
 
-    status: str
-    certificate: SignCertificate = None
+    __slots__ = ("status", "certificate")
+
+    def __init__(self, status, certificate=None):
+        setfield(self, "status", status)
+        setfield(self, "certificate", certificate)
 
     @property
     def unsolvable_reason(self):

@@ -86,31 +86,37 @@ sample, not apart from it.
 """
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
 from posring import kernels as _k
+from posring._record import Record, setfield
 from posring.errors import PostconditionFailed, ZeroPolynomial
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    value: Fraction
+class RationalPoint(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class AlgebraicRoot:
-    interval: "IsolatingInterval"
+class AlgebraicRoot(Record):
+    __slots__ = ("interval",)
+
+    def __init__(self, interval):
+        setfield(self, "interval", interval)
 
 
-@dataclass(frozen=True)
-class SignVector:
+class SignVector(Record):
     """Signs of every h_i at one sample point."""
 
-    sample: object
-    signs: tuple
+    __slots__ = ("sample", "signs")
+
+    def __init__(self, sample, signs):
+        setfield(self, "sample", sample)
+        setfield(self, "signs", signs)
 
     @property
     def uniform_nonneg(self):

@@ -37,11 +37,11 @@ synthesized word is checked by exact multiplication before it is
 returned.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
+from ._record import Record, setfield
 from .errors import BadIndex, InvalidWitness, LengthMismatch, PostconditionFailed
 from .nxsolve import (
     DEGREE_CAP,
@@ -70,16 +70,14 @@ def _as_laurent(h):
     raise TypeError("generator entries must be polynomials, got %r" % (h,))
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(Record):
     """Pair (f, b): upper-right Laurent entry f, lower-right exponent b."""
 
-    f: LaurentPoly
-    b: int
+    __slots__ = ("f", "b")
 
-    def __post_init__(self):
-        if not isinstance(self.f, LaurentPoly):
-            object.__setattr__(self, "f", _as_laurent(self.f))
+    def __init__(self, f, b):
+        setfield(self, "f", f if isinstance(f, LaurentPoly) else _as_laurent(f))
+        setfield(self, "b", b)
 
     @classmethod
     def identity(cls):
@@ -91,19 +89,17 @@ class WreathElement:
         return mul(self, other)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record):
     """Height +1 generators A_1..A_n (plus) and -1 generators B_1..B_m (minus).
 
     Word letters and h_ij pairs index both tuples starting from 1.
     """
 
-    plus: tuple
-    minus: tuple
+    __slots__ = ("plus", "minus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "plus", tuple(_as_laurent(h) for h in self.plus))
-        object.__setattr__(self, "minus", tuple(_as_laurent(h) for h in self.minus))
+    def __init__(self, plus, minus):
+        setfield(self, "plus", tuple(_as_laurent(h) for h in plus))
+        setfield(self, "minus", tuple(_as_laurent(h) for h in minus))
 
     def element(self, side, index):
         if side == PLUS:
@@ -129,8 +125,7 @@ def _letter_text(letters):
     return " ".join("%s%d" % (side, index) for side, index in letters)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Generator references, read left to right.
 
     Each entry of letters is a letter (side, index), side A or B, or a
@@ -139,7 +134,10 @@ class Word:
     letters, with every power written out.
     """
 
-    letters: tuple
+    __slots__ = ("letters",)
+
+    def __init__(self, letters):
+        setfield(self, "letters", letters)
 
     @property
     def height(self):
@@ -154,14 +152,13 @@ class Word:
                         else _letter_text((e,)) for e in self.letters)
 
 
-@dataclass(frozen=True)
-class CoverSubset:
+class CoverSubset(Record):
     """Sorted subset of I x J; is_group reports M = I x J as one."""
 
-    pairs: tuple
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(sorted(set(map(tuple, self.pairs)))))
+    def __init__(self, pairs):
+        setfield(self, "pairs", tuple(sorted(set(map(tuple, pairs)))))
 
 
 def mul(a, b):
@@ -335,18 +332,20 @@ def _zero_run(f):
     return max((b - a - 1 for a, b in zip(nz, nz[1:])), default=0)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """Everything the synthesis pipeline decided, inspectable in tests."""
 
-    letters: tuple
-    base: tuple
-    loops: tuple
-    scaled: tuple
-    strip: int
-    scale: int
-    uv: tuple
-    yz: tuple
+    __slots__ = ("letters", "base", "loops", "scaled", "strip", "scale", "uv", "yz")
+
+    def __init__(self, letters, base, loops, scaled, strip, scale, uv, yz):
+        setfield(self, "letters", letters)
+        setfield(self, "base", base)
+        setfield(self, "loops", loops)
+        setfield(self, "scaled", scaled)
+        setfield(self, "strip", strip)
+        setfield(self, "scale", scale)
+        setfield(self, "uv", uv)
+        setfield(self, "yz", yz)
 
 
 def _plan(pairs, f_map):

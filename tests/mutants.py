@@ -107,6 +107,16 @@ MUTANTS = (
            "    if len(sv.signs) != len(cert.hs):\n        return False\n",
            "",
            [NX + "test_forged_certificate_of_a_solvable_instance_is_rejected"]),
+    # a solve child never loads wreath
+    Mutant("cli-imports-wreath-eagerly", "cli.py",
+           "from . import nxsolve\n",
+           "from . import nxsolve, wreath\n",
+           [CLI + "test_solve_imports_only_the_solve_path"]),
+    # a record equals only a record of its exact class
+    Mutant("record-eq-ignores-class", "_record.py",
+           "        if type(other) is not type(self):\n",
+           "        if not isinstance(other, Record):\n",
+           ["tests/test_records.py::test_equality_needs_the_exact_class"]),
 )
 
 

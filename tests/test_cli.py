@@ -431,6 +431,53 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+_FOOTPRINT = """
+import sys
+from posring.cli import main
+code = main(sys.argv[1:])
+print(code, sorted(m for m in ("posring.wreath", "dataclasses", "inspect")
+                   if m in sys.modules))
+"""
+
+
+def _footprint(argv):
+    # exit code and heavy modules loaded by one fresh CLI run
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_solve_imports_only_the_solve_path(problem):
+    path = problem(TRIPLE)
+    assert _footprint(["solve", path, "--witness", "--json"]) == "0 []"
+    assert _footprint(["solve", problem(REMARK, "remark.json")]) == "1 []"
+
+
+def test_wreath_word_loads_wreath(problem):
+    assert _footprint(["wreath", "word", problem(PAIR), "--json"]) == \
+        "0 ['posring.wreath']"
+
+
+def test_package_exports_are_lazy():
+    import posring
+    probe = "import sys, posring; print(sorted(m for m in sys.modules if 'posring' in m))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stdout.strip() == "['posring']", proc.stderr
+    listing = dir(posring)
+    star = {}
+    exec("from posring import *", star)
+    for name in posring.__all__:
+        home = sys.modules["posring." + posring._HOME[name]]
+        assert getattr(posring, name) is getattr(home, name) is star[name]
+        assert name in listing and name not in vars(posring)
+    assert set(star) - {"__builtins__"} == set(posring.__all__)
+    with pytest.raises(AttributeError):
+        posring.no_such_name
+    with pytest.raises(ImportError):
+        exec("from posring import no_such_name", {})
+
+
 def test_stdin_input():
     proc = subprocess.run(
         [sys.executable, "-m", "posring.cli", "solve", "-", "--witness", "--json"],

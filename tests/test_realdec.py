@@ -596,9 +596,29 @@ def _scan_result(hs):
 
 @settings(max_examples=80, deadline=None)
 @given(_family, st.booleans())
+@example([IntPoly([-1, 1, 1]), IntPoly([1, -2, -1]), IntPoly([-1, 1, 1])], False)
+@example([IntPoly([-1]), IntPoly([2, 2, -2]), IntPoly([1, 2, -2])], True)
 def test_scan_matches_reference_scan(hs, share):
+    # the scan separates its sample's interval only from the inputs it
+    # isolated, so the interval may be wider than the full isolation's:
+    # both must box the same root, which shows as a sign change of the
+    # scan's sample poly across their intersection
     hs = _shared(hs, share)
-    assert _scan_result(hs) == _reference_scan(hs)
+    sv, ref = uniform_sign_exists(hs), _reference_scan(hs)
+    assert (sv is None) == (ref is None)
+    if sv is None:
+        return
+    sample, signs = ref
+    assert sv.signs == signs
+    if isinstance(sv.sample, RationalPoint):
+        assert sv.sample.value == sample
+        return
+    assert not isinstance(sample, Fraction)
+    iv, (lo, hi, owners) = sv.sample.interval, sample
+    assert iv.owners == owners
+    a, b = max(iv.lo, lo), min(iv.hi, hi)
+    sa, sb = _sgn(_ev(iv.s, a)), _sgn(_ev(iv.s, b))
+    assert a < b and sa != 0 and sa * sb <= 0
 
 
 def test_scan_matches_reference_scan_on_grid():

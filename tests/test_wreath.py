@@ -661,14 +661,15 @@ def test_synthesize_rejects_bad_f():
 
 
 _BROKEN_PLAN = """
-import dataclasses, sys
+import sys
 from posring import wreath as wr
 from posring.errors import PostconditionFailed
 from posring.polyring import LaurentPoly as L
 real = wr._plan
 def broken(pairs, f_map):
-    plan = real(pairs, f_map)
-    return dataclasses.replace(plan, letters=plan.letters[:-1])
+    p = real(pairs, f_map)
+    return wr._Plan(p.letters[:-1], p.base, p.loops, p.scaled, p.strip, p.scale,
+                    p.uv, p.yz)
 wr._plan = broken
 gens = wr.GeneratorSet(plus=(L([1]), L([-1, 1])), minus=(L([1]), L([-2])))
 try:

@@ -3,6 +3,9 @@
 An element is a pair (f, b) with f a Laurent polynomial, multiplied by
 (f, b)*(g, c) = (g + f*X**c, b + c); this is the 2x2 matrix picture
 [[1, f], [0, X**b]] read off its upper-right and lower-right entries.
+Folded over a word, (f_1, b_1)*...*(f_L, b_L) = (sum_k f_k*X**s_k,
+b_1 + ... + b_L) with s_k = b_(k+1) + ... + b_L, the suffix height of
+letter k; word_product evaluates this sum in one right-to-left pass.
 For generators A_i = (H_i, +1) and B_j = (G_j, -1) the product A_i*B_j
 has upper-right entry h_ij = X**-1*H_i + G_j.  Call a subset S of I x J
 a solvable support when nonzero f_ij over N[X] give sum f_ij*h_ij = 0
@@ -29,14 +32,15 @@ pivot pairs' geometric blocks, and each remaining coefficient c X**k of
 the corrected witness becomes the two-letter loop (A_i B_j)^c spliced
 in where the suffix after it has height k, adding c X**k * h_ij to the
 upper-right entry.  A loop has height 0, so a word stores it once with
-its count and multiplies it in closed form; coefficients in the
-thousands cost no more than ones.  A degenerate cover, whose h_ij are
-all zero, takes the same construction: every loop is then an identity
-word by itself, and the witness only sets the powers.  Every
-synthesized word is checked by exact multiplication before it is
-returned.
+its count, and the product adds count times each loop letter at its
+suffix height; coefficients in the thousands cost no more than ones.
+A degenerate cover, whose h_ij are all zero, takes the same
+construction: every loop is then an identity word by itself, and the
+witness only sets the powers.  Every synthesized word is checked by
+exact multiplication before it is returned.
 """
 
+from collections import defaultdict
 from functools import lru_cache
 from math import comb
 from types import MappingProxyType
@@ -166,42 +170,42 @@ def mul(a, b):
     return WreathElement(b.f + a.f.shifted(b.b), a.b + b.b)
 
 
-def _product(gens, letters):
-    acc = WreathElement.identity()
-    for side, index in letters:
-        acc = mul(acc, gens.element(side, index))
-    return acc
-
-
 def word_product(gens, w):
-    """Multiply the word's entries left to right; the height lands in b.
+    """Multiply the word's entries in one right-to-left pass.
 
-    A power's loop multiplies to some (f, 0), and (f, 0)**count is
-    (count*f, 0).  A loop of nonzero height, or a count below 1, raises
-    BadIndex.
+    Folding mul gives (f_1, b_1)...(f_L, b_L) = (sum_k f_k*X**s_k,
+    b_1 + ... + b_L), where s_k = b_(k+1) + ... + b_L is letter k's
+    suffix height.  Each letter adds its coefficients at its suffix
+    height into one exponent-keyed sum, and a power (loop, count) adds
+    count times each loop letter at that letter's height inside the
+    loop, which is the same in every copy as the loop has height 0.  A
+    bad side or index, a loop of nonzero height, or a count that is not
+    an int >= 1 raises BadIndex.
     """
-    acc = WreathElement.identity()
-    for entry in w.letters:
-        if not _is_power(entry):
-            acc = mul(acc, gens.element(*entry))
-            continue
-        loop, count = entry
-        p = _product(gens, loop)
-        if p.b or count < 1:
-            raise BadIndex("power (%s)^%d is not a loop of height 0 repeated"
+    # (coefficients, lowest, b) of each letter; element raises BadIndex on the rest
+    refs, acc, height = {}, defaultdict(int), 0
+    for side, hs, b in ((PLUS, gens.plus, 1), (MINUS, gens.minus, -1)):
+        for i, h in enumerate(hs, 1):
+            refs[side, i] = h.body.coeffs, h.lowest, b
+    for entry in reversed(w.letters):
+        power = _is_power(entry)
+        loop, count = entry if power else ((entry,), 1)
+        if power and (type(count) is not int or count < 1 or _height(loop)):
+            raise BadIndex("power (%s)^%r is not a loop of height 0 repeated"
                            % (_letter_text(loop), count))
-        acc = mul(acc, WreathElement(LaurentPoly([count]) * p.f, 0))
-    return acc
+        for ref in reversed(loop):
+            cs, low, b = refs.get(ref) or gens.element(*ref)
+            for k, c in enumerate(cs, low + height):
+                acc[k] += count * c
+            height += b
+    lo, top = min(acc, default=0), max(acc, default=-1)
+    return WreathElement(LaurentPoly([acc[k] for k in range(lo, top + 1)], lo), height)
 
 
 def build_hij(gens):
     """Upper-right entries h_ij = X**-1*H_i + G_j of the products A_i*B_j."""
-    xinv = LaurentPoly([1], -1)
-    return {
-        (i, j): xinv * hi + gj
-        for i, hi in enumerate(gens.plus, 1)
-        for j, gj in enumerate(gens.minus, 1)
-    }
+    return {(i, j): hi.shifted(-1) + gj
+            for i, hi in enumerate(gens.plus, 1) for j, gj in enumerate(gens.minus, 1)}
 
 
 def _maximal_support(hij, pairs):

@@ -84,6 +84,22 @@ MUTANTS = (
            "            floor = max(floor, min(gaps))\n    return floor + 1\n",
            [NX + "test_degree_floor_examples",
             NX + "test_degree_floor_matches_linear_escalation"]),
+    # a letter enters at its suffix height: the pass runs right to left
+    Mutant("word-product-prefix-height", "wreath.py",
+           "    for entry in reversed(w.letters):\n",
+           "    for entry in w.letters:\n",
+           [WR + "test_word_product_of_powers_matches_expansion"]),
+    # a power adds its loop count times
+    Mutant("word-product-power-once", "wreath.py",
+           "                acc[k] += count * c\n",
+           "                acc[k] += c\n",
+           [WR + "test_word_product_of_powers_matches_expansion"]),
+    # h_ij = X^-1 H_i + G_j: H_i's body one exponent lower
+    Mutant("hij-without-x-inverse", "wreath.py",
+           "    return {(i, j): hi.shifted(-1) + gj\n",
+           "    return {(i, j): hi + gj\n",
+           [WR + "test_hij_examples",
+            WR + "test_hij_is_upper_right_of_product"]),
     # h_ij are built once per generator set, through the memo
     Mutant("synthesis-rebuilds-hij", "wreath.py",
            '        raise InvalidWitness("empty cover")\n    hij = _hij(gens)\n',

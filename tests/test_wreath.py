@@ -73,6 +73,18 @@ def _expand(entries):
     return tuple(out)
 
 
+def _fold(gens, entries):
+    """The mul fold over the entries written out: the product's definition."""
+    return reduce(wr.mul, (gens.element(*ref) for ref in _expand(entries)),
+                  wr.WreathElement.identity())
+
+
+def _product_is_fold(gens, word):
+    got, want = wr.word_product(gens, word), _fold(gens, word.letters)
+    assert got == want and hash(got) == hash(want)
+    return got
+
+
 # ------------------------------------------------------------- elements
 
 
@@ -160,12 +172,52 @@ def _loops(draw):
 def test_word_product_of_powers_matches_expansion(plus, minus, entries):
     gens = wr.GeneratorSet(tuple(plus), tuple(minus))
     word = wr.Word(tuple(entries))
-    letters = _expand(word.letters)
-    want = reduce(wr.mul, (gens.element(*ref) for ref in letters),
-                  wr.WreathElement.identity())
-    assert wr.word_product(gens, word) == want
-    assert len(word) == len(letters)
+    want = _product_is_fold(gens, word)
+    assert len(word) == len(_expand(word.letters))
     assert word.height == want.b
+
+
+def test_word_product_cancels_to_zero_at_nonzero_height():
+    # A1 A2 = (1*X + -X, 2), and h_11 = X**-1 - X**-1 = 0, so a loop
+    # (A1 B1) adds nothing at any height: f cancels to 0 in every word,
+    # and the zero f has lowest 0 whatever height it cancelled at
+    gens = wr.GeneratorSet(plus=(L([1]), L([-1], 1)), minus=(L([-1], -1),))
+    loop = ((A, 1), (B, 1))
+    for entries in (((A, 1), (A, 2)),
+                    ((loop, 5), (A, 1), (A, 2)),
+                    ((A, 1), (loop, 7), (A, 2))):
+        got = _product_is_fold(gens, wr.Word(entries))
+        assert got.f.is_zero and got.f.lowest == 0 and got.b == 2
+
+
+def test_word_product_cancels_in_the_middle():
+    # A1 A2 = ((1 + X)*X + 1 - X + X^2 + X^3, 2) = (1 + 2X^2 + X^3, 2):
+    # X cancels; h_11 = -1, so (A1 B1)^2 at height 2 cancels the 2X^2
+    gens = wr.GeneratorSet(plus=(L([1, 1]), L([1, -1, 1, 1])), minus=(L([-1, -2], -1),))
+    got = _product_is_fold(gens, wr.Word(((A, 1), (A, 2))))
+    assert got == wr.WreathElement(L([1, 0, 2, 1]), 2)
+    got = _product_is_fold(gens, wr.Word(((((A, 1), (B, 1)), 2), (A, 1), (A, 2))))
+    assert got == wr.WreathElement(L([1, 0, 0, 1]), 2)
+
+
+def test_word_product_of_a_huge_power():
+    # a power's letters enter count times without being written out
+    gens = wr.GeneratorSet(plus=(L([2, -1], -1), L([1, 0, 3])), minus=(L([3]), L([-1, 1], -2)))
+    loop = ((A, 1), (B, 2), (B, 1), (A, 2))
+    n = 10 ** 12
+    once = _fold(gens, loop)
+    assert once.b == 0 and not once.f.is_zero
+    power = wr.WreathElement(L([n]) * once.f, 0)
+    assert wr.word_product(gens, wr.Word(((loop, n),))) == power
+    assert wr.word_product(gens, wr.Word(((A, 2), (loop, n), (B, 1)))) == \
+        gens.element(A, 2) * power * gens.element(B, 1)
+
+
+def test_word_product_rejects_bad_counts():
+    loop = ((A, 1), (B, 1))
+    for count in (True, False, 2.0, "2", None, 0, -3):
+        with pytest.raises(BadIndex):
+            wr.word_product(PAIR, wr.Word(((loop, count),)))
 
 
 # ------------------------------------------------------------------ hij
@@ -403,6 +455,50 @@ def test_rectangle_facts_on_larger_grids(monkeypatch):
                 m = len(wr._support(gens))
                 kinds["empty" if not m else "full" if m == rows * cols else "proper"] += 1
     assert kinds["proper"] >= 5 and kinds["empty"] and kinds["full"], kinds
+
+
+# Generator sets whose M is a proper nonempty rectangle, found by a
+# seeded search over 3x3 to 5x6 grids: (plus, minus, M), each generator
+# given as (coeffs, lowest)
+PROPER = (
+    ((([2], -2), ([-2, 2, 2], 0), ([2, -3, 2, 2], 0), ([2], -2)),
+     (([], 0), ([-2], 1), ([-2, 1], -1), ([-1], 0), ([-1, 1], -1)),
+     ((1, 2), (2, 2), (4, 2))),
+    ((([-2], -1), ([-3, -3], -1), ([-1, -3], 0), ([-2, 0, -1, -2], 0)),
+     (([3], -1), ([1, 3], 0), ([3], -1)),
+     ((1, 1), (1, 3), (3, 1), (3, 3))),
+    ((([1, 1], -1), ([3, -1], -1), ([2, 3], 0)),
+     (([2, 1, -2, -3], -1), ([-1], 0), ([2, -3, 3], -2), ([-2], -2), ([2], 0), ([-1], -2)),
+     ((1, 1), (1, 4), (2, 1), (2, 4))),
+    ((([3], -2), ([1, 1], 0), ([3, 1, 3, 3], -1), ([2, -1], 0)),
+     (([2], -2), ([-1], -1), ([1, 1, -3], -2), ([2, 1, -2], -1), ([3, 2], -2),
+      ([-3, 2, -1, 1], -1)),
+     ((4, 2), (4, 3), (4, 6))),
+    ((([1], -2), ([], 0), ([-2, -1, 2], -2), ([-1, -1, 2, 1], -1), ([1], 0)),
+     (([1, -2], -1), ([-1], -2), ([-3, -1, -2, -2], -2)),
+     ((1, 1), (1, 2), (4, 1), (4, 2), (5, 1), (5, 2))),
+    ((([-1, 2], -1), ([1, -3, 2], -2), ([1, 1, -1], -2), ([], 0), ([3, 0, -1, -1], -2)),
+     (([-3, 3], -2), ([1, 2, -3], -2), ([2, 3, 3], 0)),
+     ((2, 1), (2, 2), (4, 1), (4, 2))),
+    ((([3], -2), ([3], -1), ([], 0), ([2, 1], -1)),
+     (([], 0), ([-1, 2], -2), ([1, -1, -2], 0)),
+     ((3, 1), (3, 2), (3, 3))),
+)
+
+
+@pytest.mark.parametrize("plus, minus, support", PROPER)
+def test_proper_support_words(plus, minus, support):
+    gens = wr.GeneratorSet(tuple(L(*h) for h in plus), tuple(L(*g) for g in minus))
+    assert wr._support(gens) == support
+    rows, cols = {i for i, _ in support}, {j for _, j in support}
+    assert set(support) == {(i, j) for i in rows for j in cols}
+    assert 0 < len(support) < len(plus) * len(minus)
+    assert wr.is_group(gens) == (False, None)
+    found, word = wr.identity_witness_word(gens)
+    assert found and word is not None
+    assert _product_is_fold(gens, word) == wr.WreathElement.identity()
+    # the word is synthesized on M: it uses M's rows and columns only
+    assert set(_expand(word.letters)) == {(A, i) for i in rows} | {(B, j) for j in cols}
 
 
 def test_witnesses_match_fraction_lp_on_cover_oracle_grids(monkeypatch):

@@ -3,10 +3,11 @@
 Problem files are JSON: {"equation": {"h": [poly, ...]}} or
 {"wreath": {"generators": [{"H": poly, "b": 1}, ...]}}, where poly is
 {"coeffs": [c0, c1, ...], "lowest": k} or a bare coefficient list
-(lowest 0).  Coefficients are exact integers; decimal strings are
-accepted, and emitted, for values a 53-bit double cannot hold.  A terse
-text form also works for equation inputs: one polynomial per line,
-ascending integer coefficients separated by spaces.
+(lowest 0).  No other key is allowed at any level: an unknown one is a
+SchemaError that names it.  Coefficients are exact integers; decimal
+strings are accepted, and emitted, for values a 53-bit double cannot
+hold.  A terse text form also works for equation inputs: one polynomial
+per line, ascending integer coefficients separated by spaces.
 
 Wreath generators keep file order within each sign: the k-th "b": 1
 entry is A_k, the k-th "b": -1 entry is B_k, and output words name them
@@ -56,15 +57,19 @@ def _int_from_json(value, where):
     raise SchemaError("%s: expected an exact integer, got %r" % (where, value))
 
 
+def _only(obj, fields, where):
+    stray = set(obj).difference(fields)
+    if stray:
+        raise SchemaError("%s: unknown field %r" % (where, sorted(stray)[0]))
+
+
 def _poly_fields(value, where):
     if isinstance(value, list):
         coeffs, lowest = value, 0
     elif isinstance(value, dict):
         if "coeffs" not in value:
             raise SchemaError("%s: polynomial object needs 'coeffs'" % where)
-        extra = set(value) - {"coeffs", "lowest"}
-        if extra:
-            raise SchemaError("%s: unknown field %s" % (where, sorted(extra)[0]))
+        _only(value, ("coeffs", "lowest"), where)
         coeffs = value["coeffs"]
         lowest = _int_from_json(value.get("lowest", 0), where + ".lowest")
         if not isinstance(coeffs, list):
@@ -119,13 +124,14 @@ def _parse_json(body):
         doc = json.loads(body)
     except ValueError as exc:
         raise SchemaError("not valid JSON: %s" % exc) from None
-    kinds = [k for k in ("equation", "wreath") if k in doc]
-    if len(kinds) != 1:
+    _only(doc, ("equation", "wreath"), "top level")
+    if len(doc) != 1:
         raise SchemaError("need exactly one of 'equation' or 'wreath' at top level")
-    if kinds[0] == "equation":
+    if "equation" in doc:
         eq = doc["equation"]
         if not isinstance(eq, dict) or "h" not in eq:
             raise SchemaError("'equation' must be an object with an 'h' list")
+        _only(eq, ("h",), "equation")
         rows = eq["h"]
         if not isinstance(rows, list) or not rows:
             raise SchemaError("equation.h must be a nonempty list of polynomials")
@@ -135,6 +141,7 @@ def _parse_json(body):
     wr = doc["wreath"]
     if not isinstance(wr, dict) or "generators" not in wr:
         raise SchemaError("'wreath' must be an object with a 'generators' list")
+    _only(wr, ("generators",), "wreath")
     entries = wr["generators"]
     if not isinstance(entries, list):
         raise SchemaError("wreath.generators must be a list")
@@ -143,9 +150,7 @@ def _parse_json(body):
         where = "generators[%d]" % i
         if not isinstance(entry, dict) or "H" not in entry or "b" not in entry:
             raise SchemaError("%s: each generator needs 'H' and 'b'" % where)
-        stray = set(entry) - {"H", "b"}
-        if stray:
-            raise SchemaError("%s: unknown field %r" % (where, sorted(stray)[0]))
+        _only(entry, ("H", "b"), where)
         b = _int_from_json(entry["b"], where + ".b")
         if b not in (1, -1):
             raise SchemaError("%s.b must be 1 or -1, got %r" % (where, b))

@@ -489,8 +489,11 @@ def find_witness(hs, degree_cap=DEGREE_CAP):
     a lowest-coefficient sign, or when the floor passes the cap.  Other
     Unsolvable inputs solve every LP from the floor up to degree_cap
     first, where ``decide`` answers in under a millisecond: call
-    ``decide`` first and search only after a Solvable verdict.
+    ``decide`` first and search only after a Solvable verdict.  Empty
+    input raises AllZero, as in ``decide``.
     """
+    if not hs:
+        raise AllZero("empty instance")
     floor = _degree_floor(hs)
     if floor is None:
         return None

@@ -8,8 +8,9 @@ whether some t >= 0 makes every h_i(t) weakly nonnegative or weakly
 nonpositive, isolating only the inputs it needs.
 
 The scan runs in rounds over a growing subset S of the inputs.  A round
-is a sweep that evaluates each polynomial of S at t = 0 and then only
-where it owns a root, because isolating S already proves two facts:
+is a sweep that evaluates each polynomial of S at t = 0 and then once
+after each root it owns, at the next root, because isolating S already
+proves two facts:
 
 - a root's interval (lo, hi] holds no root of another member of S, so
   at an algebraic root every non-owner has its sign at hi;
@@ -19,9 +20,12 @@ where it owns a root, because isolating S already proves two facts:
   roots the signs at 0 hold on all of [0, oo).
 
 So the sign vector changes only at a root, and only in that root's
-owners: set to 0 at the root, then to their sign just right of it.  The
+owners: set to 0 at the root, then to their sign at the next root's hi,
+which is that root itself when it is exact.  No owner has a root in
+between, and an owner of the next root is set to 0 there at once.  The
 sweep keeps the vector with running counts of +1 and -1 entries, and
-tests each root for uniformity in time linear in its owners.
+tests each root for uniformity in time linear in its owners and the
+previous root's.
 
 A point uniform over all inputs is uniform over S, so S's first uniform
 point u comes no later than theirs.  It is theirs when every input
@@ -458,19 +462,21 @@ def _resolve_overlap(a, b):
 
 
 def _build_clusters(data):
-    # the known exact roots with their owners, read off the trees: 0 is
+    # data maps each input index to its trees, walked in index order.
+    # The known exact roots with their owners, read off the trees: 0 is
     # owned by each input X divides, a positive r by each input whose
     # tree found it exact, and below by each input with an interval
     # holding r where s vanishes.  Every other positive root of an input
     # is alone inside one of its intervals, so no owner is missed
+    items = sorted(data.items())
     exact_owned = {}
-    for i, d in enumerate(data):
+    for i, d in items:
         for r in ([Fraction(0)] if d.k0 else []) + d.exacts:
             exact_owned.setdefault(r, []).append(i)
     ordered_pq = [(r.numerator, r.denominator, r) for r in sorted(exact_owned)]
 
     recs = []
-    for i, d in enumerate(data):
+    for i, d in items:
         for a, b, k, slo in d.ivals:
             # drop before shrinking: the interval's root may be a known
             # root that is not dyadic, such as 1/3 from 3X - 1, and no
@@ -517,22 +523,21 @@ def _build_clusters(data):
 
 
 def _synthesize(data, exact_owned, recs):
-    items = [("exact", r, owners) for r, owners in exact_owned.items()]
-    items += [("ival", Fraction(c.a, 1 << c.k), c) for c in recs]
-    items.sort(key=lambda it: (it[1], 0 if it[0] == "exact" else 1))
-
+    # (lo, is_ival, owners or cluster): an exact root sorts before an
+    # interval starting at it, and no two entries tie on both
+    items = sorted([(r, False, owners) for r, owners in exact_owned.items()]
+                   + [(Fraction(c.a, 1 << c.k), True, c) for c in recs])
     out = []
     prev_hi = None
-    for kind, key, payload in items:
-        if kind == "exact":
-            r, owners = key, payload
-            mult_free = all(_ev(_k.deriv(data[i].cs), r) != 0 for i in owners)
-            out.append(IsolatingInterval(sorted(owners), r, r, mult_free, r, None))
-            prev_hi = r
+    for lo, is_ival, payload in items:
+        if not is_ival:
+            mult_free = all(_ev(_k.deriv(data[i].cs), lo) != 0 for i in payload)
+            out.append(IsolatingInterval(sorted(payload), lo, lo, mult_free, lo, None))
+            prev_hi = lo
         else:
             c = payload
             den = 1 << c.k
-            lo, hi = key, Fraction(c.b, den)
+            hi = Fraction(c.b, den)
             if prev_hi is not None and lo < prev_hi:
                 raise PostconditionFailed("isolating intervals overlap")
             mult_free = True
@@ -560,15 +565,18 @@ def isolate_nonneg_roots(hs, *, _data=None):
 
     A root shared by several polynomials gets one interval listing all
     owners; a root found exactly is the point lo = hi = exact.  Raises
-    ZeroPolynomial when an input is zero.  ``_data`` is internal: the
-    inputs' isolation trees, when the caller built them.
+    ZeroPolynomial when an input is zero.  ``_data`` is internal: a dict
+    from input index to that input's isolation trees, when the caller
+    built them; only the inputs it holds are isolated, and owners keep
+    their indices into hs.
     """
     for h in hs:
         if h.is_zero:
             raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    data = _data or [_PolyData(list(h.coeffs)) for h in hs]
-    exact_owned, recs = _build_clusters(data)
-    return _synthesize(data, exact_owned, recs)
+    if _data is None:
+        _data = {i: _PolyData(list(h.coeffs)) for i, h in enumerate(hs)}
+    exact_owned, recs = _build_clusters(_data)
+    return _synthesize(_data, exact_owned, recs)
 
 
 def _descartes(p, lo, hi):
@@ -629,34 +637,31 @@ def signs_at_root(qs, root):
     return tuple(signs)
 
 
-def _sweep(hs_cs, signs, roots):
-    # the first of the sorted roots where the sign vector, mixed at t = 0,
-    # turns uniform, or None; signs is updated in place, so it holds the
-    # vector at that root.  At each root its owners get sign 0, and
-    # running counts of +1 and -1 entries tell whether the vector is
-    # uniform; after it each owner takes its sign just right of it: at hi
-    # for an algebraic root, since the owner has no other root in
-    # (lo, hi], and the sign of the first nonzero derivative at an exact
-    # root
-    pos, neg = signs.count(1), signs.count(-1)
+def _sweep(hs_cs, signs, members, roots):
+    # the first of the sorted roots of the inputs in members where their
+    # sign vector, mixed at t = 0, turns uniform, or None; signs is updated
+    # in place, so its members' entries hold the vector at that root.  At
+    # each root its owners get sign 0, and running counts of +1 and -1
+    # entries tell whether the vector is uniform.  The previous root's
+    # owners are signed again on reaching the next root, at its hi, which
+    # is the root itself when it is exact: from the previous root up to
+    # hi, none of them has a root but this one, whose owners are zeroed
+    # next.  The last root's owners are never signed again
+    pos = sum(signs[i] > 0 for i in members)
+    neg = sum(signs[i] < 0 for i in members)
+    prev = ()
     for root in roots:
+        for i in prev:
+            sg = signs[i] = _sgn(_ev(hs_cs[i], root.hi))
+            pos += sg > 0
+            neg += sg < 0
         for i in root.owners:
             pos -= signs[i] > 0
             neg -= signs[i] < 0
             signs[i] = 0
         if not pos or not neg:
             return root
-        for i in root.owners:
-            if root.exact is None:
-                sg = _sgn(_ev(hs_cs[i], root.hi))
-            else:
-                d, sg = hs_cs[i], 0
-                while not sg:
-                    d = _k.deriv(d)
-                    sg = _sgn(_ev(d, root.exact))
-            signs[i] = sg
-            pos += sg > 0
-            neg += sg < 0
+        prev = root.owners
     return None
 
 
@@ -669,13 +674,13 @@ def uniform_sign_exists(hs):
     every input with no coefficient sign variation (two of opposite
     signs end the scan with None) and a pair strict at 0, fewest
     variations first.  At S's first uniform point u, where S's nonzero
-    signs are sigma, every other input is signed at u when u is
-    rational, else at hi, and joins S when that sign is -sigma, or 0 at
-    hi, or Descartes' rule finds it a root in (lo, hi), a test run only
-    when no input has joined on its sign.  S at least doubles, filled in
-    index order.  When none joins, the vector at u is the one exact
-    evaluation gives there when u is rational, else at its interval's
-    hi, and the interval's owners are those in S.
+    signs are sigma, every other input is signed at hi, which is u itself
+    when u is rational, and joins S when that sign is -sigma, or 0 at
+    the hi of an interval, or Descartes' rule finds it a root in
+    (lo, hi), a test run only when no input has joined on its sign.  S
+    at least doubles, filled in index order.  When none joins, the
+    vector at u is the one exact evaluation gives at hi, and the sample
+    is u, or the interval that isolating S gave, its owners those in S.
     Raises ZeroPolynomial on a zero entry.
     """
     for h in hs:
@@ -695,31 +700,21 @@ def uniform_sign_exists(hs):
         inside.add(min((i for i in range(n) if signs[i] == sg), key=var.__getitem__))
     data = {}  # each input's isolation trees, built once per call
     while True:
-        idx = sorted(inside)
-        for i in idx:
-            if i not in data:
-                data[i] = _PolyData(hs_cs[i])
-        sub = [signs[i] for i in idx]
-        roots = isolate_nonneg_roots([hs[i] for i in idx], _data=[data[i] for i in idx])
-        root = _sweep([hs_cs[i] for i in idx], sub, roots)
+        data.update((i, _PolyData(hs_cs[i])) for i in inside - data.keys())
+        vec = signs[:]
+        root = _sweep(hs_cs, vec, inside, isolate_nonneg_roots(hs, _data=data))
         if root is None:
             return None
-        full = signs[:]
-        for i, sg in zip(idx, sub):
-            full[i] = sg
-        sigma = -1 if -1 in sub else 1
+        sigma = -1 if -1 in (vec[i] for i in inside) else 1
         rational = root.exact is not None
         out = [i for i in range(n) if i not in inside]
         for i in out:
-            full[i] = _sgn(_ev(hs_cs[i], root.exact if rational else root.hi))
-        joins = [i for i in out if full[i] == -sigma or not (rational or full[i])]
+            vec[i] = _sgn(_ev(hs_cs[i], root.hi))
+        joins = [i for i in out if vec[i] == -sigma or not (rational or vec[i])]
         if not (rational or joins):
             joins = [i for i in out if _descartes(hs_cs[i], root.lo, root.hi)]
         if not joins:
-            if rational:
-                return SignVector(RationalPoint(root.exact), tuple(full))
-            owners = [idx[j] for j in root.owners]
-            iv = IsolatingInterval(owners, root.lo, root.hi, root.multiplicity_free, None, root.s)
-            return SignVector(AlgebraicRoot(iv), tuple(full))
+            sample = RationalPoint(root.exact) if rational else AlgebraicRoot(root)
+            return SignVector(sample, tuple(vec))
         rest = [i for i in out if i not in joins]
-        inside.update(joins, rest[:max(0, len(idx) - len(joins))])
+        inside.update(joins, rest[:max(0, len(inside) - len(joins))])

@@ -13,7 +13,9 @@ mutation check adds its mutant here.
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
 
-Exits 1 when a mutant survives.  Needs pytest and nothing else.
+Exits 1 when a mutant survives.  Needs pytest and hypothesis, whose
+"mutants" profile (tests/conftest.py) skips the shrink phase: a kill
+needs one failing example, not the smallest.
 """
 
 import os
@@ -113,11 +115,17 @@ MUTANTS = (
             CLI + "test_input_too_deeply_nested_exits_2"]),
     # an exact root is the point lo = hi = exact
     Mutant("exact-root-lo-below", "realdec.py",
-           "IsolatingInterval(sorted(owners), r, r, mult_free, r, None)",
-           "IsolatingInterval(sorted(owners), r - 1, r, mult_free, r, None)",
+           "IsolatingInterval(sorted(payload), lo, lo, mult_free, lo, None)",
+           "IsolatingInterval(sorted(payload), lo - 1, lo, mult_free, lo, None)",
            [RD + "test_isolate_ordering_and_disjointness",
             RD + "test_isolation_invariants",
             RD + "test_integer_endpoints_match_fraction_reference"]),
+    # an owner of a root is signed again at the next root
+    Mutant("sweep-owners-stay-zero", "realdec.py",
+           "        prev = root.owners\n",
+           "        prev = ()\n",
+           [RD + "test_sweep_evaluates_each_input_once_plus_once_per_owned_root_but_the_last",
+            RD + "test_sweep_matches_per_candidate_scan_on_seeded_families"]),
     # a certificate carries one sign per entry
     Mutant("certificate-no-sign-count", "nxsolve.py",
            "    if len(sv.signs) != len(cert.hs):\n        return False\n",
@@ -155,7 +163,8 @@ def killed(mutant):
         env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
         # run from the copy, so hypothesis keeps its example database there
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants"]
             + [os.path.join(REPO, t) for t in mutant.tests],
             env=env, cwd=tmp, capture_output=True, text=True)
     if proc.returncode not in (0, 1):

@@ -87,6 +87,19 @@ def test_parse_rejects_bad_shapes():
             cli.parse_input(bad.encode())
 
 
+def test_parse_rejects_unknown_keys():
+    cases = {
+        '{"equation": {"h": [[1, 2], [-1]]}, "x": 1}': "top level: unknown field 'x'",
+        '{"equation": {"h": [[1, 2], [-1]], "x": 1}}': "equation: unknown field 'x'",
+        '{"wreath": {"generators": [], "cap": 3}}': "wreath: unknown field 'cap'",
+        '{"meta": 0, "wreath": {"generators": []}}': "top level: unknown field 'meta'",
+        '{"equation": {"h": [{"coeffs": [1], "deg": 2}]}}': "unknown field 'deg'",
+    }
+    for bad, msg in cases.items():
+        with pytest.raises(SchemaError, match=re.escape(msg)):
+            cli.parse_input(bad.encode())
+
+
 def test_parse_text_rows():
     pf = cli.parse_input(b"1\n-1 2 -1\n\n")
     assert pf.hs == (IntPoly([1]), IntPoly([-1, 2, -1]))
@@ -211,6 +224,9 @@ def test_solve_errors(problem, capsys):
     assert code == 2 and "equation" in err
     code, _, err = run(["solve", "/nonexistent/problem.json"], capsys)
     assert code == 2
+    code, out, err = run(["solve", problem('{"equation": {"h": [[1, 2], [-1]], "x": 1}}')],
+                         capsys)
+    assert code == 2 and out == "" and "equation: unknown field 'x'" in err
 
 
 # --------------------------------------------------------------- wreath
@@ -329,6 +345,9 @@ def test_wreath_word_out_of_memory(problem, capsys, monkeypatch):
 def test_wreath_rejects_equation_file(problem, capsys):
     code, _, err = run(["wreath", "group", problem(REMARK)], capsys)
     assert code == 2 and "wreath" in err
+    code, _, err = run(["wreath", "group", problem('{"wreath": {"generators": [], "x": 1}}')],
+                       capsys)
+    assert code == 2 and "wreath: unknown field 'x'" in err
 
 
 def test_input_too_large_exits_2(problem, capsys):

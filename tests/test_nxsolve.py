@@ -211,6 +211,15 @@ def test_decide_empty_rejected():
         nx.decide([])
 
 
+def test_find_witness_empty_rejected():
+    # as decide: an empty instance has no tuple to search, and the LP of
+    # zero unknowns would return the empty tuple as a witness
+    with pytest.raises(AllZero):
+        nx.find_witness([])
+    with pytest.raises(AllZero):
+        nx.find_witness([], 0)
+
+
 def test_decide_witness_cap_reported():
     assert nx.find_witness(TRIPLE, 0) is not None
     # a solvable instance whose smallest witness needs degree 1

@@ -719,16 +719,6 @@ def test_sweep_matches_per_candidate_scan_on_seeded_families():
     assert min(kinds[k] for k in ("none", "zero", "rational", "algebraic")) > 10, kinds
 
 
-def _multiplicity(cs, r):
-    # times (den X - num) divides cs exactly
-    m, lin = 0, [-r.numerator, r.denominator]
-    while True:
-        q = _k.exact_div(cs, lin)
-        if q is None:
-            return m
-        cs, m = q, m + 1
-
-
 def _count_evaluations(fn, *args):
     calls = [0]
 
@@ -752,7 +742,7 @@ def _root_rich_family():
     ]
 
 
-def test_sweep_evaluates_each_input_once_plus_once_per_owned_root():
+def test_sweep_evaluates_each_input_once_plus_once_per_owned_root_but_the_last():
     # every input once at t = 0.  With the constants 1 and -1, which have
     # no sign variation and opposite signs, no t > 0 is uniform, so the
     # scan ends there and isolates nothing
@@ -761,22 +751,22 @@ def test_sweep_evaluates_each_input_once_plus_once_per_owned_root():
         got, calls = _count_evaluations(uniform_sign_exists, hs)
     assert got is None and not trees.called
     assert calls == len(hs)
-    # then the sweep: each owner once after its root, plus one more
-    # derivative per extra multiplicity of an exact root.  X^2 - X + 1
-    # and its negative have no positive root and keep every vector mixed,
-    # with sign variations, so no one-sign pair ends the scan and the
-    # sweep over all inputs reaches every root
+    # then the sweep: each owner of a root once more, at the next root,
+    # also at exact roots of multiplicity 2 and 3; the owners of the last
+    # root are not signed again.  X^2 - X + 1 and its negative have no
+    # positive root and keep every vector mixed, with sign variations, so
+    # no one-sign pair ends the scan and the sweep over all inputs
+    # reaches every root
     hs = _root_rich_family() + [P(1, -1, 1), P(-1, 1, -1)]
     roots = isolate_nonneg_roots(hs)
+    assert {0, Fraction(1, 3), 1} <= {root.exact for root in roots}
     slots = sum(len(root.owners) for root in roots)
-    extra = sum(_multiplicity(list(hs[i].coeffs), root.exact) - 1
-                for root in roots if root.exact is not None for i in root.owners)
-    assert extra >= 4  # the derivative path runs at 0, 1/3 and 1
     assert slots > 50
     signs = [_exact_sign(h, Fraction(0)) for h in hs]
-    got, calls = _count_evaluations(realdec._sweep, [list(h.coeffs) for h in hs], signs, roots)
+    got, calls = _count_evaluations(
+        realdec._sweep, [list(h.coeffs) for h in hs], signs, range(len(hs)), roots)
     assert got is None
-    assert calls == slots + extra
+    assert calls == slots - len(roots[-1].owners)
     assert uniform_sign_exists(hs) is None
 
 
@@ -830,21 +820,22 @@ def test_outside_input_with_a_root_at_hi_joins_the_scan():
 
 
 def _build_clusters_reference(data):
+    # data maps each input index to its trees, walked in index order.
     # exact root -> owner list, by direct evaluation
     known = set()
-    for d in data:
+    for d in data.values():
         if d.k0:
             known.add(Fraction(0))
         known.update(d.exacts)
     exact_owned = {}
     for r in sorted(known):
-        owners = [i for i, d in enumerate(data) if _ev(d.cs, r) == 0]
+        owners = [i for i, d in sorted(data.items()) if _ev(d.cs, r) == 0]
         if not owners:
             raise PostconditionFailed("known root %s has no owner" % r)
         exact_owned[r] = owners
 
     recs = []
-    for i, d in enumerate(data):
+    for i, d in sorted(data.items()):
         for a, b, k, slo in d.ivals:
             # drop before shrinking: a shrink bisection must never land
             # on a known root, which only its own drop check rules out

@@ -8,15 +8,19 @@ otherwise the instance is solvable.  Producing a solution is a separate
 job: find_witness synthesizes a witness tuple by exact rational linear
 programming over the convolution system, with nonzeroness encoded as
 coefficient sums >= 1 (sound by homogeneity).  Its degree escalation
-starts at a bound read off the ends of the h_i, and its simplex pivots
-on the convolution's equality rows alone: the coefficient-sum rows
-cover disjoint blocks of unknowns and stay implicit, one basic key
-variable per block (generalized upper bounding).
+starts at a bound read off the ends of the h_i; each system is
+presolved by forcing rows, which drop every unknown a one-signed row
+pins to 0 and settle a degree with no simplex when they empty a block;
+and its simplex pivots on the convolution's equality rows alone: the
+coefficient-sum rows cover disjoint blocks of unknowns and stay
+implicit, one basic key variable per block (generalized upper
+bounding).
 
 Witnesses are searched against the original, unnormalized h_i, so a
 returned tuple verifies by direct substitution.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -78,19 +82,21 @@ class WitnessTuple(Record):
 
 
 class FeasibilitySystem(Record):
-    """Convolution equalities over unknowns a_ij >= 0, with n sum rows implied.
+    """Convolution equalities over the kept unknowns a_ij >= 0, n sum rows implied.
 
-    Unknown a_ij (f_i's coefficient of X^j) sits at column i*(degree+1)+j.
-    Every eq row has right-hand side 0.  The nonzeroness rows, sum_j
-    a_ij >= 1 for each i, are not stored: their blocks follow from n and
-    degree.
+    Unknown a_ij (f_i's coefficient of X^j) has id i*(degree+1)+j, and
+    cols lists, in increasing order, the ids the forcing rows left; each
+    eq row holds one entry per id in cols, and its right-hand side is 0.
+    The nonzeroness rows, sum_j a_ij >= 1 for each i, are not stored:
+    block i is the ids of cols in i*(degree+1) .. i*(degree+1)+degree.
     """
 
-    __slots__ = ("n", "degree", "eq")
+    __slots__ = ("n", "degree", "cols", "eq")
 
-    def __init__(self, n, degree, eq):
+    def __init__(self, n, degree, cols, eq):
         setfield(self, "n", n)
         setfield(self, "degree", degree)
+        setfield(self, "cols", cols)
         setfield(self, "eq", eq)
 
 
@@ -207,23 +213,61 @@ def build_feasibility(hs, d):
     """Transcribe sum f_i h_i = 0 with deg f_i <= d into rows over a_ij.
 
     One equality row per output degree k = 0 .. d + max deg h_i; the
-    coefficient-sum >= 1 row per i is implied.  Feasible over Q exactly
-    when the equation has a solution with all deg f_i <= d.
+    coefficient-sum >= 1 row per i is implied.  Presolve by forcing rows
+    (Andersen & Andersen 1995): every rhs is 0 and every a_ij >= 0, so
+    a row whose live entries share one sign holds only at a_ij = 0 for
+    all of them.  The rule runs to a fixed point before any row is
+    written, and the system keeps only the mixed rows and the unforced
+    a_ij.  None when some f_i loses every coefficient: its sum row
+    cannot hold.  Feasible over Q exactly when the equation has a
+    solution with all deg f_i <= d.
     """
-    n = len(hs)
-    bs = [list(h.coeffs) for h in hs]
-    width = n * (d + 1)
-    top = max((len(b) - 1 for b in bs if b), default=0)
+    n, w = len(hs), d + 1
+    # h_i's nonzero terms (e, c): a_ij enters row j + e with entry c
+    terms = [[(e, c) for e, c in enumerate(h.coeffs) if c] for h in hs]
+    m = d + max((len(h.coeffs) for h in hs), default=0)
+    # live positive and negative entries per row
+    pos, neg = [0] * m, [0] * m
+    for t in terms:
+        for e, c in t:
+            cnt = pos if c > 0 else neg
+            for k in range(e, e + w):
+                cnt[k] += 1
+    live = [True] * (n * w)
+    todo = [k for k in range(m) if (pos[k] > 0) != (neg[k] > 0)]
+    while todo:
+        # row k's live entries share one sign: force each of them to 0
+        k = todo.pop()
+        for i, t in enumerate(terms):
+            for e, _ in t:
+                j = k - e
+                if 0 <= j < w and live[i * w + j]:
+                    live[i * w + j] = False
+                    for e2, c in t:
+                        r = j + e2
+                        cnt = pos if c > 0 else neg
+                        cnt[r] -= 1
+                        if not cnt[r] and (pos[r] or neg[r]):
+                            # row r just lost its last entry of one sign
+                            todo.append(r)
+    # from a list: tuple() over a generator grows and shrinks as it goes,
+    # which held about 1 MB more peak memory over a wreath_grid run
+    cols = tuple([v for v in range(n * w) if live[v]])
+    if len({v // w for v in cols}) < n:
+        return None
+    at = [None] * (n * w)
+    for p, v in enumerate(cols):
+        at[v] = p
     eq = []
-    if any(bs):
-        for k in range(d + top + 1):
-            row = [0] * width
-            for i, b in enumerate(bs):
-                for j in range(d + 1):
-                    if 0 <= k - j < len(b):
-                        row[i * (d + 1) + j] = b[k - j]
+    for k in range(m):
+        if pos[k] and neg[k]:
+            row = [0] * len(cols)
+            for i, t in enumerate(terms):
+                for e, c in t:
+                    if 0 <= k - e < w and live[i * w + k - e]:
+                        row[at[i * w + k - e]] = c
             eq.append(tuple(row))
-    return FeasibilitySystem(n, d, tuple(eq))
+    return FeasibilitySystem(n, d, cols, tuple(eq))
 
 
 def _pivot_row(row, prow, f, piv, den):
@@ -247,9 +291,10 @@ def rational_feasibility(sys):
     Phase-1 simplex: surplus s_i on the coefficient-sum rows, an
     artificial on every row, minimizing the artificial sum, with Bland's
     rule (least eligible id in; least ratio out, ties to the least basic
-    id).  Ids: a_ij at i*(degree+1)+j, then s_i, then the equality rows'
-    artificials, then the sum rows'.  The sum rows come from sys.n and
-    sys.degree.
+    id).  Ids: the kept a_ij in sys.cols order, then s_i, then the
+    equality rows' artificials, then the sum rows'.  The sum rows come
+    from sys.n, sys.degree and sys.cols, so the vertex is Bland's on the
+    presolved system, not on the full transcription.
 
     Working basis.  Sum row i reads sum_j a_ij - s_i + art_i = 1: block i
     of the variables, each with a gain g of +1 or -1 there, and the
@@ -289,17 +334,20 @@ def rational_feasibility(sys):
       alone.
     An artificial that leaves never enters again, and its column is
     dropped.  So the pivots, and the vertex, are those of Bland's rule
-    on the full tableau.  Returns the structural variable values only:
+    on the full tableau.  Returns the structural variable values only,
+    in the full layout (a_ij at i*(degree+1)+j, 0 where forced):
     Fraction(rhs, scale[r]) for working basics, each key's from its
     block's equation.
     """
-    n, w = sys.n, sys.degree + 1
-    nv = n * w
+    n, w, cols = sys.n, sys.degree + 1, sys.cols
+    nv = len(cols)
     ncols = nv + n
     m = len(sys.eq)
-    # ids: a_ij, then s_i, then the equality rows' artificials, then the
-    # sum rows'; gain is each variable's coefficient in its sum row
-    block = [v // w for v in range(nv)] + list(range(n)) + [-1] * m + list(range(n))
+    # ids: kept a_ij, then s_i, then the equality rows' artificials, then
+    # the sum rows'; gain is each variable's coefficient in its sum row
+    block = [v // w for v in cols] + list(range(n)) + [-1] * m + list(range(n))
+    # block i's kept a_ij are the ids ends[i] .. ends[i + 1] - 1
+    ends = [bisect_left(cols, i * w) for i in range(n + 1)]
     gain = [1] * nv + [-1] * n + [1] * (m + n)
     # a row is [rhs, entry at each nonbasic column]; labels names them
     labels = [None] + list(range(ncols))
@@ -350,9 +398,9 @@ def rational_feasibility(sys):
             i = ~leave
             k = key[i]
             gk = gain[k]
-            cols = [(pos[c], gain[c]) for c in range(i * w, i * w + w) if pos[c]]
+            slots = [(pos[c], gain[c]) for c in range(ends[i], ends[i + 1]) if pos[c]]
             if pos[nv + i]:
-                cols.append((pos[nv + i], -1))
+                slots.append((pos[nv + i], -1))
             members = [r for r in range(m) if block[basis[r]] == i]
             if not members:
                 # k's row is gk * g_c on the block and gk at the rhs, with
@@ -361,7 +409,7 @@ def rational_feasibility(sys):
                 for row in rows + [W]:
                     f = row[ep]
                     if f:
-                        for c, g in cols:
+                        for c, g in slots:
                             row[c] -= f * gk * g
                         row[0] -= f * gk
                         row[ep] = -f
@@ -376,7 +424,7 @@ def rational_feasibility(sys):
                     scale[r] = den
                 c = -gk * gain[basis[r]]
                 new = [x + c * y for x, y in zip(new, rows[r])]
-            for c, g in cols:
+            for c, g in slots:
                 new[c] += gk * g * den
             new[0] += gk * den
             leave = members[0]
@@ -405,17 +453,17 @@ def rational_feasibility(sys):
         _retire(rows, W, labels, pos, ep, out, ncols)
     if W[0] != 0:
         return None
-    x = [Fraction(0)] * nv
+    x = [Fraction(0)] * (n * w)
     rest = [Fraction(1)] * n
     for r, bv in enumerate(basis):
         val = Fraction(rows[r][0], scale[r])
         if bv < nv:
-            x[bv] = val
+            x[cols[bv]] = val
         if block[bv] >= 0:
             rest[block[bv]] -= gain[bv] * val
     for i, k in enumerate(key):
         if k < nv:
-            x[k] = rest[i]
+            x[cols[k]] = rest[i]
     return x
 
 
@@ -447,14 +495,17 @@ def _before(a, b):
 def _degree_floor(hs):
     """A d below which hs has no witness, or None when it has none at all.
 
-    Only the nonzero h_i count.  At the top, sum f_i h_i has a term of
-    degree T = max(deg f_i + deg h_i), whose coefficient sums lc(f_i)
-    lc(h_i) over the i reaching T, each lc(f_i) > 0.  When every h_i of
-    the top degree e has leading sign s, some h_j of leading sign -s
-    must reach T >= e, so deg f_j >= e - deg h_j; with no such h_j the
-    top term never cancels.  The lowest terms obey the same rule, with
-    orders for degrees: reading each order as its negative turns it
-    into the same test.
+    This is build_feasibility's forcing rule applied to the two end rows
+    only, read off the leading and lowest terms in O(n), so a one-signed
+    end returns None at once instead of emptying a block at every degree
+    up to the cap.  Only the nonzero h_i count.  At the top, sum f_i h_i
+    has a term of degree T = max(deg f_i + deg h_i), whose coefficient
+    sums lc(f_i) lc(h_i) over the i reaching T, each lc(f_i) > 0.  When
+    every h_i of the top degree e has leading sign s, some h_j of leading
+    sign -s must reach T >= e, so deg f_j >= e - deg h_j; with no such
+    h_j the top term never cancels.  The lowest terms obey the same
+    rule, with orders for degrees: reading each order as its negative
+    turns it into the same test.
     """
     ends = []
     for h in hs:
@@ -478,19 +529,21 @@ def find_witness(hs, degree_cap=DEGREE_CAP):
     """Smallest-degree witness via LP escalation d = floor, ..., degree_cap.
 
     The escalation starts at _degree_floor's bound, below which every
-    LP is infeasible, so it finds the degree, system and witness that
-    escalation from d = 0 would.  The first feasible system yields a
-    rational point; denominators are cleared, the common integer
-    content divided out, and the result verified by substitution before
-    being returned.
+    system is infeasible, so it finds the degree and system that
+    escalation from d = 0 would.  A degree whose forcing rows empty a
+    block (build_feasibility returns None) takes no LP.  The first
+    feasible system yields a rational point; denominators are cleared,
+    the common integer content divided out, and the result verified by
+    substitution before being returned.
 
     None means no witness within the cap.  It comes at once, with no LP
     solved, when the nonzero h_i all share a leading sign or all share
     a lowest-coefficient sign, or when the floor passes the cap.  Other
-    Unsolvable inputs solve every LP from the floor up to degree_cap
-    first, where ``decide`` answers in under a millisecond: call
-    ``decide`` first and search only after a Solvable verdict.  Empty
-    input raises AllZero, as in ``decide``.
+    Unsolvable inputs solve an LP at every degree from the floor up to
+    degree_cap that the forcing rows leave open, where ``decide``
+    answers in under a millisecond: call ``decide`` first and search
+    only after a Solvable verdict.  Empty input raises AllZero, as in
+    ``decide``.
     """
     if not hs:
         raise AllZero("empty instance")
@@ -498,7 +551,8 @@ def find_witness(hs, degree_cap=DEGREE_CAP):
     if floor is None:
         return None
     for d in range(floor, degree_cap + 1):
-        x = rational_feasibility(build_feasibility(hs, d))
+        sys = build_feasibility(hs, d)
+        x = None if sys is None else rational_feasibility(sys)
         if x is None:
             continue
         den = lcm(*(v.denominator for v in x))

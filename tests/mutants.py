@@ -81,6 +81,17 @@ MUTANTS = (
            "                        row[ep] = -f\n",
            "                        row[ep] = 0\n",
            [NX + "test_key_pivots_match_the_full_tableau"]),
+    # forcing rows: only a one-signed row pins its entries to 0
+    Mutant("presolve-forces-mixed-rows", "nxsolve.py",
+           "    todo = [k for k in range(m) if (pos[k] > 0) != (neg[k] > 0)]\n",
+           "    todo = [k for k in range(m) if pos[k] or neg[k]]\n",
+           [NX + "test_presolve_keeps_the_feasible_set"]),
+    # a row that turns one-signed as its entries are forced forces too
+    Mutant("presolve-one-sweep", "nxsolve.py",
+           "                            todo.append(r)\n",
+           "                            pass\n",
+           [NX + "test_forcing_rows_settle_every_degree_below_the_floor",
+            NX + "test_forcing_rows_drop_pinned_columns"]),
     Mutant("degree-floor-plus-one", "nxsolve.py",
            "            floor = max(floor, min(gaps))\n    return floor\n",
            "            floor = max(floor, min(gaps))\n    return floor + 1\n",

@@ -29,8 +29,9 @@ synthesis pivots positive; posring computes both numbers in closed form.
 ``rational_feasibility_reference`` is the phase-1
 simplex over Fractions on the full tableau, every coefficient-sum row
 stored, that posring's integer working-basis simplex must match pivot
-for pivot, and ``find_witness_linear`` escalates the degree from 0,
-where posring starts at a lower bound.  ``brute_force_oracle``
+for pivot; ``build_feasibility_reference`` transcribes the witness
+system with no forcing-row presolve, and ``find_witness_linear``
+escalates the degree from 0, where posring starts at a lower bound.  ``brute_force_oracle``
 enumerates bounded witness tuples and ``exhaustive_identity_search``
 searches words breadth first, both without the sign theory, and
 ``enumerate_covers`` lists every generator cover, so tests can decide
@@ -647,18 +648,17 @@ def rational_feasibility_reference(sys):
     """Exact feasible point of the system, or None.
 
     Phase-1 simplex over Fractions: the coefficient-sum rows sum_j a_ij
-    >= 1, rebuilt from sys.n and sys.degree, with surplus variables,
+    >= 1, rebuilt over the kept ids sys.cols, with surplus variables,
     artificials everywhere, Bland's rule (smallest eligible index in,
     smallest basic index out on ratio ties), so no cycling.  Returns the
-    structural variable values only.
+    structural variable values only, 0 at the ids not in sys.cols.
     """
     n, w = sys.n, sys.degree + 1
-    nv = n * w
+    nv = len(sys.cols)
     ncols = nv + n
     rows = [[Fraction(c) for c in r] + [Fraction(0)] * (n + 1) for r in sys.eq]
     for s in range(n):
-        row = [Fraction(0)] * (ncols + 1)
-        row[s * w:(s + 1) * w] = [Fraction(1)] * w
+        row = [Fraction(int(v // w == s)) for v in sys.cols] + [Fraction(0)] * (n + 1)
         row[nv + s] = Fraction(-1)
         row[ncols] = Fraction(1)
         rows.append(row)
@@ -692,23 +692,45 @@ def rational_feasibility_reference(sys):
         basis[leave] = enter
     if W[ncols] != 0:
         return None
-    x = [Fraction(0)] * nv
+    x = [Fraction(0)] * (n * w)
     for r, bv in enumerate(basis):
         if bv < nv:
-            x[bv] = rows[r][ncols]
+            x[sys.cols[bv]] = rows[r][ncols]
     return x
+
+
+def build_feasibility_reference(hs, d):
+    """The unreduced system of build_feasibility: no forcing rows.
+
+    One row per output degree k = 0 .. d + max deg h_i, every entry at
+    every a_ij kept, so cols is every id.
+    """
+    n, w = len(hs), d + 1
+    bs = [list(h.coeffs) for h in hs]
+    top = max((len(b) - 1 for b in bs if b), default=0)
+    eq = []
+    if any(bs):
+        for k in range(d + top + 1):
+            row = [0] * (n * w)
+            for i, b in enumerate(bs):
+                for j in range(w):
+                    if 0 <= k - j < len(b):
+                        row[i * w + j] = b[k - j]
+            eq.append(tuple(row))
+    return _nx.FeasibilitySystem(n, d, tuple(range(n * w)), tuple(eq))
 
 
 def find_witness_linear(hs, degree_cap):
     """find_witness by plain linear escalation d = 0, 1, ..., degree_cap.
 
-    Every degree from 0 on goes through posring's own LP, where
-    find_witness starts at a lower bound; the witness is the first
+    Every degree from 0 on goes through posring's own presolve and LP,
+    where find_witness starts at a lower bound; the witness is the first
     feasible point with denominators cleared and the content divided
     out, as there.
     """
     for d in range(degree_cap + 1):
-        x = _nx.rational_feasibility(_nx.build_feasibility(hs, d))
+        sys = _nx.build_feasibility(hs, d)
+        x = None if sys is None else _nx.rational_feasibility(sys)
         if x is not None:
             den = lcm(*(v.denominator for v in x))
             ints = _k.primitive_signed([int(v * den) for v in x])

@@ -22,6 +22,7 @@ from oracles import (
     _oracle_dfs,
     _oracle_meet,
     brute_force_oracle,
+    build_feasibility_reference,
     find_witness_linear,
     normalize_reference,
     rational_feasibility_reference,
@@ -370,9 +371,31 @@ def test_interval_without_a_sign_change_is_refused():
 # ------------------------------------------------------------ feasibility
 
 
+def _feasible(hs, d):
+    # the presolved system is None when a forcing row empties a block
+    sys_ = nx.build_feasibility(hs, d)
+    return sys_ is not None and nx.rational_feasibility(sys_) is not None
+
+
 def test_feasibility_rows_pair():
     s = nx.build_feasibility([P(1), P(-1)], 0)
-    assert s == nx.FeasibilitySystem(2, 0, ((1, -1),))
+    assert s == nx.FeasibilitySystem(2, 0, (0, 1), ((1, -1),))
+
+
+def test_forcing_rows_drop_pinned_columns():
+    # 1 and -(X-1)^2 at degree 3: the top row is -a_23 alone, so a_23 = 0;
+    # then row 4 is -a_22 alone; row 3 keeps a_13 against -a_21, mixed
+    s = nx.build_feasibility(REMARK_PAIR, 3)
+    assert s.cols == (0, 1, 2, 3, 4, 5)
+    assert s.eq == ((1, 0, 0, 0, -1, 0), (0, 1, 0, 0, 2, -1),
+                    (0, 0, 1, 0, -1, 2), (0, 0, 0, 1, 0, -1))
+    # at degree 2 row 1 reads a_11 + 2 a_20 once a_21 is forced, which
+    # empties f_2's block: no system, no LP
+    assert nx.build_feasibility(REMARK_PAIR, 2) is None
+    # a zero entry never enters a row, so its block keeps every column
+    s = nx.build_feasibility([IntPoly.zero(), P(1), P(-1)], 1)
+    assert s.cols == tuple(range(6))
+    assert s.eq == ((0, 0, 1, 0, -1, 0), (0, 0, 0, 1, 0, -1))
 
 
 def test_feasibility_rows_triple():
@@ -382,12 +405,17 @@ def test_feasibility_rows_triple():
 
 
 def test_feasibility_remark_pair_infeasible():
+    # degrees 0-2 are settled by forcing rows, degree 3 by the LP
+    systems = [nx.build_feasibility(REMARK_PAIR, d) for d in range(4)]
+    assert [s is None for s in systems] == [True, True, True, False]
+    assert nx.rational_feasibility(systems[3]) is None
     for d in range(4):
-        assert nx.rational_feasibility(nx.build_feasibility(REMARK_PAIR, d)) is None
+        full = build_feasibility_reference(REMARK_PAIR, d)
+        assert rational_feasibility_reference(full) is None
 
 
 def test_feasibility_handbuilt_infeasible():
-    bad = nx.FeasibilitySystem(1, 0, ((1,),))  # a = 0 and the implied a >= 1
+    bad = nx.FeasibilitySystem(1, 0, (0,), ((1,),))  # a = 0 and the implied a >= 1
     assert nx.rational_feasibility(bad) is None
 
 
@@ -407,11 +435,8 @@ def test_feasibility_degree_monotone():
         if any(h.is_zero for h in hs):
             continue
         for d in range(3):
-            if nx.rational_feasibility(nx.build_feasibility(hs, d)) is not None:
-                assert (
-                    nx.rational_feasibility(nx.build_feasibility(hs, d + 1))
-                    is not None
-                )
+            if _feasible(hs, d):
+                assert _feasible(hs, d + 1)
                 break
 
 
@@ -424,6 +449,10 @@ small_polys = st.builds(
 def test_integer_tableau_matches_fraction_reference(hs, d):
     # same pivots, so the same vertex (or None), not merely some feasible point
     sys_ = nx.build_feasibility(hs, d)
+    if sys_ is None:
+        # settled by forcing rows: the unreduced system must be infeasible
+        assert rational_feasibility_reference(build_feasibility_reference(hs, d)) is None
+        return
     got = nx.rational_feasibility(sys_)
     assert got == rational_feasibility_reference(sys_)
     if got is not None:
@@ -480,7 +509,7 @@ KEY_PIVOTS = {
     # a key with no working member: the entering variable replaces it,
     # the second time an a_ij key whose column comes back into the rows
     "entering replaces key": (
-        [P(1, -1), P(-3, -2), P(1)], 1, ["1", "0", "1", "0", "2", "3"]),
+        [P(-1), P(0, 2), P(1)], 1, ["1", "2", "1", "0", "1", "0"]),
     # a key replaced by a member of the same gain (two a_ij)
     "member, same gain": ([P(-3), P(1)], 0, ["1", "3"]),
     # a key replaced by a member of the opposite gain (a surplus s_i)
@@ -521,7 +550,11 @@ def test_working_basis_matches_reference_sweep():
     for _ in range(500):
         hs = [P(*[rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
               for _ in range(rng.randint(2, 8))]
-        sys_ = nx.build_feasibility(hs, rng.randint(0, 2))
+        d = rng.randint(0, 2)
+        sys_ = nx.build_feasibility(hs, d)
+        if sys_ is None:
+            assert rational_feasibility_reference(build_feasibility_reference(hs, d)) is None
+            continue
         got = nx.rational_feasibility(sys_)
         assert got == rational_feasibility_reference(sys_)
         feasible += got is not None
@@ -591,9 +624,9 @@ def test_one_sided_ends_return_none_without_an_lp(monkeypatch):
     assert nx.find_witness([P(-1, 1), P(2, 3)]) is None
     assert nx.find_witness([P(1), IntPoly.zero()]) is None
     assert lp.call_count == 0
-    # the floor 2 skips degrees 0 and 1
+    # the floor 2 skips degrees 0 and 1, and forcing rows settle degree 2
     assert nx.find_witness(REMARK_PAIR, 3) is None
-    assert lp.call_count == 2
+    assert lp.call_count == 1
 
 
 def test_degree_floor_matches_linear_escalation():
@@ -601,6 +634,59 @@ def test_degree_floor_matches_linear_escalation():
     for _ in range(150):
         hs = _random_instance(rng, nmax=4, degmax=3, cmax=4)
         assert nx.find_witness(hs, 5) == find_witness_linear(hs, 5)
+
+
+def test_forcing_rows_settle_every_degree_below_the_floor():
+    # _degree_floor is the forcing rule on the two end rows, so the full
+    # rule settles every degree below its floor, and every degree when
+    # the floor is None, without an LP
+    rng = random.Random(31)
+    below = unbounded = 0
+    for _ in range(3000):
+        hs = _random_instance(rng, nmax=4, degmax=3, cmax=4)
+        floor = nx._degree_floor(hs)
+        for d in range(5 if floor is None else floor):
+            assert nx.build_feasibility(hs, d) is None, (hs, d)
+            below += floor is not None
+            unbounded += floor is None
+    assert below > 1000 and unbounded > 2000
+
+
+def test_presolve_keeps_the_feasible_set():
+    # forcing rows drop only a_ij that every feasible point holds at 0:
+    # the unreduced system is feasible exactly when the presolved one is,
+    # and a presolved point, in the full layout, solves the full rows
+    rng = random.Random(1995)
+    settled = feasible = 0
+    for _ in range(400):
+        hs = [P(*[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+              for _ in range(rng.randint(2, 4))]
+        d = rng.randint(0, 2)
+        full = build_feasibility_reference(hs, d)
+        sys_ = nx.build_feasibility(hs, d)
+        x = None if sys_ is None else nx.rational_feasibility(sys_)
+        assert (x is None) == (rational_feasibility_reference(full) is None)
+        settled += sys_ is None
+        if x is not None:
+            feasible += 1
+            assert len(x) == len(hs) * (d + 1) and min(x) >= 0
+            assert all(sum(c * v for c, v in zip(row, x)) == 0 for row in full.eq)
+            assert all(sum(x[i * (d + 1):(i + 1) * (d + 1)]) >= 1
+                       for i in range(len(hs)))
+    assert settled > 200 and feasible > 80
+
+
+def test_witness_degree_is_the_least_unreduced_feasible_degree():
+    rng = random.Random(71)
+    found = 0
+    for _ in range(120):
+        hs = _random_instance(rng, nmax=4, degmax=3, cmax=4)
+        least = next((d for d in range(5) if rational_feasibility_reference(
+            build_feasibility_reference(hs, d)) is not None), None)
+        wt = nx.find_witness(hs, 4)
+        assert (wt and max(f.degree for f in wt.fs)) == least, hs
+        found += wt is not None
+    assert found > 30
 
 
 def test_verify_witness_examples():

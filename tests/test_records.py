@@ -17,7 +17,7 @@ SIGNATURES = {
     nx.SignCertificate: "(sign_vector, hs, gcd_removed, x_divisions)",
     nx.EarlyUnsolvable: "(sign_vector, hs, gcd_removed, x_divisions)",
     nx.WitnessTuple: "(fs)",
-    nx.FeasibilitySystem: "(n, degree, eq)",
+    nx.FeasibilitySystem: "(n, degree, cols, eq)",
     nx.Decision: "(status, certificate=None)",
     realdec.RationalPoint: "(value)",
     realdec.AlgebraicRoot: "(interval)",

@@ -27,17 +27,27 @@ is_group, identity_in_semigroup and identity_witness_word asked in turn
 about one set share a single run of the decide rounds and the LP.
 
 Identity words are synthesized from a witness (f_ij) on M itself, the
-one the group test's LP finds: a zigzag base word realizes the two
-pivot pairs' geometric blocks, and each remaining coefficient c X**k of
-the corrected witness becomes the two-letter loop (A_i B_j)^c spliced
-in where the suffix after it has height k, adding c X**k * h_ij to the
-upper-right entry.  A loop has height 0, so a word stores it once with
-its count, and the product adds count times each loop letter at its
-suffix height; coefficients in the thousands cost no more than ones.
-A degenerate cover, whose h_ij are all zero, takes the same
-construction: every loop is then an identity word by itself, and the
-witness only sets the powers.  Every synthesized word is checked by
-exact multiplication before it is returned.
+one the group test's LP finds, as a closed walk on the height line
+(see _walk).  Each unit of a coefficient c X**k of the scaled witness
+either carries the walk up and back down the edge between heights
+k - 1 and k, one unit per level, or becomes the two-letter loop
+A_i B_j hung where the suffix after it has height k; either way it adds
+X**k * h_ij to the upper-right entry.  A loop has height 0, so a word
+stores its copies at one level once with their count, and the product
+adds count times each loop letter at its suffix height; coefficients
+in the thousands cost no more than ones.  Over the 101 identity words
+of the benchmark's wreath_grid pool the walk stores 1414 entries and
+1 259 740 letters written out.  A degenerate cover, whose h_ij are all
+zero, takes the same construction: every loop is then an identity word
+by itself, and the witness only sets the powers.  Every synthesized
+word is checked by exact multiplication before it is returned.
+
+Every f_ij on M is nonzero, so the word names every A_i and B_j of
+rows(M) x cols(M); on a group, M = I x J, that is every generator.
+Such a word is evidence for the group verdict by itself: if g = x_k in
+x_1 ... x_L = 1, the rotation x_k ... x_L x_1 ... x_(k-1) is a
+conjugate of that word, so it is 1 too, and g has the inverse
+x_(k+1) ... x_L x_1 ... x_(k-1) in the semigroup.
 """
 
 from collections import defaultdict
@@ -58,7 +68,6 @@ from .polyring import (
     IntPoly,
     LaurentPoly,
     laurent_normalize,
-    order_at_zero,
 )
 
 # word letter sides: "A" indexes the +1 generators, "B" the -1 ones
@@ -278,9 +287,12 @@ def is_group(gens, degree_cap=DEGREE_CAP):
     True iff the maximal solvable support M is all of I x J; then M is
     returned as the cover, together with a witness on M when the search
     finds one within degree_cap.  As M is a rectangle (module doc), this
-    is the test of full projections onto I and J.  Without a generator
-    on each side no nonempty word has height 0, so False, and no witness
-    is searched for.  M and the witness are memoized for the last
+    is the test of full projections onto I and J.  On a group the
+    identity word synthesized from that witness names every generator,
+    so it shows by itself that each generator has an inverse in the
+    semigroup (module doc).  Without a generator on each side no
+    nonempty word has height 0, so False, and no witness is searched
+    for.  M and the witness are memoized for the last
     generator set asked about, so identity_in_semigroup and
     identity_witness_word on the same gens reuse this analysis.
     """
@@ -320,145 +332,67 @@ def identity_witness_word(gens, degree_cap=DEGREE_CAP):
     return True, synthesize_identity_word(gens, CoverSubset(support), witness)
 
 
-def _onepx_power(m):
-    # (1 + X)**m via the binomial row
-    return IntPoly([comb(m, i) for i in range(m + 1)])
+def _walk(pairs, fs):
+    """Identity-word letters for nonzero f_ij over N[X] on sorted pairs.
 
+    A closed walk on the height line.  Let T = sum f_ij and m its longest
+    run of zero coefficients between two nonzero ones.  Scaled by the
+    common factor X**(1 - ord T) * (1 + X)**m the f_ij still form a
+    witness, and T, whose nonnegative terms never cancel, is nonzero at
+    every level k = 1 .. D, its new degree.  A unit of f_ij at level k
+    must put A_i at suffix height k - 1 and B_j at k, adding
+    X**(k-1)*H_i + X**k*G_j = X**k h_ij.  At each level
+    one unit of the first pair with a nonzero level-k coefficient goes on
+    the spine, A_i up the edge (k - 1, k) and B_j back down it: the word
+    B_j1 .. B_jD A_iD .. A_i1.  Every other unit is the loop A_i B_j,
+    of height 0, placed just left of A_ik, where the suffix has height k;
+    c units of one pair make the power (A_i B_j)^c.  Rotating the first
+    letter B_j1 to the end conjugates the product by it, which lowers
+    every suffix height by one: the result has height 0 and upper-right
+    entry X**(-ord T) * (1 + X)**m * sum f_ij h_ij, and a one-unit
+    witness reads A1 B1.
 
-def _coef(p, k):
-    cs = p.coeffs
-    return cs[k] if k < len(cs) else 0
-
-
-def _zero_run(f):
-    # longest run of zero coefficients between two nonzero ones
-    nz = [k for k, c in enumerate(f.coeffs) if c]
-    return max((b - a - 1 for a, b in zip(nz, nz[1:])), default=0)
-
-
-class _Plan(Record):
-    """Everything the synthesis pipeline decided, inspectable in tests."""
-
-    __slots__ = ("letters", "base", "loops", "scaled", "strip", "scale", "uv", "yz")
-
-    def __init__(self, letters, base, loops, scaled, strip, scale, uv, yz):
-        setfield(self, "letters", letters)
-        setfield(self, "base", base)
-        setfield(self, "loops", loops)
-        setfield(self, "scaled", scaled)
-        setfield(self, "strip", strip)
-        setfield(self, "scale", scale)
-        setfield(self, "uv", uv)
-        setfield(self, "yz", yz)
-
-
-def _plan(pairs, f_map):
-    """Identity-word skeleton for nonzero f_ij over N[X] on a pair set.
-
-    Pipeline: strip the common power of X; pick (u,v) as the smallest
-    pair whose f has a nonzero constant term and (y,z) as the smallest
-    pair of maximal degree; scale everything by (1 + X)**m with the
-    least m that makes every coefficient of f_uv, and every one of f_yz
-    from its order up, positive and lifts deg f_uv to ord f_yz; build
-    the zigzag base word
-    A_u B_v^Duv B_z^(Dyz-Duv) A_y^(Dyz-Duv) A_u^(Duv-1), whose
-    product's upper-right entry is exactly
-    sum_{i<Duv} X^i h_uv + sum_{Duv<=i<Dyz} X^i h_yz; subtract those two
-    geometric blocks from the scaled pivots and realize every remaining
-    coefficient c X^k as the loop A_i B_j where the following suffix has
-    height k, or B_j A_i at the valley when k = Dyz, as a power when
-    c > 1 and as two plain letters when c = 1.  The result has height 0
-    and upper-right entry sum f'_ij h_ij for the scaled f'.  The caller
-    checks that pairs is nonempty and each f_ij nonzero in N[X].
+    Its length is 2 * 2**m * sum f_ij(1) letters.  That never exceeds
+    the 2 * 2**m' * sum f_ij(1) of the paper's Figure 1 construction
+    (tests/oracles.py), whose pivots' (1 + X)**m' already leave
+    (1 + X)**m' T without an inner zero run, so m <= m': a nonnegative T
+    times (1 + X)**m' is nonzero at X**k exactly when T is nonzero at
+    one of X**(k-m') .. X**k, so a run longer than m' would leave a gap.
+    The caller checks that pairs is sorted and nonempty and each f_ij
+    nonzero in N[X].
     """
-    pairs = tuple(sorted(map(tuple, pairs)))
-    fd = {p: f_map[p] for p in pairs}
-    strip = min(order_at_zero(f) for f in fd.values())
-    if strip:
-        fd = {p: IntPoly(f.coeffs[strip:]) for p, f in fd.items()}
-    uv = next(p for p in pairs if fd[p].coeffs[0] != 0)
-    top = max(f.degree for f in fd.values())
-    yz = next(p for p in pairs if fd[p].degree == top)
-
-    # a nonnegative f times (1 + X)**m has a nonzero X^k exactly when f
-    # has one among X^(k-m) .. X^k, so m bridges every inner zero run
-    m = max(_zero_run(fd[uv]), _zero_run(fd[yz]),
-            order_at_zero(fd[yz]) - fd[uv].degree)
-    onepx = _onepx_power(m)
-    scaled = {p: f * onepx for p, f in fd.items()}
-
-    a = scaled[uv].degree
-    d = scaled[yz].degree
-    if a > d:
-        raise PostconditionFailed("pivot degrees out of order")
-
-    # remove the blocks the base word realizes; when uv == yz both
-    # subtractions hit the same polynomial and d == a makes the second
-    # block empty, which is the combined single-block case
-    fhat = dict(scaled)
-    if a:
-        fhat[uv] = fhat[uv] - IntPoly([1] * a)
-    if d > a:
-        fhat[yz] = fhat[yz] - IntPoly([0] * a + [1] * (d - a))
-    for p, f in fhat.items():
-        if f.is_zero:
-            raise PostconditionFailed("corrected witness vanished at %r" % (p,))
-        if any(c < 0 for c in f.coeffs):
-            raise PostconditionFailed("block subtraction went negative")
-
-    # zigzag base: full descent, then the ascent with its last letter
-    # rotated to the front so the X^0 rung exists
-    descent = [(MINUS, uv[1])] * a + [(MINUS, yz[1])] * (d - a)
-    ascent = [(PLUS, yz[0])] * (d - a) + [(PLUS, uv[0])] * a
-    base = [ascent[-1]] + descent + ascent[:-1] if ascent else []
-
-    loops = []
-    for k in range(d + 1):
-        for p in pairs:
-            count = _coef(fhat[p], k)
-            if count:
-                loops.append((p, k, count))
-
-    # anchors: position 2d-k has suffix height k for k < d; the valley
-    # (position d+1, suffix height d-1) takes k = d with reversed loops
-    # contributing X^(d-1+1); an empty base anchors everything at 0
-    bucket = {}
-    for p, k, count in loops:
-        if d == 0:
-            pos, loop = 0, ((PLUS, p[0]), (MINUS, p[1]))
-        elif k == d:
-            pos, loop = d + 1, ((MINUS, p[1]), (PLUS, p[0]))
-        else:
-            pos, loop = 2 * d - k, ((PLUS, p[0]), (MINUS, p[1]))
-        bucket.setdefault(pos, []).extend([(loop, count)] if count > 1 else loop)
-
-    out = []
-    for pos in range(len(base) + 1):
-        out.extend(bucket.get(pos, ()))
-        if pos < len(base):
-            out.append(base[pos])
-
-    return _Plan(
-        letters=tuple(out),
-        base=tuple(base),
-        loops=tuple(loops),
-        scaled=tuple((p, scaled[p]) for p in pairs),
-        strip=strip,
-        scale=m,
-        uv=uv,
-        yz=yz,
-    )
+    total = sum(fs, IntPoly.zero())
+    nz = [k for k, c in enumerate(total.coeffs) if c]
+    m = max((b - a - 1 for a, b in zip(nz, nz[1:])), default=0)
+    if m:
+        onepx = IntPoly([comb(m, i) for i in range(m + 1)])
+        fs = [f * onepx for f in fs]
+    units = [(i, j, f.coeffs) for (i, j), f in zip(pairs, fs)]
+    downs, rest = [], []
+    for k in range(nz[-1] + m, nz[0] - 1, -1):
+        level = [[i, j, cs[k]] for i, j, cs in units if k < len(cs) and cs[k]]
+        i, j, _ = level[0]
+        level[0][2] -= 1
+        downs.append((MINUS, j))
+        for li, lj, c in level:
+            loop = ((PLUS, li), (MINUS, lj))
+            if c > 1:
+                rest.append((loop, c))
+            elif c:
+                rest.extend(loop)
+        rest.append((PLUS, i))
+    word = downs[::-1] + rest
+    return tuple(word[1:] + word[:1])
 
 
 def synthesize_identity_word(gens, cover, witness):
     """Word over the generators whose product is the identity.
 
     The witness entries line up with cover.pairs in sorted order and
-    must verify against the X-cleared h_ij.  The loop construction
-    cancels the sum by design, also on a degenerate cover whose h_ij are
-    all zero: there every loop is an identity word on its own, and the
-    witness only sets the powers.  The product is recomputed exactly
-    before returning.
+    must verify against the X-cleared h_ij.  The walk cancels the sum
+    by design, also on a degenerate cover whose h_ij are all zero: there
+    every loop is an identity word on its own, and the witness only sets
+    the powers.  The product is recomputed exactly before returning.
     """
     pairs = cover.pairs
     if not pairs:
@@ -477,7 +411,7 @@ def synthesize_identity_word(gens, cover, witness):
     if not ok:
         raise InvalidWitness("witness does not cancel the cover's h_ij")
 
-    word = Word(_plan(pairs, dict(zip(pairs, fs))).letters)
+    word = Word(_walk(pairs, fs))
     if word_product(gens, word) != WreathElement.identity():
         raise PostconditionFailed("synthesized word failed the exact product check")
     return word

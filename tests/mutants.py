@@ -43,13 +43,6 @@ MUTANTS = (
            "    t = min(orders)\n",
            [NX + "test_normalize_matches_loop_reference",
             NX + "test_normalize_strips_differing_x_orders"]),
-    # _plan's (1 + X)^m must also lift deg f_uv to ord f_yz
-    Mutant("plan-m-without-order-term", "wreath.py",
-           "    m = max(_zero_run(fd[uv]), _zero_run(fd[yz]),\n"
-           "            order_at_zero(fd[yz]) - fd[uv].degree)\n",
-           "    m = max(_zero_run(fd[uv]), _zero_run(fd[yz]))\n",
-           [WR + "test_plan_scale_matches_scan_reference",
-            WR + "test_plan_scale_lifts_gaps"]),
     # signs_at_root reads q strictly inside the interval, not at its end
     Mutant("sign-at-root-read-at-b", "realdec.py",
            "        signs.append(_sgn(_ev(cs, m)))\n",
@@ -107,6 +100,32 @@ MUTANTS = (
            "                acc[k] += count * c\n",
            "                acc[k] += c\n",
            [WR + "test_word_product_of_powers_matches_expansion"]),
+    # the walk's level-k loops hang left of A_ik, where the suffix has height k
+    Mutant("walk-loop-level-off", "wreath.py",
+           "        downs.append((MINUS, j))\n"
+           "        for li, lj, c in level:\n"
+           "            loop = ((PLUS, li), (MINUS, lj))\n"
+           "            if c > 1:\n"
+           "                rest.append((loop, c))\n"
+           "            elif c:\n"
+           "                rest.extend(loop)\n"
+           "        rest.append((PLUS, i))\n",
+           "        downs.append((MINUS, j))\n"
+           "        rest.append((PLUS, i))\n"
+           "        for li, lj, c in level:\n"
+           "            loop = ((PLUS, li), (MINUS, lj))\n"
+           "            if c > 1:\n"
+           "                rest.append((loop, c))\n"
+           "            elif c:\n"
+           "                rest.extend(loop)\n",
+           [WR + "test_u_conservation_random",
+            WR + "test_zero_sum_yields_identity_word"]),
+    # (1 + X)^m must fill T's longest inner zero run, not one less
+    Mutant("walk-gap-fill-short", "wreath.py",
+           "    m = max((b - a - 1 for a, b in zip(nz, nz[1:])), default=0)\n",
+           "    m = max([b - a - 2 for a, b in zip(nz, nz[1:])] + [0])\n",
+           [WR + "test_walk_length_never_exceeds_the_figure_construction",
+            WR + "test_u_conservation_random"]),
     # h_ij = X^-1 H_i + G_j: H_i's body one exponent lower
     Mutant("hij-without-x-inverse", "wreath.py",
            "    return {(i, j): hi.shifted(-1) + gj\n",

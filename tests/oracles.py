@@ -25,7 +25,10 @@ the coefficients one by one, where posring's kernels use one builtin.
 ``normalize_reference`` strips X from the entries vanishing at 0 one
 order at a time, re-reading the signs at 0 after each strip, and
 ``plan_scale_reference`` tries m = 0, 1, ... until (1 + X)^m makes the
-synthesis pivots positive; posring computes both numbers in closed form.
+pivots of ``plan_reference``, the paper's Figure 1 construction,
+positive, and ``walk_scale_reference`` until (1 + X)^m fills every inner
+zero run of the sum the synthesis walk scales; posring computes each
+number in closed form.
 ``rational_feasibility_reference`` is the phase-1
 simplex over Fractions on the full tableau, every coefficient-sum row
 stored, that posring's integer working-basis simplex must match pivot
@@ -46,6 +49,7 @@ from itertools import product as _iproduct
 from math import comb, gcd, lcm
 
 from posring import kernels as _k
+from posring._record import Record, setfield
 from posring.errors import AllZero, PosringError, PostconditionFailed, ZeroInput
 from posring import nxsolve as _nx
 from posring.nxsolve import (
@@ -328,6 +332,155 @@ def plan_scale_reference(f_uv, f_yz):
         if m > bound:
             raise PostconditionFailed("scaling scan escaped its sufficiency bound")
     return m
+
+
+# The paper's Figure 1 construction: a zigzag base word for two pivot
+# pairs' geometric blocks, then loops for what the blocks leave.
+# Acceptance criteria 6 and 7 check it; posring's walk never writes more
+# letters than it does.
+
+
+def _onepx_power(m):
+    # (1 + X)**m via the binomial row
+    return IntPoly([comb(m, i) for i in range(m + 1)])
+
+
+def _coef(p, k):
+    cs = p.coeffs
+    return cs[k] if k < len(cs) else 0
+
+
+def _zero_run(f):
+    # longest run of zero coefficients between two nonzero ones
+    nz = [k for k, c in enumerate(f.coeffs) if c]
+    return max((b - a - 1 for a, b in zip(nz, nz[1:])), default=0)
+
+
+class Plan(Record):
+    """Everything the Figure 1 construction decided, inspectable in tests."""
+
+    __slots__ = ("letters", "base", "loops", "scaled", "strip", "scale", "uv", "yz")
+
+    def __init__(self, letters, base, loops, scaled, strip, scale, uv, yz):
+        setfield(self, "letters", letters)
+        setfield(self, "base", base)
+        setfield(self, "loops", loops)
+        setfield(self, "scaled", scaled)
+        setfield(self, "strip", strip)
+        setfield(self, "scale", scale)
+        setfield(self, "uv", uv)
+        setfield(self, "yz", yz)
+
+
+def plan_reference(pairs, f_map):
+    """Identity-word skeleton for nonzero f_ij over N[X] on a pair set.
+
+    Pipeline: strip the common power of X; pick (u,v) as the smallest
+    pair whose f has a nonzero constant term and (y,z) as the smallest
+    pair of maximal degree; scale everything by (1 + X)**m with the
+    least m that makes every coefficient of f_uv, and every one of f_yz
+    from its order up, positive and lifts deg f_uv to ord f_yz; build
+    the zigzag base word
+    A_u B_v^Duv B_z^(Dyz-Duv) A_y^(Dyz-Duv) A_u^(Duv-1), whose
+    product's upper-right entry is exactly
+    sum_{i<Duv} X^i h_uv + sum_{Duv<=i<Dyz} X^i h_yz; subtract those two
+    geometric blocks from the scaled pivots and realize every remaining
+    coefficient c X^k as the loop A_i B_j where the following suffix has
+    height k, or B_j A_i at the valley when k = Dyz, as a power when
+    c > 1 and as two plain letters when c = 1.  The result has height 0
+    and upper-right entry sum f'_ij h_ij for the scaled f'.  The caller
+    checks that pairs is nonempty and each f_ij nonzero in N[X].
+    """
+    pairs = tuple(sorted(map(tuple, pairs)))
+    fd = {p: f_map[p] for p in pairs}
+    strip = min(order_at_zero(f) for f in fd.values())
+    if strip:
+        fd = {p: IntPoly(f.coeffs[strip:]) for p, f in fd.items()}
+    uv = next(p for p in pairs if fd[p].coeffs[0] != 0)
+    top = max(f.degree for f in fd.values())
+    yz = next(p for p in pairs if fd[p].degree == top)
+
+    # a nonnegative f times (1 + X)**m has a nonzero X^k exactly when f
+    # has one among X^(k-m) .. X^k, so m bridges every inner zero run
+    m = max(_zero_run(fd[uv]), _zero_run(fd[yz]),
+            order_at_zero(fd[yz]) - fd[uv].degree)
+    onepx = _onepx_power(m)
+    scaled = {p: f * onepx for p, f in fd.items()}
+
+    a = scaled[uv].degree
+    d = scaled[yz].degree
+    if a > d:
+        raise PostconditionFailed("pivot degrees out of order")
+
+    # remove the blocks the base word realizes; when uv == yz both
+    # subtractions hit the same polynomial and d == a makes the second
+    # block empty, which is the combined single-block case
+    fhat = dict(scaled)
+    if a:
+        fhat[uv] = fhat[uv] - IntPoly([1] * a)
+    if d > a:
+        fhat[yz] = fhat[yz] - IntPoly([0] * a + [1] * (d - a))
+    for p, f in fhat.items():
+        if f.is_zero:
+            raise PostconditionFailed("corrected witness vanished at %r" % (p,))
+        if any(c < 0 for c in f.coeffs):
+            raise PostconditionFailed("block subtraction went negative")
+
+    # zigzag base: full descent, then the ascent with its last letter
+    # rotated to the front so the X^0 rung exists
+    descent = [(MINUS, uv[1])] * a + [(MINUS, yz[1])] * (d - a)
+    ascent = [(PLUS, yz[0])] * (d - a) + [(PLUS, uv[0])] * a
+    base = [ascent[-1]] + descent + ascent[:-1] if ascent else []
+
+    loops = []
+    for k in range(d + 1):
+        for p in pairs:
+            count = _coef(fhat[p], k)
+            if count:
+                loops.append((p, k, count))
+
+    # anchors: position 2d-k has suffix height k for k < d; the valley
+    # (position d+1, suffix height d-1) takes k = d with reversed loops
+    # contributing X^(d-1+1); an empty base anchors everything at 0
+    bucket = {}
+    for p, k, count in loops:
+        if d == 0:
+            pos, loop = 0, ((PLUS, p[0]), (MINUS, p[1]))
+        elif k == d:
+            pos, loop = d + 1, ((MINUS, p[1]), (PLUS, p[0]))
+        else:
+            pos, loop = 2 * d - k, ((PLUS, p[0]), (MINUS, p[1]))
+        bucket.setdefault(pos, []).extend([(loop, count)] if count > 1 else loop)
+
+    out = []
+    for pos in range(len(base) + 1):
+        out.extend(bucket.get(pos, ()))
+        if pos < len(base):
+            out.append(base[pos])
+
+    return Plan(
+        letters=tuple(out),
+        base=tuple(base),
+        loops=tuple(loops),
+        scaled=tuple((p, scaled[p]) for p in pairs),
+        strip=strip,
+        scale=m,
+        uv=uv,
+        yz=yz,
+    )
+
+
+def walk_scale_reference(total):
+    """The least m with (1 + X)^m total free of inner zero runs, found by
+    trying m = 0, 1, ...; total is a nonzero polynomial over N[X]."""
+    m = 0
+    while True:
+        cs = (total * _onepx_power(m)).coeffs
+        if all(cs[order_at_zero(total):]):
+            return m
+        m += 1
+        if m > total.degree:
+            raise PostconditionFailed("gap scan escaped its sufficiency bound")
 
 
 def descartes_reference(p, lo, hi):

@@ -9,6 +9,7 @@ import random
 import sys
 from collections import Counter
 from functools import wraps
+from math import comb
 from time import perf_counter
 
 from posring.nxsolve import (
@@ -20,7 +21,7 @@ from posring.nxsolve import (
     verify_certificate,
     verify_witness,
 )
-from posring.polyring import IntPoly, LaurentPoly
+from posring.polyring import IntPoly, LaurentPoly, order_at_zero
 from posring.realdec import RationalPoint
 from posring import wreath as wr
 
@@ -29,6 +30,8 @@ from oracles import (
     brute_force_oracle,
     enumerate_covers,
     exhaustive_identity_search,
+    plan_reference,
+    walk_scale_reference,
 )
 
 
@@ -215,7 +218,7 @@ def test_criterion_6_u_conservation():
             cover = rng.choice(covers)
             f_map = {p: _random_nat(rng) for p in cover.pairs}
 
-        plan = wr._plan(cover.pairs, f_map)
+        plan = plan_reference(cover.pairs, f_map)
         word = wr.Word(plan.letters)
         assert word.height == 0, trial
         prod = wr.word_product(gens, word)
@@ -229,6 +232,16 @@ def test_criterion_6_u_conservation():
         total = LaurentPoly.zero()
         for pair in cover.pairs:
             total = total + LaurentPoly.from_intpoly(f_map[pair]) * hij[pair]
+
+        # the walk conserves U too: its word carries the sum scaled by
+        # X^-ord T (1 + X)^m, T = sum f_ij and m its longest inner gap
+        fs = [f_map[p] for p in cover.pairs]
+        t = sum(fs, IntPoly.zero())
+        m = walk_scale_reference(t)
+        scale = LaurentPoly([comb(m, i) for i in range(m + 1)], -order_at_zero(t))
+        walked = wr.Word(wr._walk(cover.pairs, fs))
+        assert walked.height == 0, trial
+        assert wr.word_product(gens, walked) == wr.WreathElement(scale * total, 0), trial
         if total.is_zero:
             assert prod == wr.WreathElement.identity(), trial
             witness = WitnessTuple(fs=tuple(f_map[p] for p in cover.pairs))
@@ -247,7 +260,7 @@ def test_criterion_7_figure_one():
         (1, 2): P(0, 1, 0, 0, 0, 2),
         (3, 1): P(3, 0, 1),
     }
-    plan = wr._plan(pairs, f_map)
+    plan = plan_reference(pairs, f_map)
     assert plan.uv == (2, 1) and plan.yz == (2, 2)
 
     multiset = Counter()

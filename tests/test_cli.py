@@ -329,10 +329,10 @@ def _parse_word(text):
 
 def test_wreath_word_out_of_memory(problem, capsys, monkeypatch):
     # a word too long to build must not exit 1, which means "no"
-    def exhausted(pairs, f_map):
+    def exhausted(pairs, fs):
         raise MemoryError()
 
-    monkeypatch.setattr(wreath, "_plan", exhausted)
+    monkeypatch.setattr(wreath, "_walk", exhausted)
     src = ('{"wreath": {"generators": ['
            '{"H": [1], "b": 1}, {"H": [-1, 1], "b": 1},'
            ' {"H": [1], "b": -1}, {"H": [-2], "b": -1}]}}')

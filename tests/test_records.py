@@ -27,7 +27,6 @@ SIGNATURES = {
     wr.GeneratorSet: "(plus, minus)",
     wr.Word: "(letters)",
     wr.CoverSubset: "(pairs)",
-    wr._Plan: "(letters, base, loops, scaled, strip, scale, uv, yz)",
 }
 
 

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from functools import reduce
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,15 +13,17 @@ from hypothesis import strategies as st
 from posring.errors import BadIndex, InvalidWitness
 from posring.nxsolve import SOLVABLE, WitnessTuple, decide
 from posring import nxsolve as nx
-from posring.polyring import IntPoly, LaurentPoly, laurent_normalize
+from posring.polyring import IntPoly, LaurentPoly, laurent_normalize, order_at_zero
 from posring import wreath as wr
 
 from oracles import (
     SearchSpaceTooLarge,
     enumerate_covers,
     exhaustive_identity_search,
+    plan_reference,
     plan_scale_reference,
     rational_feasibility_reference,
+    walk_scale_reference,
 )
 
 
@@ -679,7 +682,7 @@ FIGURE_F = {
 
 
 def test_plan_figure_pivots_and_blocks():
-    plan = wr._plan(FIGURE_PAIRS, FIGURE_F)
+    plan = plan_reference(FIGURE_PAIRS, FIGURE_F)
     assert plan.uv == (2, 1) and plan.yz == (2, 2)
     assert plan.scale == 0 and plan.strip == 0
     counts = Counter(plan.base)
@@ -688,7 +691,7 @@ def test_plan_figure_pivots_and_blocks():
 
 
 def test_plan_figure_loop_multiset():
-    plan = wr._plan(FIGURE_PAIRS, FIGURE_F)
+    plan = plan_reference(FIGURE_PAIRS, FIGURE_F)
     multiset = Counter()
     for pair, k, count in plan.loops:
         multiset[(pair, k)] += count
@@ -704,7 +707,7 @@ def test_plan_figure_loop_multiset():
 
 def test_plan_figure_word_conserves_u():
     rng = random.Random(31)
-    plan = wr._plan(FIGURE_PAIRS, FIGURE_F)
+    plan = plan_reference(FIGURE_PAIRS, FIGURE_F)
     word = wr.Word(plan.letters)
     assert word.height == 0
     for _ in range(20):
@@ -713,7 +716,7 @@ def test_plan_figure_word_conserves_u():
 
 
 def test_plan_strip_common_power():
-    plan = wr._plan(((1, 1), (1, 2)), {(1, 1): P(0, 2), (1, 2): P(0, 0, 1)})
+    plan = plan_reference(((1, 1), (1, 2)), {(1, 1): P(0, 2), (1, 2): P(0, 0, 1)})
     assert plan.strip == 1
     # deg f'_uv must reach the order of f_yz, which forces one (1+X) factor
     assert plan.scale == 1
@@ -721,7 +724,7 @@ def test_plan_strip_common_power():
 
 
 def test_plan_single_pair_valley_loop():
-    plan = wr._plan(((1, 1),), {(1, 1): P(1, 1, 1)})
+    plan = plan_reference(((1, 1),), {(1, 1): P(1, 1, 1)})
     assert plan.uv == plan.yz == (1, 1)
     assert plan.base == ((A, 1), (B, 1), (B, 1), (A, 1))
     assert plan.loops == (((1, 1), 2, 1),)  # X^2 residue at the valley
@@ -729,7 +732,7 @@ def test_plan_single_pair_valley_loop():
 
 
 def test_plan_constant_inputs_anchor_at_front():
-    plan = wr._plan(((1, 1), (2, 1)), {(1, 1): P(2), (2, 1): P(1)})
+    plan = plan_reference(((1, 1), (2, 1)), {(1, 1): P(2), (2, 1): P(1)})
     assert plan.base == ()
     assert plan.letters == ((((A, 1), (B, 1)), 2), (A, 2), (B, 1))
     assert _expand(plan.letters) == ((A, 1), (B, 1), (A, 1), (B, 1), (A, 2), (B, 1))
@@ -737,18 +740,18 @@ def test_plan_constant_inputs_anchor_at_front():
 
 def test_plan_scale_lifts_gaps():
     # 1 + X^2 has a zero middle coefficient, so m = 0 cannot work
-    plan = wr._plan(((1, 1),), {(1, 1): P(1, 0, 1)})
+    plan = plan_reference(((1, 1),), {(1, 1): P(1, 0, 1)})
     assert plan.scale == 1
     assert dict(plan.scaled)[(1, 1)] == P(1, 1, 1, 1)
     # 1 + X^5: (1 + X)^4 bridges the four zeros
-    assert wr._plan(((1, 1),), {(1, 1): P(1, 0, 0, 0, 0, 1)}).scale == 4
+    assert plan_reference(((1, 1),), {(1, 1): P(1, 0, 0, 0, 0, 1)}).scale == 4
     # f_uv = 1, f_yz = X^3: deg f_uv + m must reach ord f_yz = 3
-    assert wr._plan(((1, 1), (1, 2)), {(1, 1): P(1), (1, 2): P(0, 0, 0, 1)}).scale == 3
+    assert plan_reference(((1, 1), (1, 2)), {(1, 1): P(1), (1, 2): P(0, 0, 0, 1)}).scale == 3
 
 
 def test_synthesize_rejects_bad_f():
     # on an all-zero cover every f cancels the sum, so only the witness
-    # check that f is nonzero in N[X] refuses these; _plan trusts it
+    # check that f is nonzero in N[X] refuses these; _walk trusts it
     zeros = wr.GeneratorSet(plus=(L([]),) * 2, minus=(L([]),) * 2)
     cover = wr.CoverSubset(((1, 1), (2, 2)))
     for bad in (IntPoly.zero(), P(1, -1)):
@@ -756,17 +759,13 @@ def test_synthesize_rejects_bad_f():
             wr.synthesize_identity_word(zeros, cover, WitnessTuple(fs=(P(1), bad)))
 
 
-_BROKEN_PLAN = """
+_BROKEN_WALK = """
 import sys
 from posring import wreath as wr
 from posring.errors import PostconditionFailed
 from posring.polyring import LaurentPoly as L
-real = wr._plan
-def broken(pairs, f_map):
-    p = real(pairs, f_map)
-    return wr._Plan(p.letters[:-1], p.base, p.loops, p.scaled, p.strip, p.scale,
-                    p.uv, p.yz)
-wr._plan = broken
+real = wr._walk
+wr._walk = lambda pairs, fs: real(pairs, fs)[:-1]
 gens = wr.GeneratorSet(plus=(L([1]), L([-1, 1])), minus=(L([1]), L([-2])))
 try:
     wr.identity_witness_word(gens)
@@ -776,8 +775,8 @@ except PostconditionFailed as exc:
 
 
 def test_synthesis_check_survives_optimize():
-    # a wrong word from the planner must be caught even where -O strips asserts
-    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_PLAN],
+    # a wrong word from the walk must be caught even where -O strips asserts
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_WALK],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1 synthesized word failed the exact product check"
@@ -787,8 +786,8 @@ def test_synthesize_degenerate_zero_cover():
     zeros = wr.GeneratorSet(plus=(L([]),) * 2, minus=(L([]),) * 2)
     cover = wr.CoverSubset(((1, 1), (2, 2)))
     word = wr.synthesize_identity_word(zeros, cover, WitnessTuple(fs=(P(1), P(2))))
-    # the general loop construction: the witness sets each pair's power
-    assert str(word) == "A1 B1 (A2 B2)^2"
+    # the general walk: the witness sets each pair's power
+    assert str(word) == "(A2 B2)^2 A1 B1"
     assert wr.word_product(zeros, word) == wr.WreathElement.identity()
 
 
@@ -835,6 +834,21 @@ def _expected_u(gens, plan):
     return total
 
 
+def _walk_scale(fs):
+    # (m, X^-ord T (1 + X)^m) for T = sum f_ij, m from the gap scan
+    t = sum(fs, IntPoly.zero())
+    m = walk_scale_reference(t)
+    return m, LaurentPoly([comb(m, i) for i in range(m + 1)], -order_at_zero(t))
+
+
+def _gappy_nat_poly(rng):
+    # sparse, so that T = sum f_ij often has inner zero runs to fill
+    while True:
+        cs = [rng.choice((0, 0, 0, 1, 2)) for _ in range(rng.randint(1, 8))]
+        if any(cs):
+            return IntPoly([0] * rng.randint(0, 2) + cs)
+
+
 def test_u_conservation_random():
     # the central synthesis invariant: no zero sum required
     rng = random.Random(1789)
@@ -843,29 +857,95 @@ def test_u_conservation_random():
         gens = _random_gens(rng, np_, nm)
         covers = list(enumerate_covers(range(1, np_ + 1), range(1, nm + 1)))
         cover = rng.choice(covers)
-        f_map = {p: _random_nat_poly(rng) for p in cover.pairs}
-        plan = wr._plan(cover.pairs, f_map)
-        word = wr.Word(plan.letters)
+        make = _gappy_nat_poly if trial % 2 else _random_nat_poly
+        fs = [make(rng) for _ in cover.pairs]
+        word = wr.Word(wr._walk(cover.pairs, fs))
         assert word.height == 0
-        prod = wr.word_product(gens, word)
-        assert prod.b == 0
-        assert prod.f == _expected_u(gens, plan), (trial, cover, f_map)
+        hij = wr.build_hij(gens)
+        total = LaurentPoly.zero()
+        for p, f in zip(cover.pairs, fs):
+            total = total + LaurentPoly.from_intpoly(f) * hij[p]
+        want = wr.WreathElement(_walk_scale(fs)[1] * total, 0)
+        assert wr.word_product(gens, word) == want, (trial, cover, fs)
+
+
+def test_walk_length_never_exceeds_the_figure_construction():
+    # 2 * 2^m * sum f_ij(1) letters; the Figure 1 construction writes
+    # 2 * 2^m' * sum f_ij(1) with m' >= m, as its (1 + X)^m' fills T's gaps
+    rng = random.Random(1414)
+    filled = 0
+    for trial in range(300):
+        np_, nm = rng.randint(1, 3), rng.randint(1, 3)
+        cover = rng.choice(list(enumerate_covers(range(1, np_ + 1), range(1, nm + 1))))
+        fs = [_gappy_nat_poly(rng) for _ in cover.pairs]
+        m = _walk_scale(fs)[0]
+        word = wr.Word(wr._walk(cover.pairs, fs))
+        assert len(word) == 2 * 2**m * sum(sum(f.coeffs) for f in fs), (trial, fs)
+        plan = plan_reference(cover.pairs, dict(zip(cover.pairs, fs)))
+        assert len(word) <= len(wr.Word(plan.letters)), (trial, fs)
+        filled += m > 0
+    assert filled > 30, filled
+
+
+def _planted_group(rng):
+    # criterion 6's planted 2x2 group: H2 = -H1 - X*(G1 + G2) makes
+    # h11 + h22 = h12 + h21 = 0, so (1, 1, 1, 1) cancels on I x J
+    h1 = _random_gens(rng, 1, 1).plus[0]
+    g1, g2 = _random_gens(rng, 1, 1).minus[0], _random_gens(rng, 1, 1).minus[0]
+    return wr.GeneratorSet(plus=(h1, -h1 - LaurentPoly([0, 1]) * (g1 + g2)), minus=(g1, g2))
+
+
+FULL_2X2 = wr.CoverSubset(((1, 1), (1, 2), (2, 1), (2, 2)))
 
 
 def test_zero_sum_yields_identity_word():
-    # H2 = -H1 - X*(G1 + G2) makes h11 + h22 = h12 + h21 = 0, so any
-    # witness of the shape (g, g', g', g) on the full 2x2 cover cancels
+    # any witness of the shape (g, g', g', g) on the full 2x2 cover cancels
     rng = random.Random(97)
-    xpoly = LaurentPoly([0, 1])
     for trial in range(60):
-        h1 = _random_gens(rng, 1, 1).plus[0]
-        g1, g2 = _random_gens(rng, 1, 1).minus[0], _random_gens(rng, 1, 1).minus[0]
-        gens = wr.GeneratorSet(plus=(h1, -h1 - xpoly * (g1 + g2)), minus=(g1, g2))
-        cover = wr.CoverSubset(((1, 1), (1, 2), (2, 1), (2, 2)))
+        gens = _planted_group(rng)
         g, gp = _random_nat_poly(rng), _random_nat_poly(rng)
         witness = WitnessTuple(fs=(g, gp, gp, g))
-        word = wr.synthesize_identity_word(gens, cover, witness)
+        word = wr.synthesize_identity_word(gens, FULL_2X2, witness)
         assert wr.word_product(gens, word) == wr.WreathElement.identity(), trial
+
+
+def test_planted_unit_witness_word_has_no_power():
+    # (1, 1, 1, 1), the witness of every planted 2x2 word file the CLI
+    # benchmark reads one letter per token: one spine unit, three loops
+    rng = random.Random(55)
+    for _ in range(10):
+        gens = _planted_group(rng)
+        word = wr.synthesize_identity_word(gens, FULL_2X2, WitnessTuple(fs=(P(1),) * 4))
+        assert str(word) == "A1 B2 A2 B1 A2 B2 A1 B1"
+
+
+def test_identity_word_names_every_generator_of_m():
+    # every f_ij on M is nonzero, so the word names each row and column of
+    # M; on a group, M = I x J and the word names every generator.  Then
+    # it proves the group verdict: each rotation of an identity word is
+    # a conjugate of it, so the letter it starts with has an inverse
+    rng = random.Random(3232)
+    groups = proper = 0
+    for trial in range(60):
+        gens = _planted_group(rng) if trial % 2 else _planted_rows(rng, 3, rng.randint(2, 4))
+        found, word = wr.identity_witness_word(gens)
+        if not found:
+            continue
+        support = wr._support(gens)
+        named = set(_expand(word.letters))
+        assert named == {(A, i) for i, _ in support} | {(B, j) for _, j in support}, trial
+        if wr.is_group(gens)[0]:
+            groups += 1
+            assert len(named) == len(gens.plus) + len(gens.minus), trial
+        else:
+            proper += 1
+        firsts = {}
+        for k, e in enumerate(word.letters):
+            firsts.setdefault(e[0][0] if isinstance(e[0], tuple) else e, k)
+        for k in firsts.values():
+            turned = wr.Word(word.letters[k:] + word.letters[:k])
+            assert wr.word_product(gens, turned) == wr.WreathElement.identity(), trial
+    assert groups >= 20 and proper >= 10, (groups, proper)
 
 
 _gappy = st.tuples(st.integers(0, 3), st.lists(st.sampled_from((0, 0, 0, 1, 2)),
@@ -879,7 +959,7 @@ def test_plan_scale_matches_scan_reference(fs):
     # witnesses with gaps and X-orders, one pair (i, 1) per f
     pairs = tuple((i + 1, 1) for i in range(len(fs)))
     f_map = {p: IntPoly([0] * k + cs) for p, (k, cs) in zip(pairs, fs)}
-    plan = wr._plan(pairs, f_map)
+    plan = plan_reference(pairs, f_map)
     f_uv, f_yz = (IntPoly(f_map[p].coeffs[plan.strip:]) for p in (plan.uv, plan.yz))
     assert plan.scale == plan_scale_reference(f_uv, f_yz)
 
@@ -893,6 +973,6 @@ def test_plan_uses_every_pair(cs1, cs2):
     if not any(cs2):
         cs2 = cs2 + [2]
     pairs = ((1, 1), (2, 1))
-    plan = wr._plan(pairs, {(1, 1): IntPoly(cs1), (2, 1): IntPoly(cs2)})
+    plan = plan_reference(pairs, {(1, 1): IntPoly(cs1), (2, 1): IntPoly(cs2)})
     used = set(_expand(plan.letters))
     assert (A, 1) in used and (A, 2) in used and (B, 1) in used

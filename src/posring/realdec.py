@@ -187,16 +187,26 @@ def _sgn(v):
 # deep, and only then is gcd(q, q') paid for.  A multiple positive root
 # of q keeps every node around it at two or more sign variations, so
 # that tree never ends; on a squarefree q it ends where the roots
-# separate.  Measured over every part the decide calls of perfbench's
-# dense_decide, wide_decide and wreath_grid pools isolate (215, 2124 and
-# 658 parts; 215, 1552 and 581 distinct): the deepest split in a
-# squarefree part is at depth 8 (2 in wreath_grid).  Of the distinct
-# non-squarefree parts, 119 in wide_decide and 3 in wreath_grid, one in
-# each ends under a budget of 10 or of 16 and every other gives up under
-# both, so the lower budget only ends the dead-end trees sooner.  10
-# leaves room above 8, and a squarefree part that runs deeper pays for
-# the gcd and a second tree.
+# separate.  The depth counts from the tree's own root, (0, 2^K) below.
+# Measured over every part the decide calls of perfbench's dense_decide,
+# wide_decide and wreath_grid pools isolate (176, 553 and 324 parts; 176,
+# 430 and 295 distinct): the deepest split in a squarefree part is at
+# depth 6 (8 if counted from Cauchy's root), 4 in wide_decide and
+# 2 in wreath_grid.  Each of the distinct non-squarefree parts, 22 in
+# wide_decide and 2 in wreath_grid, gives up under a budget of 10 and of
+# 16, so the lower budget only ends the dead-end trees sooner.  10 leaves
+# room above 6, and a squarefree part that runs deeper pays for the gcd
+# and a second tree.
 _SQFREE_DEPTH = 10
+
+# A tree on s of at least this degree starts at 2^_lm_bound(s) when that
+# is below Cauchy's bound.  The bound costs O(n) and each split it
+# saves O(n^2).  Measured on the squarefree parts of random 4- and 64-bit
+# polys (Python 3.11.7, 2 CPUs, best of 5), tree time with the bound over
+# without was 0.97-1.06 at degrees 5-8, 0.88-1.00 at 10-12 and 0.71-0.86
+# at 24-100; on the 584 trees of wide_decide's pool, all of degree 6 or
+# less, the bound cost 8-11 % of their time
+_LM_DEGREE = 16
 
 
 def _sqfree_data(q):
@@ -244,6 +254,40 @@ def _to_unit(p, u, v, D):
     return _k.shift1(p[::-1])
 
 
+def _lm_bound(s):
+    """The least K >= 0 for which the local-max bound shows that s, of
+    degree >= 1, has no root in [2^K, oo).
+
+    With s made positive-leading and read from the top down, each
+    negative s_i is paired with s_j, the largest positive coefficient
+    above it so far, and gets the weight 2^-t, where t = 1, 2, ... counts
+    s_j's pairings (Akritas, Strzebonski and Vigklas, "Improving the
+    performance of the continued fractions method using new bounds of
+    positive roots", 2008).  K is the least with |s_i| 2^t < s_j 2^(K(j-i))
+    for every such pair.  Then for x >= 2^K each negative term is below
+    its weight times the paired positive term, |s_i| x^i < 2^-t s_j x^j,
+    and the weights one s_j gives out sum to less than 1, so the negative
+    terms together are strictly below the positive ones and s(x) > 0.
+    O(n) integer comparisons, by bit lengths.
+    """
+    if s[-1] < 0:
+        s = [-c for c in s]
+    K = 0
+    top, j, t = s[-1], len(s) - 1, 0
+    for i in range(len(s) - 2, -1, -1):
+        c = s[i]
+        if c > top:
+            top, j, t = c, i, 0
+        elif c < 0:
+            t += 1
+            # the least m with top 2^m > |c| 2^t, then K(j - i) >= m
+            need = -c << t
+            m = need.bit_length() - top.bit_length()
+            m += top << max(m, 0) <= need
+            K = max(K, -(-m // (j - i)))
+    return K
+
+
 def _vca_isolate(s, budgeted=False):
     """Positive roots of s with s(0) != 0, deg >= 1, each simple in s.
 
@@ -276,6 +320,14 @@ def _vca_isolate(s, budgeted=False):
     variation count.  A zero right_1 as well makes the root double,
     which raises PostconditionFailed in an unbudgeted tree.
 
+    2^K is above every positive root: K is Cauchy's bound on all |roots|,
+    lowered to ``_lm_bound`` on the positive roots when deg s >=
+    _LM_DEGREE.  Either way s has no root in [2^K, oo), and a smaller K
+    only starts the tree at a node of the larger K's tree, so the
+    exacts and intervals, as Fractions, are the same; only the integer
+    triples that stand for them, and the depth _SQFREE_DEPTH counts
+    from, change.
+
     A one-variation leaf is narrowed as it is emitted, from what the
     tree knows: lo is a root exactly when b_0 == 0 and hi exactly when
     b_n == 0, and the first nonzero b_i has the sign of s just right of
@@ -284,12 +336,15 @@ def _vca_isolate(s, budgeted=False):
     if len(s) == 2:
         r = Fraction(-s[0], s[1])
         return ([r] if r > 0 else []), []
+    n = len(s) - 1
     # the least K with 2^K >= 1 + m / |lc(s)|, m the largest other
     # |coefficient|, which Cauchy's bound puts above every |root| of s:
-    # 2^K - 1 >= ceil(m / |lc(s)|)
+    # 2^K - 1 >= ceil(m / |lc(s)|).  From degree _LM_DEGREE on, the
+    # local-max bound on the positive roots lowers it where it can
     K = (-(-max(abs(c) for c in s[:-1]) // abs(s[-1]))).bit_length()
+    if n >= _LM_DEGREE:
+        K = min(K, _lm_bound(s))
     t = _to_unit(s, 0, 1 << K, 1)
-    n = len(s) - 1
     w = _bernstein_weights(n)
     # 2^v divides lc(s): leaves are narrowed to width 2^-v
     v = (s[-1] & -s[-1]).bit_length() - 1

@@ -150,6 +150,18 @@ MUTANTS = (
            [RD + "test_isolate_ordering_and_disjointness",
             RD + "test_isolation_invariants",
             RD + "test_integer_endpoints_match_fraction_reference"]),
+    # the local-max bound weighs a positive coefficient's t-th pairing 2^-t
+    Mutant("lm-bound-unweighted", "realdec.py",
+           "            t += 1\n",
+           "            pass\n",
+           [RD + "test_lm_bound_counts_each_use_of_a_positive_coefficient",
+            RD + "test_lm_bound_is_above_every_positive_root"]),
+    # the bound's K is the least sound one, not one below it
+    Mutant("lm-bound-one-short", "realdec.py",
+           "    return K\n",
+           "    return K - 1\n",
+           [RD + "test_lm_bound_counts_each_use_of_a_positive_coefficient",
+            RD + "test_lm_bound_is_above_every_positive_root"]),
     # an owner of a root is signed again at the next root
     Mutant("sweep-owners-stay-zero", "realdec.py",
            "        prev = root.owners\n",

@@ -1240,6 +1240,133 @@ def test_bernstein_double_root_is_caught():
     assert vca_isolate_reference([4, -4, 1], budgeted=True) is None
 
 
+# ------------------------------------------------------- the tree's root
+
+
+def _cauchy_k(s):
+    # the tree's root exponent without _lm_bound: 2^K >= 1 + max|s_i| / |lc|
+    return (-(-max(abs(c) for c in s[:-1]) // abs(s[-1]))).bit_length()
+
+
+def _assert_no_root_from(s, K):
+    # Sturm: s has no root in [2^K, oo), whose part at or past Cauchy's
+    # bound holds none anyway
+    lo, hi = Fraction(2) ** K, cauchy_root_bound(IntPoly(s))
+    assert _ev(s, lo) != 0, (s, K)
+    if lo < hi:
+        assert count_roots(sturm_chain(IntPoly(s)), lo, hi) == 0, (s, K)
+
+
+_big_coeff = st.one_of(st.just(0), st.integers(-9, 9),
+                       st.integers(-(1 << 200), 1 << 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_big_coeff, min_size=1, max_size=60), st.integers(-(1 << 200), 1 << 200))
+@example([-4, -3], 1)
+def test_lm_bound_is_above_every_positive_root(lower, lc):
+    # every degree, below the tree's _LM_DEGREE gate too; lc < 0 and zero
+    # coefficients included
+    s = lower + [lc or -1]
+    K = realdec._lm_bound(s)
+    assert K >= 0
+    _assert_no_root_from(s, K)
+
+
+def test_lm_bound_counts_each_use_of_a_positive_coefficient():
+    # X^2 - 3X - 4 = (X - 4)(X + 1): both negatives pair with lc = 1, at
+    # weights 1/2 and 1/4, so 6 < 2^K and 16 < 2^2K give K = 3; weighted
+    # alike, 3 < 2^K and 4 < 2^2K would give K = 2, and 2^K = 4 is the root
+    s = [-4, -3, 1]
+    assert realdec._lm_bound(s) == 3
+    assert realdec._lm_bound([-c for c in s]) == 3
+    _assert_no_root_from(s, 3)
+    assert _ev(s, Fraction(4)) == 0
+
+
+def _as_fractions(found):
+    exacts, ivals = found
+    return exacts, [(Fraction(a, 1 << k), Fraction(b, 1 << k), slo)
+                    for a, b, k, slo in ivals]
+
+
+def _assert_tree_parity(q):
+    """The trees on q from _lm_bound's root and from Cauchy's root give the
+    same exacts and intervals: on primitive(q), budgeted, whenever the
+    tree from Cauchy's root ends, and on the squarefree part.  True when
+    _lm_bound lowered the root."""
+    s = realdec._sqfree_data(q)[0]
+    for part, budgeted in ((_k.primitive_signed(q), True), (s, False)):
+        got = realdec._vca_isolate(part, budgeted)
+        with mock.patch.object(realdec, "_lm_bound", _cauchy_k):
+            want = realdec._vca_isolate(part, budgeted)
+        if want is not None:
+            assert got is not None and _as_fractions(got) == _as_fractions(want), q
+    return len(s) > realdec._LM_DEGREE and realdec._lm_bound(s) < _cauchy_k(s)
+
+
+def test_tree_from_the_lm_bound_matches_the_tree_from_cauchys_bound():
+    lowered = 0
+    for seed in range(12):
+        rng = random.Random("lm/%d" % seed)
+        bits = rng.choice((4, 64))
+        cs = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(rng.randint(17, 121))]
+        cs[0], cs[-1] = cs[0] or 1, cs[-1] or 1
+        lowered += _assert_tree_parity(cs)
+    # multiple roots, off and on the positive axis, raised past the gate
+    # by a squarefree factor with no positive root
+    pos = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3]
+    sq = lambda f: _k.mul(f, f)  # noqa: E731
+    for q in (_k.mul(sq(sq([1, 0, 1])), _k.mul([-2, 1], [-3, 1])),
+              _k.mul(_k.mul(sq([1, 1]), pos), [-7, -5, 2]),
+              _k.mul(_k.mul(sq([-2, 0, 1]), pos), [-3, 1])):
+        lowered += _assert_tree_parity(q)
+    # dyadic roots, some on split points
+    for seed in range(10):
+        lowered += _assert_tree_parity(_k.mul(_dyadic_product(seed), pos))
+    # X^n - (2^(Kn - 1) - 1): _lm_bound is K, and the root lies in
+    # (2^K (1 - 1/n), 2^K), just below the tree's new root
+    for n in (16, 31, 60):
+        for K in (1, 2, 3):
+            s = [1 - (1 << (K * n - 1))] + [0] * (n - 1) + [1]
+            assert realdec._lm_bound(s) == K < _cauchy_k(s)
+            assert _ev(s, Fraction((1 << K) * (n - 1), n)) < 0 < _ev(s, Fraction(1 << K))
+            lowered += _assert_tree_parity(s)
+    assert lowered >= 20, lowered
+
+
+def _tail_instance(deg, seed):
+    # perfbench's dense tail class: n=5, 64-bit coefficients, the first
+    # entry positive at 0 and the second negative
+    rng = random.Random("tail/%d/%d" % (deg, seed))
+    hs = []
+    for i in range(5):
+        cs = [rng.getrandbits(64) - (1 << 63) for _ in range(deg + 1)]
+        cs[-1] = cs[-1] or 1
+        if i < 2:
+            cs[0] = (1 - 2 * i) * (abs(cs[0]) + 1)
+        hs.append(IntPoly(cs))
+    return hs
+
+
+def _decide_summary(hs):
+    out = nxsolve.decide(hs)
+    if out.certificate is None:
+        return out.status
+    sv = out.certificate.sign_vector
+    root = getattr(sv.sample, "interval", None)
+    where = sv.sample.value if root is None else (root.lo, root.hi, root.owners)
+    return out.status, out.unsolvable_reason, where, sv.signs
+
+
+def test_decide_from_the_lm_bound_matches_decide_from_cauchys_bound():
+    for seed in (0, 1):
+        hs = _tail_instance(400, seed)
+        got = _decide_summary(hs)
+        with mock.patch.object(realdec, "_lm_bound", _cauchy_k):
+            assert _decide_summary(hs) == got
+
+
 # ------------------------------------------- squarefreeness on demand
 
 

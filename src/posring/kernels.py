@@ -10,6 +10,7 @@ with one builtin pass each.
 """
 
 from functools import reduce
+from itertools import accumulate
 from math import gcd as _igcd
 from operator import add as _add
 from operator import or_ as _or
@@ -252,14 +253,24 @@ def signed_prs(p):
 
 def eval_scaled(p, num, den):
     # p(num/den) * den**deg(p): an integer with the sign of p(num/den)
-    # (den must be positive)
+    # (den must be positive), by Horner on p_i den^j, j = deg p - i.  A
+    # dyadic den = 2^k, as at every isolation endpoint, takes p_i << kj
+    # in place of the running power den^j
     if not p:
         return 0
-    acc = p[-1]
-    dp = 1
-    for i in range(len(p) - 2, -1, -1):
-        dp *= den
-        acc = acc * num + p[i] * dp
+    it = reversed(p)
+    acc = next(it)
+    k = den.bit_length() - 1
+    if den != 1 << k:
+        dp = 1
+        for c in it:
+            dp *= den
+            acc = acc * num + c * dp
+        return acc
+    sh = 0
+    for c in it:
+        sh += k
+        acc = acc * num + (c << sh)
     return acc
 
 
@@ -281,13 +292,17 @@ def var_at(chain, num, den):
 
 
 def shift1(p):
-    # p(X + 1), by synthetic additions
-    r = p[:]
-    n = len(r)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            r[j] += r[j + 1]
-    return r
+    # p(X + 1), by repeated synthetic division by X - 1: the prefix sums
+    # of a row, highest coefficient first, are the quotient's coefficients
+    # and, last, the remainder, which is the next Taylor coefficient; one
+    # builtin accumulate per row
+    r = p[::-1]
+    out = []
+    while len(r) > 1:
+        *r, c = accumulate(r)
+        out.append(c)
+    out += r
+    return out
 
 
 def casteljau_split(b):

@@ -76,9 +76,13 @@ no later bisection midpoint, which is dyadic, can land on a root of s.
 Every dyadic root comes out exact on the way.
 
 Every Descartes test maps its interval onto (0, 1) through one helper,
-``_to_unit``: the ends as integers over a common denominator, the
-coefficients scaled by their powers, and ``kernels.shift1``, once when
-the interval starts at 0, as at a tree's root, else twice.
+``_to_unit``: the ends as integers u/D and v/D over a common
+denominator, the coefficients scaled by running powers of u and D, and
+``kernels.shift1``, once when the interval starts at 0, as at a tree's
+root, else twice.  Between the two shifts coefficient j is divided
+exactly by u^j and multiplied by (v - u)^j, so the result is the exact
+image of the interval, with no power of u carried into the second
+shift.
 
 ``signs_at_root`` checks by Descartes' rule that an interval holds one
 simple root, once, then signs each polynomial there: by a midpoint
@@ -234,24 +238,40 @@ def _bernstein_weights(n):
 
 
 def _homog(p, a, b):
-    # c_i a^i b^(n - i): b^n p(a x / b) with n = deg p
-    n = len(p) - 1
-    return [c * a**i * b ** (n - i) for i, c in enumerate(p)]
+    # c_i a^i b^(n - i): b^n p(a x / b) with n = deg p, by running powers
+    out = []
+    pa = 1
+    for c in p:
+        out.append(c * pa)
+        pa *= a
+    pb = b
+    for i in range(len(out) - 2, -1, -1):
+        out[i] *= pb
+        pb *= b
+    return out
 
 
 def _to_unit(p, u, v, D):
     # (lo, hi) = (u/D, v/D) mapped onto (0, 1): the roots of p in (lo, hi)
     # are those of R(y) = D^n p((u + (v - u) y)/D) in (0, 1), and the sign
     # variations of (1 + x)^n R(1/(1 + x)) count them with multiplicity,
-    # up to an even excess (Descartes' rule).  Returns those coefficients
-    # times u^n, whose sign changes no variation count; u = 0 drops it.
-    # R is reached by shift1 alone: D^n p(u (x + 1)/D) scaled by
-    # (v - u)^j u^(n - j) at x^j is u^n R(x), and u = 0 needs no shift
-    if u:
-        p = _homog(_k.shift1(_homog(p, u, D)), v - u, u)
-    else:
-        p = _homog(p, v, D)
-    return _k.shift1(p[::-1])
+    # up to an even excess (Descartes' rule).  Returns those coefficients.
+    # R is reached by shift1 alone: coefficient j of D^n p(u (x + 1)/D) is
+    # a sum of c_i u^i D^(n - i) C(i, j) over i >= j, so u^j divides it,
+    # and the quotient times (v - u)^j is R's; u = 0 needs no shift
+    if not u:
+        return _k.shift1(_homog(p, v, D)[::-1])
+    r = []
+    w = v - u
+    pu = pw = 1
+    for c in _k.shift1(_homog(p, u, D)):
+        q, rem = divmod(c, pu)
+        if rem:
+            raise PostconditionFailed("u^j does not divide coefficient j of the shift by u/D")
+        r.append(q * pw)
+        pu *= u
+        pw *= w
+    return _k.shift1(r[::-1])
 
 
 def _lm_bound(s):

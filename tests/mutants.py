@@ -178,6 +178,25 @@ MUTANTS = (
            "from . import nxsolve\n",
            "from . import nxsolve, wreath\n",
            [CLI + "test_solve_imports_only_the_solve_path"]),
+    # the Taylor shift keeps its last row, the leading coefficient's
+    Mutant("shift1-last-row-dropped", "kernels.py",
+           "    while len(r) > 1:\n",
+           "    while len(r) > 2:\n",
+           ["tests/test_kernels.py::test_shift1_matches_the_double_loop",
+            "tests/test_kernels.py::test_shift1_is_taylor_shift"]),
+    # a dyadic den's power at p_i is 2^(k j), j = deg p - i, not 2^(k (j - 1))
+    Mutant("eval-scaled-dyadic-shift-one-short", "kernels.py",
+           "        sh += k\n        acc = acc * num + (c << sh)\n",
+           "        acc = acc * num + (c << sh)\n        sh += k\n",
+           ["tests/test_kernels.py::test_eval_scaled_matches_the_running_power",
+            "tests/test_kernels.py::test_eval_scaled_dyadic_examples"]),
+    # c_0 takes a^0: the running power moves on only after its use; a
+    # common factor a changes no sign variation count, so only the exact
+    # image of the interval shows it
+    Mutant("homog-power-advanced-early", "realdec.py",
+           "        out.append(c * pa)\n        pa *= a\n",
+           "        pa *= a\n        out.append(c * pa)\n",
+           [RD + "test_to_unit_is_the_exact_image_of_the_interval"]),
     # a record equals only a record of its exact class
     Mutant("record-eq-ignores-class", "_record.py",
            "        if type(other) is not type(self):\n",

@@ -18,8 +18,14 @@ vector of a growing subset of the inputs.
 ``gcd_mod_fermat`` is the modular gcd with Fermat's inverse, and
 ``primes_reference`` the prime walk with Miller-Rabin on the twelve
 primes 2 ... 37, each power computed anew.
-``descartes_reference`` shifts a polynomial onto an interval by a double
-loop of multiply-adds, where posring scales it and calls ``shift1``;
+``descartes_reference`` maps a polynomial onto an interval by
+``to_unit_reference``, a double loop of multiply-adds, where posring
+scales it and calls ``shift1`` twice; ``shift1_reference`` is the
+Taylor shift as a double loop of in-place additions, where posring's
+takes one builtin prefix sum per row, and ``eval_scaled_reference``
+evaluates with a running power of the denominator, where posring's
+shifts by a dyadic one; the isolation references use these two, not
+the kernels they check;
 ``strip2_reference``, ``content_reference`` and ``order_reference`` walk
 the coefficients one by one, where posring's kernels use one builtin.
 ``normalize_reference`` strips X from the entries vanishing at 0 one
@@ -483,21 +489,53 @@ def walk_scale_reference(total):
             raise PostconditionFailed("gap scan escaped its sufficiency bound")
 
 
-def descartes_reference(p, lo, hi):
-    """Descartes' bound for the roots of p in (lo, hi), Fractions lo < hi.
+def shift1_reference(p):
+    """p(X + 1) by the textbook double loop of in-place additions."""
+    r = p[:]
+    n = len(r)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            r[j] += r[j + 1]
+    return r
 
-    With lo = u/D and w = (hi - lo) D they are the roots of
-    R(y) = D^n p((u + w y)/D) in (0, 1), and the sign variations of
-    (1 + x)^n R(1/(1 + x)) count them with multiplicity, up to an even
-    excess.  The shift by u is a double loop of multiply-adds.
+
+def eval_scaled_reference(p, num, den):
+    """p(num/den) den^deg(p) by Horner with a running power of den."""
+    if not p:
+        return 0
+    acc = p[-1]
+    dp = 1
+    for i in range(len(p) - 2, -1, -1):
+        dp *= den
+        acc = acc * num + p[i] * dp
+    return acc
+
+
+def to_unit_reference(p, u, v, D):
+    """(1 + x)^n R(1/(1 + x)) for R(y) = D^n p((u + (v - u) y)/D).
+
+    The shift by u is a double loop of multiply-adds on c_i D^(n - i),
+    each power computed anew, and the final shift is
+    ``shift1_reference``.
     """
-    D = lcm(lo.denominator, hi.denominator)
-    u, w, n = int(lo * D), int((hi - lo) * D), len(p) - 1
+    n, w = len(p) - 1, v - u
     r = [c * D ** (n - i) for i, c in enumerate(p)]
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             r[j] += u * r[j + 1]
-    return _k.sign_variations(_k.shift1([c * w**j for j, c in enumerate(r)][::-1]))
+    return shift1_reference([c * w**j for j, c in enumerate(r)][::-1])
+
+
+def descartes_reference(p, lo, hi):
+    """Descartes' bound for the roots of p in (lo, hi), Fractions lo < hi.
+
+    With lo = u/D and hi = v/D they are the roots of
+    R(y) = D^n p((u + (v - u) y)/D) in (0, 1), and the sign variations of
+    (1 + x)^n R(1/(1 + x)) count them with multiplicity, up to an even
+    excess.
+    """
+    D = lcm(lo.denominator, hi.denominator)
+    return _k.sign_variations(to_unit_reference(p, int(lo * D), int(hi * D), D))
 
 
 def strip2_reference(p):
@@ -539,7 +577,7 @@ def _var01(q):
     # Descartes bound for the number of roots in the open interval (0, 1)
     if len(q) < 2:
         return 0
-    return _k.sign_variations(_k.shift1(q[::-1]))
+    return _k.sign_variations(shift1_reference(q[::-1]))
 
 
 def vca_isolate_reference(s, budgeted=False):
@@ -576,7 +614,7 @@ def vca_isolate_reference(s, budgeted=False):
             return None
         n = len(q)
         left = _k.strip2([q[i] << (n - 1 - i) for i in range(n)])
-        right = _k.shift1(left)
+        right = shift1_reference(left)
         if right[0] == 0:
             exacts.append((2 * c + 1) * scale / 2)
             right = right[1:]
@@ -590,7 +628,7 @@ def vca_isolate_reference(s, budgeted=False):
 
 
 def _sgn_at(cs, t):
-    v = _k.eval_scaled(cs, t.numerator, t.denominator)
+    v = eval_scaled_reference(cs, t.numerator, t.denominator)
     return (v > 0) - (v < 0)
 
 

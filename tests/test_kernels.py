@@ -4,7 +4,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as K
@@ -12,10 +12,12 @@ from posring.polyring import IntPoly
 
 from oracles import (
     content_reference,
+    eval_scaled_reference,
     gcd_mod_fermat,
     order_reference,
     primes_reference,
     prs_gcd,
+    shift1_reference,
     strip2_reference,
     sturm_chain,
 )
@@ -342,6 +344,45 @@ def test_shift1_is_taylor_shift(p, t):
     # p(X+1) at 0 equals p(1)
     assert K.eval_scaled(q, 0, 1) == K.eval_scaled(p, 1, 1)
     assert at(q, t) == at(p, t + 1)
+
+
+wide_coeff = st.integers(-(2 ** 400), 2 ** 400)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 150).flatmap(
+    lambda n: st.lists(wide_coeff, min_size=n + 1, max_size=n + 1)))
+@example([])
+@example([0, 0, 5])
+def test_shift1_matches_the_double_loop(p):
+    # degrees 0 to 150, zero coefficients and the empty list included; one
+    # prefix-sum pass per row against the in-place double loop
+    q = K.shift1(p)
+    assert q == shift1_reference(p)
+    assert q is not p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wide_coeff, max_size=40), st.integers(-(2 ** 100), 2 ** 100),
+       st.one_of(st.integers(0, 80).map(lambda k: 1 << k),
+                 st.integers(1, 2 ** 40).map(lambda d: 2 * d + 1),
+                 st.integers(0, 60).flatmap(lambda k: st.integers(1, 2 ** 20).map(
+                     lambda d: (2 * d + 1) << k)),
+                 st.integers(2, 2 ** 80)))
+def test_eval_scaled_matches_the_running_power(p, num, den):
+    # dens 2^k for k = 0 ... 80 take the shift path; odd and other dens
+    # the running power; negative num and the empty polynomial included
+    assert K.eval_scaled(p, num, den) == eval_scaled_reference(p, num, den)
+
+
+def test_eval_scaled_dyadic_examples():
+    # 3 - 5X + 7X^2 at -3/8, times 8^2: 3 * 64 + 15 * 8 + 63
+    assert K.eval_scaled([3, -5, 7], -3, 8) == 3 * 64 + 15 * 8 + 63
+    assert K.eval_scaled([3, -5, 7], -3, 1) == 3 + 15 + 63
+    assert K.eval_scaled([], 5, 4) == 0
+    assert K.eval_scaled([-9], 5, 1 << 70) == -9
+    # one coefficient per power of 2^40: each lands on its own bits
+    assert K.eval_scaled([1, 1, 1], 1, 1 << 40) == (1 << 80) + (1 << 40) + 1
 
 
 # ------------------------------------------------------- modular gcd

@@ -40,6 +40,7 @@ from oracles import (
     prs_gcd,
     squarefree_part,
     sturm_chain,
+    to_unit_reference,
     uniform_sign_exists_reference,
     vca_isolate_reference,
 )
@@ -332,6 +333,34 @@ def test_descartes_matches_the_multiply_add_shift(p, lo, width):
     # lo < 0, lo = 0 and non-dyadic ends, against the double-loop shift
     hi = lo + width
     assert realdec._descartes(p, lo, hi) == descartes_reference(p, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12).filter(lambda cs: cs[-1]),
+       st.integers(-2**20, 2**20), st.integers(1, 2**20),
+       st.one_of(st.integers(0, 24).map(lambda k: 1 << k), st.integers(1, 10**4)))
+@example([1, 2, 3], 0, 5, 3)                 # a tree's root: no shift by u
+@example([4, -1, 7, 2], 5, 2, 8)             # u > 1, dyadic D
+@example([-2, 0, 1], -7, 3, 6)               # u < 0
+def test_to_unit_is_the_exact_image_of_the_interval(p, u, w, D):
+    # coefficient for coefficient, with no power of u left over, against
+    # the multiply-add shift and the double-loop Taylor shift
+    assert realdec._to_unit(p, u, u + w, D) == to_unit_reference(p, u, u + w, D)
+
+
+def test_to_unit_rejects_a_shift_that_u_does_not_divide():
+    # coefficient 1 of a Taylor shift of c_i u^i D^(n - i) is a multiple
+    # of u; a kernel that breaks that is caught, not read as a count
+    shift1 = _k.shift1
+
+    def off_by_one(p):
+        q = shift1(p)
+        q[1] += 1
+        return q
+
+    with mock.patch.object(_k, "shift1", off_by_one), \
+            pytest.raises(PostconditionFailed):
+        realdec._to_unit([1, -3, 2], 3, 4, 8)
 
 
 def test_sign_at_root_next_to_a_complex_pair():

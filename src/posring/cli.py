@@ -3,11 +3,20 @@
 Problem files are JSON: {"equation": {"h": [poly, ...]}} or
 {"wreath": {"generators": [{"H": poly, "b": 1}, ...]}}, where poly is
 {"coeffs": [c0, c1, ...], "lowest": k} or a bare coefficient list
-(lowest 0).  No other key is allowed at any level: an unknown one is a
-SchemaError that names it.  Coefficients are exact integers; decimal
-strings are accepted, and emitted, for values a 53-bit double cannot
-hold.  A terse text form also works for equation inputs: one polynomial
-per line, ascending integer coefficients separated by spaces.
+(lowest 0).  No other key is allowed at any level.  Coefficients are
+exact integers; decimal strings are accepted, and emitted, for values a
+53-bit double cannot hold.  A terse text form also works for equation
+inputs: one polynomial per line, ascending integer coefficients
+separated by spaces.
+
+A malformed file is a SchemaError.  Past the whole-file checks (empty
+input, not UTF-8, not JSON, not exactly one top-level key, the wrong
+kind for the command) its message starts with the place it names: "top
+level", "equation", "wreath", "equation.h[i]", "generators[i]",
+"generators[i].H", or one of their fields (".b", ".lowest",
+".coeffs[j]"); a text row names its "line n".  An object of the wrong
+shape reads "<place>: expected an object, got <type>", "<place>:
+missing field '<key>'" or "<place>: unknown field '<key>'".
 
 Wreath generators keep file order within each sign: the k-th "b": 1
 entry is A_k, the k-th "b": -1 entry is B_k, and output words name them
@@ -27,7 +36,7 @@ import sys
 from time import perf_counter
 
 from . import nxsolve
-from ._record import Record, setfield
+from ._record import Record
 from .errors import PosringError, SchemaError
 from .polyring import IntPoly, LaurentPoly
 from .realdec import RationalPoint
@@ -38,11 +47,7 @@ _BIG = 2 ** 53
 
 class ProblemFile(Record):
     __slots__ = ("kind", "hs", "generators")
-
-    def __init__(self, kind, hs=None, generators=None):
-        setfield(self, "kind", kind)
-        setfield(self, "hs", hs)
-        setfield(self, "generators", generators)
+    _defaults = {"hs": None, "generators": None}
 
 
 def _int_from_json(value, where):
@@ -63,14 +68,23 @@ def _only(obj, fields, where):
         raise SchemaError("%s: unknown field %r" % (where, sorted(stray)[0]))
 
 
+def _obj(value, where, need, allowed=()):
+    """value, checked to be an object with every key of need and no key
+    outside need + allowed."""
+    if not isinstance(value, dict):
+        raise SchemaError("%s: expected an object, got %s" % (where, type(value).__name__))
+    for key in need:
+        if key not in value:
+            raise SchemaError("%s: missing field %r" % (where, key))
+    _only(value, need + allowed, where)
+    return value
+
+
 def _poly_fields(value, where):
     if isinstance(value, list):
         coeffs, lowest = value, 0
     elif isinstance(value, dict):
-        if "coeffs" not in value:
-            raise SchemaError("%s: polynomial object needs 'coeffs'" % where)
-        _only(value, ("coeffs", "lowest"), where)
-        coeffs = value["coeffs"]
+        coeffs = _obj(value, where, ("coeffs",), ("lowest",))["coeffs"]
         lowest = _int_from_json(value.get("lowest", 0), where + ".lowest")
         if not isinstance(coeffs, list):
             raise SchemaError("%s: 'coeffs' must be a list" % where)
@@ -86,11 +100,6 @@ def _intpoly_from_json(value, where):
         raise SchemaError("%s: equation polynomials cannot have negative exponents"
                           % where)
     return IntPoly([0] * max(lowest, 0) + coeffs)
-
-
-def _laurent_from_json(value, where):
-    coeffs, lowest = _poly_fields(value, where)
-    return LaurentPoly(coeffs, lowest)
 
 
 def _enc_int(n):
@@ -128,37 +137,25 @@ def _parse_json(body):
     if len(doc) != 1:
         raise SchemaError("need exactly one of 'equation' or 'wreath' at top level")
     if "equation" in doc:
-        eq = doc["equation"]
-        if not isinstance(eq, dict) or "h" not in eq:
-            raise SchemaError("'equation' must be an object with an 'h' list")
-        _only(eq, ("h",), "equation")
-        rows = eq["h"]
+        rows = _obj(doc["equation"], "equation", ("h",))["h"]
         if not isinstance(rows, list) or not rows:
             raise SchemaError("equation.h must be a nonempty list of polynomials")
         hs = tuple(_intpoly_from_json(x, "equation.h[%d]" % i)
                    for i, x in enumerate(rows))
         return ProblemFile("equation", hs=hs)
-    wr = doc["wreath"]
-    if not isinstance(wr, dict) or "generators" not in wr:
-        raise SchemaError("'wreath' must be an object with a 'generators' list")
-    _only(wr, ("generators",), "wreath")
-    entries = wr["generators"]
+    entries = _obj(doc["wreath"], "wreath", ("generators",))["generators"]
     if not isinstance(entries, list):
         raise SchemaError("wreath.generators must be a list")
-    plus, minus = [], []
+    sides = {1: [], -1: []}
     for i, entry in enumerate(entries):
         where = "generators[%d]" % i
-        if not isinstance(entry, dict) or "H" not in entry or "b" not in entry:
-            raise SchemaError("%s: each generator needs 'H' and 'b'" % where)
-        _only(entry, ("H", "b"), where)
+        _obj(entry, where, ("H", "b"))
         b = _int_from_json(entry["b"], where + ".b")
-        if b not in (1, -1):
+        if b not in sides:
             raise SchemaError("%s.b must be 1 or -1, got %r" % (where, b))
-        h = _laurent_from_json(entry["H"], where + ".H")
-        (plus if b == 1 else minus).append(h)
+        sides[b].append(LaurentPoly(*_poly_fields(entry["H"], where + ".H")))
     from . import wreath  # loaded for wreath files only, never by a solve
-    gens = wreath.GeneratorSet(tuple(plus), tuple(minus))
-    return ProblemFile("wreath", generators=gens)
+    return ProblemFile("wreath", generators=wreath.GeneratorSet(sides[1], sides[-1]))
 
 
 def _parse_text(body):
@@ -198,11 +195,16 @@ def _text_value(flag):
 # ------------------------------------------------------------- commands
 
 
-def _read_file(path):
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+def _problem(args, kind):
+    # the ProblemFile at args.file, which must hold a kind problem
+    if args.file == "-":
+        pf = parse_input(sys.stdin.buffer.read())
+    else:
+        with open(args.file, "rb") as fh:
+            pf = parse_input(fh.read())
+    if pf.kind != kind:
+        raise SchemaError("%s needs %r at top level, not %r" % (args.command, kind, pf.kind))
+    return pf
 
 
 def _sample_json(sample):
@@ -220,10 +222,7 @@ def _sample_text(sample):
 
 
 def cmd_solve(args):
-    pf = parse_input(_read_file(args.file))
-    if pf.kind != "equation":
-        raise SchemaError("solve expects an 'equation' problem file")
-    hs = list(pf.hs)
+    hs = list(_problem(args, "equation").hs)
     t0 = perf_counter()
     decision = nxsolve.decide(hs)
     witness = None
@@ -269,11 +268,8 @@ def cmd_solve(args):
 
 
 def cmd_wreath(args):
-    pf = parse_input(_read_file(args.file))
-    if pf.kind != "wreath":
-        raise SchemaError("wreath expects a 'wreath' problem file")
+    gens = _problem(args, "wreath").generators
     from . import wreath
-    gens = pf.generators
     t0 = perf_counter()
     if args.question == "group":
         ok, info = wreath.is_group(gens, args.degree_cap)
@@ -335,12 +331,16 @@ def _write_report(args, report, lines):
 # ----------------------------------------------------------- entry point
 
 
-def _add_format_flags(p):
+def _add_common(p, func):
+    p.add_argument("file", help="problem file path, or - for stdin")
+    p.add_argument("--degree-cap", type=int, default=nxsolve.DEGREE_CAP, metavar="N",
+                   help="max degree of each witness polynomial (default %d)"
+                        % nxsolve.DEGREE_CAP)
     p.add_argument("--json", dest="fmt", action="store_const", const="json",
                    help="machine-readable report on stdout")
     p.add_argument("--text", dest="fmt", action="store_const", const="text",
                    help="line-oriented report (default)")
-    p.set_defaults(fmt="text")
+    p.set_defaults(fmt="text", func=func)
 
 
 def build_parser():
@@ -352,24 +352,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="decide an equation problem file")
-    solve.add_argument("file", help="problem file path, or - for stdin")
     solve.add_argument("--witness", action="store_true",
                        help="also search for an explicit witness tuple")
-    solve.add_argument("--degree-cap", type=int, default=nxsolve.DEGREE_CAP,
-                       metavar="N",
-                       help="max witness degree per f_i (default %d)"
-                            % nxsolve.DEGREE_CAP)
-    _add_format_flags(solve)
-    solve.set_defaults(func=cmd_solve)
+    _add_common(solve, cmd_solve)
 
     wre = sub.add_parser("wreath", help="group/identity questions for generators")
     wre.add_argument("question", choices=("group", "identity", "word"))
-    wre.add_argument("file", help="problem file path, or - for stdin")
-    wre.add_argument("--degree-cap", type=int, default=nxsolve.DEGREE_CAP,
-                     metavar="N",
-                     help="max witness degree (default %d)" % nxsolve.DEGREE_CAP)
-    _add_format_flags(wre)
-    wre.set_defaults(func=cmd_wreath)
+    _add_common(wre, cmd_wreath)
     return parser
 
 

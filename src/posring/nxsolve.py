@@ -25,10 +25,10 @@ from fractions import Fraction
 from math import lcm
 
 from . import kernels as _k
-from ._record import Record, setfield
+from ._record import Record
 from .errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
 from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many, order_at_zero
-from .realdec import RationalPoint, SignVector, signs_at_root, uniform_sign_exists
+from .realdec import RationalPoint, SignVector, _sgn, signs_at_root, uniform_sign_exists
 
 DEGREE_CAP = 40
 
@@ -45,22 +45,11 @@ class NormalizedInstance(Record):
 
     __slots__ = ("hs", "gcd_removed", "x_divisions")
 
-    def __init__(self, hs, gcd_removed, x_divisions):
-        setfield(self, "hs", hs)
-        setfield(self, "gcd_removed", gcd_removed)
-        setfield(self, "x_divisions", x_divisions)
-
 
 class SignCertificate(Record):
     """Uniform SignVector plus the normalization trace it refers to."""
 
     __slots__ = ("sign_vector", "hs", "gcd_removed", "x_divisions")
-
-    def __init__(self, sign_vector, hs, gcd_removed, x_divisions):
-        setfield(self, "sign_vector", sign_vector)
-        setfield(self, "hs", hs)
-        setfield(self, "gcd_removed", gcd_removed)
-        setfield(self, "x_divisions", x_divisions)
 
 
 class EarlyUnsolvable(SignCertificate):
@@ -77,9 +66,6 @@ class WitnessTuple(Record):
 
     __slots__ = ("fs",)
 
-    def __init__(self, fs):
-        setfield(self, "fs", fs)
-
 
 class FeasibilitySystem(Record):
     """Convolution equalities over the kept unknowns a_ij >= 0, n sum rows implied.
@@ -93,12 +79,6 @@ class FeasibilitySystem(Record):
 
     __slots__ = ("n", "degree", "cols", "eq")
 
-    def __init__(self, n, degree, cols, eq):
-        setfield(self, "n", n)
-        setfield(self, "degree", degree)
-        setfield(self, "cols", cols)
-        setfield(self, "eq", eq)
-
 
 class Decision(Record):
     """The verdict, and when it is Unsolvable the SignCertificate behind it.
@@ -108,10 +88,7 @@ class Decision(Record):
     """
 
     __slots__ = ("status", "certificate")
-
-    def __init__(self, status, certificate=None):
-        setfield(self, "status", status)
-        setfield(self, "certificate", certificate)
+    _defaults = {"certificate": None}
 
     @property
     def unsolvable_reason(self):
@@ -121,10 +98,6 @@ class Decision(Record):
         if isinstance(self.certificate, EarlyUnsolvable):
             return UNIFORM_SIGN_AT_ZERO
         return UNIFORM_SIGN_WITNESS
-
-
-def _sgn(v):
-    return (v > 0) - (v < 0)
 
 
 def normalize(hs):

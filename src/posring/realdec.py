@@ -99,32 +99,22 @@ from functools import lru_cache
 from math import comb, lcm
 
 from posring import kernels as _k
-from posring._record import Record, setfield
+from posring._record import Record
 from posring.errors import PostconditionFailed, ZeroPolynomial
 
 
 class RationalPoint(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        setfield(self, "value", value)
-
 
 class AlgebraicRoot(Record):
     __slots__ = ("interval",)
-
-    def __init__(self, interval):
-        setfield(self, "interval", interval)
 
 
 class SignVector(Record):
     """Signs of every h_i at one sample point."""
 
     __slots__ = ("sample", "signs")
-
-    def __init__(self, sample, signs):
-        setfield(self, "sample", sample)
-        setfield(self, "signs", signs)
 
     @property
     def uniform_nonneg(self):
@@ -514,24 +504,23 @@ def _resolve_overlap(a, b):
             if not _overlap(a, b):
                 return None
         g = _k.gcd(a.rep, b.rep)
-        if len(g) == 1:
-            _separate(a, b)
-            return None
-    # g divides both reps, each with one simple root in its interval
-    # and none at its ends, so g has at most one root in the
-    # intersection, a simple one, and non-root endpoints; a sign change
-    # means the root is shared.  (L, H] lies inside both intervals and a
-    # sub-interval never has more sign variations, so a dividing rep with
-    # one Descartes variation on its interval keeps it on (L, H]
-    k = max(a.k, b.k)
-    L = max(a.a << (k - a.k), b.a << (k - b.k))
-    H = min(a.b << (k - a.k), b.b << (k - b.k))
-    den = 1 << k
-    gL = _sgn(_k.eval_scaled(g, L, den))
-    if gL != _sgn(_k.eval_scaled(g, H, den)):
-        # g is the merged cluster's rep: it divides every member and has
-        # the shared root, simple, as its only root in (L, H]
-        return _IvalCluster(L, H, k, a.members | b.members, gL, g)
+    if len(g) > 1:
+        # g divides both reps, each with one simple root in its interval
+        # and none at its ends, so g has at most one root in the
+        # intersection, a simple one, and non-root endpoints; a sign
+        # change means the root is shared.  (L, H] lies inside both
+        # intervals and a sub-interval never has more sign variations, so
+        # a dividing rep with one Descartes variation on its interval
+        # keeps it on (L, H]
+        k = max(a.k, b.k)
+        L = max(a.a << (k - a.k), b.a << (k - b.k))
+        H = min(a.b << (k - a.k), b.b << (k - b.k))
+        den = 1 << k
+        gL = _sgn(_k.eval_scaled(g, L, den))
+        if gL != _sgn(_k.eval_scaled(g, H, den)):
+            # g is the merged cluster's rep: it divides every member and
+            # has the shared root, simple, as its only root in (L, H]
+            return _IvalCluster(L, H, k, a.members | b.members, gL, g)
     _separate(a, b)
     return None
 
@@ -618,7 +607,7 @@ def _synthesize(data, exact_owned, recs):
             mult_free = True
             for i in sorted(c.members):
                 g = data[i].gfac
-                if g is None or len(g) == 1:
+                if g is None:
                     continue
                 # g's roots are roots of member i's part, and no endpoint
                 # is one: each is an end of i's stored interval or a

@@ -89,7 +89,7 @@ class WreathElement(Record):
     __slots__ = ("f", "b")
 
     def __init__(self, f, b):
-        setfield(self, "f", f if isinstance(f, LaurentPoly) else _as_laurent(f))
+        setfield(self, "f", _as_laurent(f))
         setfield(self, "b", b)
 
     @classmethod
@@ -148,9 +148,6 @@ class Word(Record):
     """
 
     __slots__ = ("letters",)
-
-    def __init__(self, letters):
-        setfield(self, "letters", letters)
 
     @property
     def height(self):

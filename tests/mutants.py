@@ -202,6 +202,19 @@ MUTANTS = (
            "        if type(other) is not type(self):\n",
            "        if not isinstance(other, Record):\n",
            ["tests/test_records.py::test_equality_needs_the_exact_class"]),
+    # a compiled __init__ gives the trailing fields their declared defaults
+    Mutant("record-init-ignores-defaults", "_record.py",
+           "    init.__defaults__ = tuple(cls._defaults[n] for n in names[len(names) - "
+           "len(cls._defaults):])\n",
+           "    init.__defaults__ = ()\n",
+           ["tests/test_records.py::test_signatures_match_the_dataclasses",
+            "tests/test_records.py::test_positional_and_keyword_construction"]),
+    # an object in a problem file holds no key outside need + allowed
+    Mutant("cli-obj-skips-unknown-keys", "cli.py",
+           "    _only(value, need + allowed, where)\n",
+           "",
+           [CLI + "test_parse_rejects_unknown_keys",
+            CLI + "test_every_object_level_names_itself"]),
 )
 
 

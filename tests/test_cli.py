@@ -93,11 +93,57 @@ def test_parse_rejects_unknown_keys():
         '{"equation": {"h": [[1, 2], [-1]], "x": 1}}': "equation: unknown field 'x'",
         '{"wreath": {"generators": [], "cap": 3}}': "wreath: unknown field 'cap'",
         '{"meta": 0, "wreath": {"generators": []}}': "top level: unknown field 'meta'",
-        '{"equation": {"h": [{"coeffs": [1], "deg": 2}]}}': "unknown field 'deg'",
+        '{"equation": {"h": [{"coeffs": [1], "deg": 2}]}}':
+            "equation.h[0]: unknown field 'deg'",
+        '{"wreath": {"generators": [{"H": [1], "b": 1, "c": 0}]}}':
+            "generators[0]: unknown field 'c'",
+        '{"wreath": {"generators": [{"H": {"coeffs": [1], "deg": 2}, "b": 1}]}}':
+            "generators[0].H: unknown field 'deg'",
     }
     for bad, msg in cases.items():
         with pytest.raises(SchemaError, match=re.escape(msg)):
             cli.parse_input(bad.encode())
+
+
+# each object level of a problem file: (place, the file with the value at
+# that place standing in for %s, a well-formed object there, a key it
+# always needs, the error for the number 7 there: a polynomial may also
+# be a list)
+LEVELS = [
+    ("equation", '{"equation": %s}', '{"h": [[1]]}', "h", "expected an object, got int"),
+    ("wreath", '{"wreath": %s}', '{"generators": []}', "generators",
+     "expected an object, got int"),
+    ("generators[0]", '{"wreath": {"generators": [%s]}}', '{"H": [1], "b": 1}', "H",
+     "expected an object, got int"),
+    ("equation.h[0]", '{"equation": {"h": [%s]}}', '{"coeffs": [1], "lowest": 0}',
+     "coeffs", "expected a polynomial, got 7"),
+    ("generators[0].H", '{"wreath": {"generators": [{"H": %s, "b": 1}]}}',
+     '{"coeffs": [1], "lowest": 0}', "coeffs", "expected a polynomial, got 7"),
+]
+
+
+def _schema_error(doc):
+    with pytest.raises(SchemaError) as info:
+        cli.parse_input(doc.encode())
+    return str(info.value)
+
+
+def test_every_object_level_names_itself():
+    for place, doc, good, key, not_obj in LEVELS:
+        cli.parse_input((doc % good).encode())
+        assert _schema_error(doc % "7") == "%s: %s" % (place, not_obj)
+        obj = json.loads(good)
+        del obj[key]
+        assert _schema_error(doc % json.dumps(obj)) == \
+            "%s: missing field %r" % (place, key)
+        obj = dict(json.loads(good), zz=0)
+        assert _schema_error(doc % json.dumps(obj)) == "%s: unknown field 'zz'" % place
+    # the top level: a body that does not open with "{" is read as text
+    # rows, so its error names the row
+    assert _schema_error('["equation"]').startswith("line 1: ")
+    assert _schema_error("{}") == "need exactly one of 'equation' or 'wreath' at top level"
+    assert _schema_error('{"equation": {"h": [[1]]}, "zz": 0}') == \
+        "top level: unknown field 'zz'"
 
 
 def test_parse_text_rows():
@@ -404,6 +450,94 @@ def test_wreath_degree_cap_zero_stops_the_witness(problem, capsys):
     # without the cap the word is found
     code, out, _ = run(["wreath", "word", path], capsys)
     assert code == 0 and out.splitlines()[1] == "product = identity: true"
+
+
+# ------------------------------------------------------- pinned reports
+
+# the problem files of the CI workflow's CLI step
+CI_FILES = {
+    "remark": REMARK,
+    "triple": TRIPLE,
+    "pair": PAIR,
+    "sqrt2": '{"equation": {"h": [[-2, 0, 1], [2, -1]]}}',
+    "nine": '{"equation": {"h": [[-2, 0, 1], [-1, 1], [5, 1], [12, -7, 1], [20, -9, 1],'
+            ' [30, -11, 1], [42, -13, 1], [56, -15, 1], [72, -17, 1]]}}',
+    "onesign": '{"equation": {"h": [[1, 2, 3], [-1, -1], [3, -4, 1], [-2, 0, 1]]}}',
+    "shared": '{"equation": {"h": [[-2, 0, 1], [2, -2, -1, 1]]}}',
+    "power": '{"wreath": {"generators": [{"H": {"coeffs": [2], "lowest": -1}, "b": 1},'
+             ' {"H": {"coeffs": [-1], "lowest": -1}, "b": 1}, {"H": [0], "b": -1}]}}',
+    "apart": STUCK,
+    "subset": '{"wreath": {"generators": [{"H": [1], "b": 1},'
+              ' {"H": {"coeffs": [-1], "lowest": -1}, "b": -1}, {"H": [1], "b": -1}]}}',
+    "capped": CAPPED,
+}
+
+# each file under every command CI runs on it: (file, argv, exit code,
+# the --json report without its timing, compacted, and the --text report)
+PINNED = [
+    ("remark", "solve FILE", 1,
+     '{"status": "Unsolvable", "reason": "UniformSignWitness", "certificate": {"sample": "1",'
+     ' "signs": [1, 0], "x_divisions": 0, "gcd_removed": {"coeffs": [1], "lowest": 0},'
+     ' "verified": true}}',
+     "status: Unsolvable\nreason: UniformSignWitness\nsample: t = 1\nsigns: +1 0\n"
+     "certificate verified: true\n"),
+    ("sqrt2", "solve FILE", 1,
+     '{"status": "Unsolvable", "reason": "UniformSignWitness", "certificate": {"sample":'
+     ' {"interval": ["1", "3/2"], "poly": {"coeffs": [-2, 0, 1], "lowest": 0}},'
+     ' "signs": [0, 1], "x_divisions": 0, "gcd_removed": {"coeffs": [1], "lowest": 0},'
+     ' "verified": true}}',
+     "status: Unsolvable\nreason: UniformSignWitness\nsample: t in (1, 3/2]\n"
+     "signs: 0 +1\ncertificate verified: true\n"),
+    ("nine", "solve FILE", 1,
+     '{"status": "Unsolvable", "reason": "UniformSignWitness", "certificate": {"sample":'
+     ' {"interval": ["1", "2"], "poly": {"coeffs": [-2, 0, 1], "lowest": 0}},'
+     ' "signs": [0, 1, 1, 1, 1, 1, 1, 1, 1], "x_divisions": 0,'
+     ' "gcd_removed": {"coeffs": [1], "lowest": 0}, "verified": true}}',
+     "status: Unsolvable\nreason: UniformSignWitness\nsample: t in (1, 2]\n"
+     "signs: 0 +1 +1 +1 +1 +1 +1 +1 +1\ncertificate verified: true\n"),
+    ("shared", "solve FILE", 1,
+     '{"status": "Unsolvable", "reason": "UniformSignWitness", "certificate": {"sample": "1",'
+     ' "signs": [1, 0], "x_divisions": 0, "gcd_removed": {"coeffs": [-2, 0, 1], "lowest": 0},'
+     ' "verified": true}}',
+     "status: Unsolvable\nreason: UniformSignWitness\nsample: t = 1\nsigns: +1 0\n"
+     "certificate verified: true\n"),
+    ("onesign", "solve FILE", 0, '{"status": "Solvable"}', "status: Solvable\n"),
+    ("triple", "solve FILE --witness", 0,
+     '{"status": "Solvable", "witness": [{"coeffs": [1], "lowest": 0}, {"coeffs": [1],'
+     ' "lowest": 0}, {"coeffs": [1], "lowest": 0}], "witness_verified": true,'
+     ' "witness_status": "Found"}',
+     "status: Solvable\nwitness: 1; 1; 1\nwitness verified: true\n"),
+    ("pair", "wreath word FILE", 0, '{"word": "A1 B1", "verified": true}',
+     "A1 B1\nproduct = identity: true\n"),
+    ("power", "wreath word FILE", 0, '{"word": "(A2 B1)^2 A1 B1", "verified": true}',
+     "(A2 B1)^2 A1 B1\nproduct = identity: true\n"),
+    ("apart", "wreath group FILE", 1, '{"is_group": false}', "is group: false\n"),
+    ("apart", "wreath identity FILE", 1, '{"identity_in_semigroup": false}',
+     "identity in semigroup: false\n"),
+    ("apart", "wreath word FILE", 1, '{"identity_in_semigroup": false, "word": null}',
+     "identity in semigroup: false\n"),
+    ("subset", "wreath group FILE", 1, '{"is_group": false}', "is group: false\n"),
+    ("subset", "wreath identity FILE", 0,
+     '{"identity_in_semigroup": true, "word": "A1 B1", "verified": true}',
+     "identity in semigroup: true\nword: A1 B1\nproduct = identity: true\n"),
+    ("capped", "wreath word FILE --degree-cap 0", 2, "", ""),
+]
+
+_TIMING = re.compile(r',\n  "timing": \{\n    "seconds": [0-9.e-]+\n  \}(?=\n\}\n\Z)')
+
+
+@pytest.mark.parametrize("name, argv, code, report, text", PINNED,
+                         ids=["%s %s" % (p[0], p[1].replace(" FILE", "")) for p in PINNED])
+def test_ci_reports_are_byte_exact(problem, capsys, name, argv, code, report, text):
+    path = problem(CI_FILES[name])
+    argv = [path if a == "FILE" else a for a in argv.split()]
+    got = run(argv + ["--text"], capsys)
+    assert got[:2] == (code, text)
+    got_code, out, _ = run(argv + ["--json"], capsys)
+    # the report is indented 2-space ASCII JSON, timing last where it is
+    want = json.dumps(json.loads(report), indent=2) + "\n" if report else ""
+    assert (got_code, _TIMING.sub("", out, count=1)) == (code, want)
+    assert ('"timing"' in out) == (code != 2)
 
 
 # ------------------------------------------------------- flags and env

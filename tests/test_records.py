@@ -49,13 +49,19 @@ def test_positional_and_keyword_construction():
     pf = cli.ProblemFile("equation", hs=hs)
     assert (pf.kind, pf.hs, pf.generators) == ("equation", hs, None)
     assert pf == cli.ProblemFile(kind="equation", hs=hs, generators=None)
+    pf = cli.ProblemFile("wreath")
+    assert (pf.hs, pf.generators) == (None, None)
     gens = wr.GeneratorSet(plus=(IntPoly([1]),), minus=[LaurentPoly([-1], -1)])
     assert gens == wr.GeneratorSet((LaurentPoly([1]),), (LaurentPoly([-1], -1),))
-    # the old __post_init__ normalizations happen in __init__
+    # the old __post_init__ normalizations happen in __init__, on any iterable
     assert type(gens.plus) is type(gens.minus) is tuple
     assert isinstance(gens.plus[0], LaurentPoly)
+    assert wr.GeneratorSet(iter([IntPoly([2, 3])]), ()).plus == (LaurentPoly([2, 3]),)
+    with pytest.raises(TypeError):
+        wr.GeneratorSet([[1]], [])
     assert wr.WreathElement(f=IntPoly([2]), b=1).f == LaurentPoly([2])
     assert wr.CoverSubset([[2, 1], (1, 1), (2, 1)]).pairs == ((1, 1), (2, 1))
+    assert wr.CoverSubset(iter([(1, 2), [1, 1]])).pairs == ((1, 1), (1, 2))
 
 
 def test_equality_needs_the_exact_class():
@@ -98,3 +104,14 @@ def test_repr_copy_and_pickle():
         assert copy.copy(rec) == rec
         back = pickle.loads(pickle.dumps(rec))
         assert back == rec and type(back) is type(rec)
+
+
+def test_constructors_bind_exactly_their_fields():
+    for cls in SIGNATURES:
+        params = inspect.signature(cls).parameters
+        need = sum(p.default is p.empty for p in params.values())
+        for args, kw in (([None] * (need - 1), {}), ([None] * (len(params) + 1), {}),
+                         ([None] * need, {"extra": 1})):
+            with pytest.raises(TypeError, match=r"__init__\(\) (missing|takes|got an unex)"):
+                cls(*args, **kw)
+

@@ -4,16 +4,20 @@ Decision runs in three normalization-guarded steps: divide out the common
 polynomial gcd, strip X from the entries vanishing at 0 until the signs
 at 0 are mixed or all strict, then ask whether any t >= 0 gives every
 reduced h_i the same weak sign.  A uniform sign certifies unsolvability;
-otherwise the instance is solvable.  Producing a solution is a separate
-job: find_witness synthesizes a witness tuple by exact rational linear
-programming over the convolution system, with nonzeroness encoded as
-coefficient sums >= 1 (sound by homogeneity).  Its degree escalation
-starts at a bound read off the ends of the h_i; each system is
-presolved by forcing rows, which drop every unknown a one-signed row
-pins to 0 and settle a degree with no simplex when they empty a block;
-and its simplex pivots on the convolution's equality rows alone: the
-coefficient-sum rows cover disjoint blocks of unknowns and stay
-implicit, one basic key variable per block (generalized upper
+otherwise the instance is solvable.  The gcd is paid for only on the
+way to a certificate: a common factor can make a uniform point only at
+its own roots in [0, oo), where every entry is 0, so decide strips and
+scans the undivided entries first, and when they have no uniform point
+the verdict is Solvable with no gcd computed.  Producing a solution is
+a separate job: find_witness synthesizes a witness tuple by exact
+rational linear programming over the convolution system, with
+nonzeroness encoded as coefficient sums >= 1 (sound by homogeneity).
+Its degree escalation starts at a bound read off the ends of the h_i;
+each system is presolved by forcing rows, which drop every unknown a
+one-signed row pins to 0 and settle a degree with no simplex when they
+empty a block; and its simplex pivots on the convolution's equality
+rows alone: the coefficient-sum rows cover disjoint blocks of unknowns
+and stay implicit, one basic key variable per block (generalized upper
 bounding).
 
 Witnesses are searched against the original, unnormalized h_i, so a
@@ -27,7 +31,7 @@ from math import lcm
 from . import kernels as _k
 from ._record import Record
 from .errors import AllZero, LengthMismatch, PostconditionFailed, ZeroPolynomial
-from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many, order_at_zero
+from .polyring import IntPoly, eval_at_rational, exact_div, gcd_many
 from .realdec import RationalPoint, SignVector, _sgn, signs_at_root, uniform_sign_exists
 
 DEGREE_CAP = 40
@@ -107,7 +111,9 @@ def normalize(hs):
     the least t leaving mixed strict signs at 0: a NormalizedInstance
     with x_divisions t.  With no such t, EarlyUnsolvable: all signs at
     0 strictly on one side.  Zero entries are the caller's problem
-    (ZeroPolynomial); all-zero or empty input raises AllZero.
+    (ZeroPolynomial); all-zero or empty input raises AllZero.  decide
+    calls this only on the way to a certificate: a Solvable verdict
+    needs no gcd (see decide).
     """
     if not hs:
         raise AllZero("nothing to normalize")
@@ -115,21 +121,27 @@ def normalize(hs):
         if h.is_zero:
             raise ZeroPolynomial("zero entry reaches normalize")
     g = gcd_many(hs)
-    hs = tuple(exact_div(h, g) for h in hs)
-    # stripping X^t shows at 0 the lowest-coefficient sign of each entry
-    # of order <= t, so t is the least order carrying the sign opposite a
-    # lowest-order entry's, or the largest order when all share one sign
-    orders = [order_at_zero(h) for h in hs]
+    hs, t, sign = _strip_x([exact_div(h, g) for h in hs])
+    if not sign:
+        return NormalizedInstance(hs, g, t)
+    sv = SignVector(RationalPoint(Fraction(0)), (sign,) * len(hs))
+    return EarlyUnsolvable(sv, hs, g, t)
+
+
+def _strip_x(hs):
+    # (nonzero hs less X^t, t, the strict sign at 0 they all share or 0
+    # when it is mixed).  Stripping X^t shows at 0 the lowest-coefficient
+    # sign of each entry of order <= t, so t is the least order carrying
+    # the sign opposite a lowest-order entry's, or the largest order when
+    # all share one sign
+    orders = [_k.order(h.coeffs) for h in hs]
     lows = [_sgn(h.coeffs[k]) for h, k in zip(hs, orders)]
     first = lows[orders.index(min(orders))]
     flips = [k for k, s in zip(orders, lows) if s != first]
     t = min(flips, default=max(orders))
     hs = tuple(IntPoly._raw(h.coeffs[min(k, t):]) if k and t else h
                for h, k in zip(hs, orders))
-    if flips:
-        return NormalizedInstance(hs, g, t)
-    sv = SignVector(RationalPoint(Fraction(0)), (first,) * len(hs))
-    return EarlyUnsolvable(sv, hs, g, t)
+    return hs, t, 0 if flips else first
 
 
 def decide(hs):
@@ -138,22 +150,46 @@ def decide(hs):
     Zero entries absorb any nonzero f, so the verdict rests on the rest:
     Solvable when none is left, else Unsolvable exactly when normalize
     ends early or the reduced h_i share a weak sign at some t > 0.
+
+    The gcd is computed only on the way to a certificate.  The nonzero
+    entries are first stripped of X undivided, as if their gcd were 1,
+    and scanned; no uniform point there means Solvable.  Proof: let the
+    gcd be g = X^a * G with G(0) != 0, and r_i = h_i / g.  The orders at
+    0 of the h_i are a plus those of the r_i, and their lowest signs are
+    those of the r_i times sgn G(0), all together, so the strip finds no
+    flip for both or for neither, and t = a + t' with t' the r_i's.  So
+    the stripped h_i are G times the stripped r_i.  A root of G in
+    [0, oo) zeroes every stripped h_i, a uniform point; with none, G has
+    one sign on [0, oo), and the stripped h_i and r_i share or lack a
+    uniform point together.  So a scan of the stripped h_i that finds
+    none proves that G has no root in [0, oo) and that the r_i have no
+    uniform point either.  Otherwise normalize runs, and with it
+    gcd_many: for g = 1 its instance is the one just stripped and
+    scanned, so the scan's sign vector stands, and for g != 1 its
+    instance is scanned anew.  So every certificate is the one the
+    reduced entries carry.
     """
     if not hs:
         raise AllZero("empty instance")
-    # a single entry needs no branch of its own: the gcd leaves a
-    # nonzero constant, whose strict sign at 0 ends normalize early
+    # a single entry needs no branch of its own: with no sign to flip
+    # against, its X-strip ends early, and so does normalize's, on the
+    # nonzero constant the gcd leaves
     nonzero = [h for h in hs if not h.is_zero]
     if not nonzero:
+        return Decision(SOLVABLE)
+    stripped, _, sign = _strip_x(nonzero)
+    sv = None if sign else uniform_sign_exists(list(stripped))
+    if not sign and sv is None:
         return Decision(SOLVABLE)
     norm = normalize(nonzero)
     if isinstance(norm, EarlyUnsolvable):
         return Decision(UNSOLVABLE, norm)
-    sv = uniform_sign_exists(list(norm.hs))
-    if sv is not None:
-        cert = SignCertificate(sv, norm.hs, norm.gcd_removed, norm.x_divisions)
-        return Decision(UNSOLVABLE, cert)
-    return Decision(SOLVABLE)
+    if norm.gcd_removed.coeffs != (1,):
+        sv = uniform_sign_exists(list(norm.hs))
+        if sv is None:
+            return Decision(SOLVABLE)
+    cert = SignCertificate(sv, norm.hs, norm.gcd_removed, norm.x_divisions)
+    return Decision(UNSOLVABLE, cert)
 
 
 def verify_certificate(cert):

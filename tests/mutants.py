@@ -43,6 +43,16 @@ MUTANTS = (
            "    t = min(orders)\n",
            [NX + "test_normalize_matches_loop_reference",
             NX + "test_normalize_strips_differing_x_orders"]),
+    # decide: the undivided scan's sign vector stands only for a gcd of 1
+    Mutant("decide-keeps-undivided-scan", "nxsolve.py",
+           "    if norm.gcd_removed.coeffs != (1,):\n",
+           "    if False:\n",
+           [NX + "test_decide_matches_the_gcd_first_reference"]),
+    # a certificate reports the gcd that gcd_many found, not 1
+    Mutant("decide-skips-gcd", "nxsolve.py",
+           "    g = gcd_many(hs)\n",
+           "    g = IntPoly.one()\n",
+           [NX + "test_decide_matches_the_gcd_first_reference"]),
     # signs_at_root reads q strictly inside the interval, not at its end
     Mutant("sign-at-root-read-at-b", "realdec.py",
            "        signs.append(_sgn(_ev(cs, m)))\n",

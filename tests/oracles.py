@@ -29,7 +29,9 @@ the kernels they check;
 ``strip2_reference``, ``content_reference`` and ``order_reference`` walk
 the coefficients one by one, where posring's kernels use one builtin.
 ``normalize_reference`` strips X from the entries vanishing at 0 one
-order at a time, re-reading the signs at 0 after each strip, and
+order at a time, re-reading the signs at 0 after each strip;
+``decide_reference`` divides out the gcd before every scan, where
+posring's ``decide`` computes it only on the way to a certificate; and
 ``plan_scale_reference`` tries m = 0, 1, ... until (1 + X)^m makes the
 pivots of ``plan_reference``, the paper's Figure 1 construction,
 positive, and ``walk_scale_reference`` until (1 + X)^m fills every inner
@@ -315,6 +317,26 @@ def normalize_reference(hs):
         budget -= k
         if budget < 0:
             raise PostconditionFailed("X-division loop exceeded degree budget")
+
+
+def decide_reference(hs):
+    """posring's decide with the gcd divided out first on every input:
+    normalize_reference, then the uniform-sign scan of the reduced
+    entries, where posring's scans the undivided ones first and computes
+    the gcd only on the way to a certificate."""
+    if not hs:
+        raise AllZero("empty instance")
+    nonzero = [h for h in hs if not h.is_zero]
+    if not nonzero:
+        return _nx.Decision(_nx.SOLVABLE)
+    norm = normalize_reference(nonzero)
+    if isinstance(norm, EarlyUnsolvable):
+        return _nx.Decision(_nx.UNSOLVABLE, norm)
+    sv = _nx.uniform_sign_exists(list(norm.hs))
+    if sv is None:
+        return _nx.Decision(_nx.SOLVABLE)
+    cert = _nx.SignCertificate(sv, norm.hs, norm.gcd_removed, norm.x_divisions)
+    return _nx.Decision(_nx.UNSOLVABLE, cert)
 
 
 def _scaling_ok(f_uv, f_yz, m):

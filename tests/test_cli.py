@@ -464,6 +464,10 @@ CI_FILES = {
             ' [30, -11, 1], [42, -13, 1], [56, -15, 1], [72, -17, 1]]}}',
     "onesign": '{"equation": {"h": [[1, 2, 3], [-1, -1], [3, -4, 1], [-2, 0, 1]]}}',
     "shared": '{"equation": {"h": [[-2, 0, 1], [2, -2, -1, 1]]}}',
+    # X + 1 divides both: decide needs no gcd for the first, and divides
+    # it out for the second's certificate at t = 2
+    "plus1": '{"equation": {"h": [[1, 1], [-1, -1]]}}',
+    "plus1root": '{"equation": {"h": [[1, 1], [-2, -1, 1]]}}',
     "power": '{"wreath": {"generators": [{"H": {"coeffs": [2], "lowest": -1}, "b": 1},'
              ' {"H": {"coeffs": [-1], "lowest": -1}, "b": 1}, {"H": [0], "b": -1}]}}',
     "apart": STUCK,
@@ -502,6 +506,13 @@ PINNED = [
      "status: Unsolvable\nreason: UniformSignWitness\nsample: t = 1\nsigns: +1 0\n"
      "certificate verified: true\n"),
     ("onesign", "solve FILE", 0, '{"status": "Solvable"}', "status: Solvable\n"),
+    ("plus1", "solve FILE", 0, '{"status": "Solvable"}', "status: Solvable\n"),
+    ("plus1root", "solve FILE", 1,
+     '{"status": "Unsolvable", "reason": "UniformSignWitness", "certificate": {"sample": "2",'
+     ' "signs": [1, 0], "x_divisions": 0, "gcd_removed": {"coeffs": [1, 1], "lowest": 0},'
+     ' "verified": true}}',
+     "status: Unsolvable\nreason: UniformSignWitness\nsample: t = 2\nsigns: +1 0\n"
+     "certificate verified: true\n"),
     ("triple", "solve FILE --witness", 0,
      '{"status": "Solvable", "witness": [{"coeffs": [1], "lowest": 0}, {"coeffs": [1],'
      ' "lowest": 0}, {"coeffs": [1], "lowest": 0}], "witness_verified": true,'

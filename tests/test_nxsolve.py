@@ -6,7 +6,7 @@ from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posring import kernels as _k
@@ -23,6 +23,7 @@ from oracles import (
     _oracle_meet,
     brute_force_oracle,
     build_feasibility_reference,
+    decide_reference,
     find_witness_linear,
     normalize_reference,
     rational_feasibility_reference,
@@ -271,6 +272,91 @@ def test_decide_single_entry_takes_the_early_exit():
         assert d.certificate.hs[0].degree == 0
         assert d.certificate.hs[0] * d.certificate.gcd_removed == P(*cs)
         assert nx.verify_certificate(d.certificate)
+
+
+# ------------------------------------------ the gcd only for a certificate
+
+# a shared factor of each kind: a positive root, positive on [0, oo),
+# and none; each may also carry a power of X and a sign
+_SHARED = [P(-2, 0, 1), P(1, 1), P(1, 1, 1), P(1)]
+
+
+def _fields(d):
+    # a Decision as plain values: an IsolatingInterval compares by identity
+    cert = d.certificate
+    if cert is None:
+        return d.status
+    sample = cert.sign_vector.sample
+    if isinstance(sample, AlgebraicRoot):
+        iv = sample.interval
+        sample = (iv.owners, iv.lo, iv.hi, iv.multiplicity_free, iv.exact, iv.s)
+    return (d.status, type(cert), cert.hs, cert.gcd_removed, cert.x_divisions,
+            sample, cert.sign_vector.signs)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=4), min_size=1,
+                max_size=5),
+       st.sampled_from(_SHARED), st.integers(0, 2), st.sampled_from([1, -1]))
+# one entry: the X-strip ends early, and the gcd is its primitive part
+@example([[1]], P(1), 1, 1)
+@example([[3]], P(1), 0, 1)
+@example([[-2, 0, 4]], P(1), 0, 1)
+@example([[-1, -1]], P(1), 2, 1)
+@example([[1]], P(-2, 0, 1), 0, 1)
+@example([[0], [1]], P(1, 1), 0, 1)
+# every entry strictly on one side at 0, with each kind of shared factor
+@example([[1], [2, 1]], P(1), 0, 1)
+@example([[1], [2, 1]], P(1, 1), 0, -1)
+@example([[1], [0, 1]], P(1), 1, 1)
+@example([[1], [3, 1]], P(-2, 0, 1), 0, 1)
+@example([[1], [0, 0, 2]], P(1, 1, 1), 1, 1)
+def test_decide_matches_the_gcd_first_reference(entries, shared, xk, sign):
+    # status, reduced hs, gcd_removed, x_divisions, sample and signs all
+    # equal those of decide with the gcd divided out first
+    g = shared * IntPoly([0] * xk + [sign])
+    hs = [IntPoly(cs) * g for cs in entries]
+    assert _fields(nx.decide(hs)) == _fields(decide_reference(hs))
+
+
+def _dense(seed, deg=80, n=5):
+    # perfbench's dense_decide shape: 64-bit coefficients, mixed strict
+    # signs at 0
+    rng = random.Random(seed)
+    hs = [[rng.getrandbits(64) - (1 << 63) for _ in range(deg + 1)] for _ in range(n)]
+    hs[0][0] = abs(hs[0][0]) + 1
+    hs[1][0] = -abs(hs[1][0]) - 1
+    return [IntPoly(cs[:-1] + [cs[-1] or 1]) for cs in hs]
+
+
+def _counted(hs):
+    # decide's gcd_many and uniform_sign_exists calls
+    with mock.patch.object(nx, "gcd_many", wraps=nx.gcd_many) as gcd, \
+            mock.patch.object(nx, "uniform_sign_exists",
+                              wraps=nx.uniform_sign_exists) as scan:
+        d = nx.decide(hs)
+    return d, gcd.call_count, scan.call_count
+
+
+def test_decide_computes_the_gcd_only_for_a_certificate():
+    # Solvable: one scan of the undivided entries, no gcd
+    d, gcds, scans = _counted(_dense(0))
+    assert d.status == nx.SOLVABLE and (gcds, scans) == (0, 1)
+    # Unsolvable with gcd 1: the one scan's certificate, after one gcd
+    d, gcds, scans = _counted(REMARK_PAIR)
+    assert d.status == nx.UNSOLVABLE and (gcds, scans) == (1, 1)
+    assert _fields(d) == _fields(decide_reference(REMARK_PAIR))
+    # a shared X + 1: one more scan, of the reduced entries
+    hs = [h * P(1, 1) for h in REMARK_PAIR]
+    d, gcds, scans = _counted(hs)
+    assert d.status == nx.UNSOLVABLE and (gcds, scans) == (1, 2)
+    assert _fields(d) == _fields(decide_reference(hs))
+    assert d.certificate.gcd_removed == P(1, 1)
+    # a shared X^2 - 2 whose root is the undivided entries' only uniform
+    # point: the second scan finds none, and the verdict is Solvable
+    hs = [h * P(-2, 0, 1) for h in SHIFT_PAIR]
+    d, gcds, scans = _counted(hs)
+    assert d.status == nx.SOLVABLE and (gcds, scans) == (1, 2)
 
 
 def _forged(hs, sample, signs):
